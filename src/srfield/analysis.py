@@ -3,7 +3,8 @@ algorithm with its rank certificate, and the pointwise multisymplecticity kernel
 
 The selection matrix and its verification run in exact integer arithmetic; the
 regularity and kernel checks are numeric with a relative singular-value cutoff
-of 1e-8.
+of 1e-8.  Each group of expressions is evaluated by one compiled call, and the
+kernel's minors are stacked into one determinant call per form term.
 """
 
 from __future__ import annotations
@@ -75,11 +76,8 @@ def highest_hessian(L: Expr, spec: BundleSpec) -> HessianMatrix:
 
 def hessian_at(hess: HessianMatrix, point: Mapping, fields=None) -> np.ndarray:
     size = hess.size()
-    out = np.zeros((size, size))
-    for r in range(size):
-        for c in range(size):
-            out[r, c] = evaluate(hess.entries[r][c], point, fields)
-    return out
+    values = evaluate([e for row in hess.entries for e in row], point, fields)
+    return np.array(values, dtype=float).reshape(size, size)
 
 
 def is_regular_at(L: Expr, spec: BundleSpec, point: Mapping, fields=None) -> bool:
@@ -343,15 +341,17 @@ def on_constraint_point(L: Expr, spec: BundleSpec, rng: random.Random,
     for s in catalog.mom_syms:
         if s not in solved:
             point[s] = rng.uniform(1.0, 2.0)
-    for dep, (alpha, K) in solved.items():
-        rhs = evaluate(partial(L, jet_sym(alpha, K)), point, fields)
+    # every solved momentum belongs to one K, so the right sides need only x and u
+    *rhs, l_value = evaluate([partial(L, jet_sym(alpha, K)) for alpha, K in solved.values()]
+                             + [L], point, fields)
+    for (dep, (alpha, K)), rhs_value in zip(solved.items(), rhs):
         others = sum(point[mom_sym(alpha, I, i)]
                      for I, i in mi.decompositions(K)
                      if mom_sym(alpha, I, i) != dep)
-        point[dep] = rhs - others
+        point[dep] = rhs_value - others
     phi_terms = sum(point[s] * point[jet_sym(s.alpha, s.index.bump(s.i))]
                     for s in catalog.mom_syms)
-    point[catalog.p] = evaluate(L, point, fields) - phi_terms
+    point[catalog.p] = l_value - phi_terms
     return point
 
 
@@ -367,44 +367,25 @@ def omega2_kernel_dim_at(L: Expr, spec: BundleSpec, point: Mapping,
         raise UsageError("kernel check requires base dimension m >= 2")
     catalog = build_catalog(spec)
     residuals = w1_residuals(catalog, L) + [h0_residual(catalog, L)]
-    for rexpr in residuals:
-        val = evaluate(rexpr, point, fields)
+    for rexpr, val in zip(residuals, evaluate(residuals, point, fields)):
         if abs(val) > residual_tol:
             raise PreconditionError("point is off the constraint set: |%s| = %.3e"
                                     % (render(normalize(rexpr)), abs(val)))
 
     coords = list(catalog.coords)
     cpos = {c: ix for ix, c in enumerate(coords)}
-    ncoords = len(coords)
-
-    grad = np.zeros((len(residuals), ncoords))
-    for r, rexpr in enumerate(residuals):
-        for c in free_syms_sorted(rexpr):
-            if c in cpos:
-                grad[r, cpos[c]] = evaluate(partial(rexpr, c), point, fields)
+    slots = [(r, cpos[c]) for r, rexpr in enumerate(residuals)
+             for c in sorted(free_syms(rexpr)) if c in cpos]
+    grad = np.zeros((len(residuals), len(coords)))
+    if slots:
+        grad[tuple(np.array(slots).T)] = evaluate(
+            [partial(residuals[r], coords[c]) for r, c in slots], point, fields)
     tangent = _null_space(grad)
 
-    om = omega_h0(catalog, L)
-    numeric_terms = []
-    for mono, coef in collect(om).items():
-        idx = tuple(cpos[s] for s in mono)
-        numeric_terms.append((idx, evaluate(coef, point, fields)))
-
+    terms = collect(omega_h0(catalog, L))
+    coefs = evaluate(list(terms.values()), point, fields)
     dim_t = tangent.shape[1]
-    combos = list(itertools.combinations(range(dim_t), spec.m))
-    rows = np.zeros((len(combos), dim_t))
-    deg = spec.m + 1
-    for row_ix, combo in enumerate(combos):
-        for s_ix in range(dim_t):
-            vecs = [tangent[:, s_ix]] + [tangent[:, c] for c in combo]
-            total = 0.0
-            for idx, cval in numeric_terms:
-                sub = np.empty((deg, deg))
-                for a, coord in enumerate(idx):
-                    for b in range(deg):
-                        sub[a, b] = vecs[b][coord]
-                total += cval * np.linalg.det(sub)
-            rows[row_ix, s_ix] = total
+    rows = _minor_rows(tangent, [[cpos[s] for s in mono] for mono in terms], coefs, spec.m)
     if rows.size == 0:
         return dim_t
     sv = np.linalg.svd(rows, compute_uv=False)
@@ -413,8 +394,23 @@ def omega2_kernel_dim_at(L: Expr, spec: BundleSpec, point: Mapping,
     return dim_t - rank
 
 
-def free_syms_sorted(e: Expr):
-    return sorted(free_syms(e))
+def _minor_rows(tangent: np.ndarray, term_coords, coefs, m: int) -> np.ndarray:
+    """The contracted form on the tangent space, one row per m-subset of its basis.
+
+    rows[combo, s] = sum over terms of coef * det(tangent[idx][:, (s,) + combo]),
+    accumulated term by term; each term takes one stacked determinant call.
+    """
+    dim_t = tangent.shape[1]
+    combos = np.array(list(itertools.combinations(range(dim_t), m)), dtype=int).reshape(-1, m)
+    cols = np.concatenate([np.broadcast_to(np.arange(dim_t)[None, :, None],
+                                           (len(combos), dim_t, 1)),
+                           np.broadcast_to(combos[:, None, :],
+                                           (len(combos), dim_t, m))], axis=2)
+    rows = np.zeros((len(combos), dim_t))
+    for idx, cval in zip(term_coords, coefs):
+        sub = tangent[idx][:, cols]  # (a, combo, s, b)
+        rows += cval * np.linalg.det(np.moveaxis(sub, 0, 2))
+    return rows
 
 
 def _null_space(mat: np.ndarray) -> np.ndarray:

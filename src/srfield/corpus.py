@@ -24,6 +24,7 @@ from .symexpr import (
     eadd,
     equivalent,
     is_zero,
+    jet_sym,
     normalize,
     partial,
     render,
@@ -133,7 +134,7 @@ def projectability_replay(problem: ProblemFile) -> dict:
         u0 = eqs1.by_tag(TAG_B_TRACE)[alpha - 1]
         parts = [u0.rhs]
         for j in range(1, spec2.m + 1):
-            dl = partial(L, _jet(alpha, mi.unit(j, spec2.m)))
+            dl = partial(L, jet_sym(alpha, mi.unit(j, spec2.m)))
             parts.append(Const(-1) * eleuler.total_derivative(dl, j, 2))
         replayed.append(normalize(eadd(*parts)))
 
@@ -152,11 +153,6 @@ def projectability_replay(problem: ProblemFile) -> dict:
         "replayed_euler_lagrange": [render(c) for c in replayed],
         "matches_first_order_euler_lagrange": el_match,
     }
-
-
-def _jet(alpha, index):
-    from .symexpr import jet_sym
-    return jet_sym(alpha, index)
 
 
 def run_corpus(name: str, seed: int = CORPUS_SEED) -> dict:

@@ -4,14 +4,17 @@ independent first-variation (Gateaux) numeric oracle.
 The oracle compares a central-difference derivative of the action under a
 compactly supported variation against the quadrature of the Euler-Lagrange
 expression times the variation, both on the same tensor-product composite
-Simpson grid with a x2 refinement check.
+Simpson grid with a x2 refinement check.  Each grid is evaluated as numpy
+arrays by compiled expressions and summed with numpy.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
+from functools import reduce
 from typing import Mapping, Optional, Sequence
+
+import numpy as np
 
 from . import multiindex as mi
 from .errors import QuadratureError, UsageError
@@ -107,13 +110,8 @@ def euler_lagrange(L: Expr, spec: BundleSpec) -> ELSystem:
 def residual_on_section(el: ELSystem, s: SectionFn, point: Mapping,
                         fields: Optional[Mapping[str, Expr]] = None) -> list[float]:
     """Numeric Euler-Lagrange residuals of a section at a base point."""
-    spec = el.spec
-    subs = prolong(s, 2 * spec.k, spec)
-    out = []
-    for comp in el.components:
-        expr = substitute(comp, subs)
-        out.append(evaluate(expr, point, fields))
-    return out
+    subs = prolong(s, 2 * el.spec.k, el.spec)
+    return evaluate([substitute(comp, subs) for comp in el.components], point, fields)
 
 
 # ---------------------------------------------------------------------------
@@ -133,11 +131,10 @@ def simpson_points_weights(n_points: int, a: float, b: float):
 
 
 def _grid(box, n_points: int):
+    """Per-axis meshgrid of the Simpson nodes and the outer product of the weights."""
     axes = [simpson_points_weights(n_points, a, b) for a, b in box]
-    points = list(itertools.product(*[ax[0] for ax in axes]))
-    weights = [1.0]
-    for _, ws in axes:
-        weights = [w0 * w1 for w0 in weights for w1 in ws]
+    points = list(np.meshgrid(*[np.array(pts) for pts, _ in axes], indexing="ij"))
+    weights = reduce(np.multiply.outer, [np.array(ws) for _, ws in axes])
     return points, weights
 
 
@@ -167,34 +164,27 @@ def action_value(L: Expr, spec: BundleSpec, s: SectionFn, grid: int,
     box = default_box(spec) if box is None else box
     L_eff = substitute_fields(L, fields) if fields else L
     sprol = prolong(s, spec.k, spec)
-    return _action_on_grid(L_eff, spec, sprol, None, 0.0, grid, box)
+    return _action_on_grid(L_eff, spec, sprol, None, (0.0,), grid, box)[0]
 
 
-def _compiled_grid_values(expr: Expr, spec: BundleSpec, points) -> list[float]:
-    syms = [base_sym(i) for i in range(1, spec.m + 1)]
-    fn = compile_expr(expr, syms)
-    return [fn(pt) for pt in points]
+def _compiled_grid_values(exprs: Sequence[Expr], spec: BundleSpec, points) -> tuple:
+    """Values of expressions in the base variables on a whole grid, from one call."""
+    return compile_expr(exprs, [base_sym(i) for i in range(1, spec.m + 1)])(points)
 
 
-def _action_on_grid(L_eff: Expr, spec: BundleSpec, sprol, pprol, eps: float,
-                    n_points: int, box) -> float:
+def _action_on_grid(L_eff: Expr, spec: BundleSpec, sprol, pprol, epsilons: Sequence[float],
+                    n_points: int, box) -> list[float]:
+    """Simpson actions of the section shifted by eps times the variation, one per eps."""
     points, weights = _grid(box, n_points)
     jets = sorted(s for s in free_syms(L_eff) if s.kind == JET)
     base = [base_sym(i) for i in range(1, spec.m + 1)]
-    svals = {s: _compiled_grid_values(sprol[s], spec, points) for s in jets}
-    if pprol is not None:
-        pvals = {s: _compiled_grid_values(pprol[s], spec, points) for s in jets}
     lfn = compile_expr(L_eff, base + jets)
-    total = 0.0
-    for ix, (pt, w) in enumerate(zip(points, weights)):
-        vals = list(pt)
-        for s in jets:
-            v = svals[s][ix]
-            if pprol is not None:
-                v += eps * pvals[s][ix]
-            vals.append(v)
-        total += w * lfn(vals)
-    return total
+    svals = _compiled_grid_values([sprol[s] for s in jets], spec, points)
+    if pprol is None:
+        return [float(np.sum(weights * lfn(points + list(svals))))]
+    pvals = _compiled_grid_values([pprol[s] for s in jets], spec, points)
+    return [float(np.sum(weights * lfn(points + [sv + eps * pv for sv, pv in zip(svals, pvals)])))
+            for eps in epsilons]
 
 
 def gateaux_oracle(L: Expr, spec: BundleSpec, s: SectionFn, psi: SectionFn,
@@ -227,14 +217,12 @@ def gateaux_oracle(L: Expr, spec: BundleSpec, s: SectionFn, psi: SectionFn,
     el_integrand = eadd(*integrand_parts)
 
     def lhs_at(n_points: int) -> float:
-        plus = _action_on_grid(L_eff, spec, sprol_k, pprol_k, +eps, n_points, box)
-        minus = _action_on_grid(L_eff, spec, sprol_k, pprol_k, -eps, n_points, box)
+        plus, minus = _action_on_grid(L_eff, spec, sprol_k, pprol_k, (eps, -eps), n_points, box)
         return (plus - minus) / (2.0 * eps)
 
     def rhs_at(n_points: int) -> float:
         points, weights = _grid(box, n_points)
-        vals = _compiled_grid_values(el_integrand, spec, points)
-        return sum(w * v for w, v in zip(weights, vals))
+        return float(np.sum(weights * _compiled_grid_values([el_integrand], spec, points)[0]))
 
     fine = 2 * grid - 1
     lhs_c, lhs_f = lhs_at(grid), lhs_at(fine)

@@ -163,22 +163,10 @@ def wedge(a: Form, b: Form) -> Form:
     return out
 
 
-def wedge_all(*forms: Form) -> Form:
-    out = forms[0]
-    for f in forms[1:]:
-        out = wedge(out, f)
-    return out
-
-
 def dm1x(catalog: CoordCatalog, i: int) -> Form:
     """d^{m-1}x_i, the contraction of the volume form by d/dx^i."""
     return contract_vector(volume_form(catalog),
                            VecField(catalog, {catalog.base_syms[i - 1]: Const(1)}))
-
-
-def dm2x(catalog: CoordCatalog, i: int, j: int) -> Form:
-    return contract_vector(dm1x(catalog, i),
-                           VecField(catalog, {catalog.base_syms[j - 1]: Const(1)}))
 
 
 def exterior_d(a: Form) -> Form:

@@ -14,10 +14,11 @@ other shared mutable state.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from itertools import chain
 from typing import Callable, Mapping, Optional, Sequence
+
+import numpy as np
 
 from .errors import (
     EvalDomainError,
@@ -570,25 +571,25 @@ def _p_gcd(a: dict, b: dict) -> dict:
         return _p_monic(a)
     if _p_is_const(a) or _p_is_const(b):
         return _p_one()
+    return _via_vectors(_gcd_vec, a, b)
+
+
+def _via_vectors(op, a: dict, b: dict) -> dict:
+    """op(va, vb, nv) on the exponent-vector forms of a and b, converted back."""
     syms = sorted({s for mono in chain(a, b) for s, _ in mono})
     pos = {s: ix for ix, s in enumerate(syms)}
-    nv = len(syms)
 
     def to_vec(p: dict) -> dict:
         out = {}
         for mono, c in p.items():
-            v = [0] * nv
+            v = [0] * len(syms)
             for s, e in mono:
                 v[pos[s]] = e
             out[tuple(v)] = c
         return out
 
-    gv = _gcd_vec(to_vec(a), to_vec(b), nv)
-    out = {}
-    for v, c in gv.items():
-        mono = tuple((syms[ix], e) for ix, e in enumerate(v) if e)
-        out[mono] = c
-    return out
+    res = op(to_vec(a), to_vec(b), len(syms))
+    return {tuple((syms[ix], e) for ix, e in enumerate(v) if e): c for v, c in res.items()}
 
 
 def _v_zero(nv: int) -> tuple:
@@ -737,24 +738,7 @@ def _p_divexact(a: dict, b: dict) -> dict:
         return dict(a)
     if not a:
         return {}
-    syms = sorted({s for mono in chain(a, b) for s, _ in mono})
-    pos = {s: ix for ix, s in enumerate(syms)}
-    nv = len(syms)
-
-    def to_vec(p):
-        out = {}
-        for mono, c in p.items():
-            v = [0] * nv
-            for s, e in mono:
-                v[pos[s]] = e
-            out[tuple(v)] = c
-        return out
-
-    qv = _v_divexact(to_vec(a), to_vec(b))
-    out = {}
-    for v, c in qv.items():
-        out[tuple((syms[ix], e) for ix, e in enumerate(v) if e)] = c
-    return out
+    return _via_vectors(lambda va, vb, nv: _v_divexact(va, vb), a, b)
 
 
 def _mono_content(p: dict) -> dict:
@@ -893,127 +877,122 @@ def is_zero(e: Expr) -> bool:
     return isinstance(nf, Const) and nf.q == 0
 
 
-def equivalence(a: Expr, b: Expr) -> tuple[bool, str]:
-    """Decide a == b, returning (verdict, certificate kind).
-
-    The symbolic route is complete for this algebra; the numeric fallback
-    (agreement at >= 20 random rational points, tolerance 1e-9) only runs when
-    normalization itself fails, and its weaker certificate is reported.
-    """
-    try:
-        return is_zero(esub(a, b)), "symbolic"
-    except NormalizationError:
-        return _numeric_probe(esub(a, b)), "numeric"
-
-
 def equivalent(a: Expr, b: Expr) -> bool:
-    return equivalence(a, b)[0]
+    """Decide a == b symbolically; the route is complete for this algebra.
 
-
-def _numeric_probe(diff: Expr, trials: int = 20, tol: float = 1e-9) -> bool:
-    rng = random.Random("srfield-equivalence-probe")
-    syms = sorted(free_syms(diff))
-    done = 0
-    attempts = 0
-    while done < trials:
-        attempts += 1
-        if attempts > 50 * trials:
-            raise EvalDomainError("could not find enough regular sample points")
-        point = {s: rng.randint(100, 200) / 100.0 for s in syms}
-        try:
-            v = evaluate(diff, point)
-        except (EvalDomainError, ZeroDivisionError, OverflowError):
-            continue
-        if abs(v) > tol * (1.0 + abs(v)):
-            return False
-        done += 1
-    return True
+    Raises NormalizationError when a denominator is identically zero.
+    """
+    return is_zero(esub(a, b))
 
 
 # ---------------------------------------------------------------------------
 # Numeric evaluation
 
-
-def evaluate(e: Expr, point: Mapping, fields: Optional[Mapping[str, Expr]] = None) -> float:
-    """IEEE double value of e at the given assignment.
-
-    point maps symbols (or their rendered names) to numbers; fields optionally
-    binds external field names to expressions in the base variables.
-    """
-    if fields:
-        e = substitute_fields(e, fields)
-    values: dict[Sym, float] = {}
-    by_name: dict[str, float] = {}
-    for key, val in point.items():
-        if isinstance(key, Sym):
-            values[key] = float(val)
-        else:
-            by_name[str(key)] = float(val)
-
-    def look(sym: Sym) -> float:
-        if sym in values:
-            return values[sym]
-        name = sym.render()
-        if name in by_name:
-            return by_name[name]
-        raise EvalDomainError("no value assigned to %s" % name)
-
-    def rec(x: Expr) -> float:
-        if isinstance(x, Const):
-            return float(x.q)
-        if isinstance(x, Atom):
-            return look(x.sym)
-        if isinstance(x, Add):
-            return sum(rec(t) for t in x.terms)
-        if isinstance(x, Mul):
-            out = 1.0
-            for f in x.factors:
-                out *= rec(f)
-            return out
-        if isinstance(x, Pow):
-            base = rec(x.base)
-            if base == 0.0 and x.exp < 0:
-                raise EvalDomainError("division by zero in %s" % render(x))
-            return base ** x.exp
-        raise UsageError("cannot evaluate %r" % (x,))
-
-    return rec(e)
+# Deepest nesting of parentheses and chained operators in one generated
+# statement; a deeper subtree becomes a local statement of its own.
+_MAX_DEPTH = 50
 
 
-def compile_expr(e: Expr, syms: Sequence[Sym]) -> Callable[[Sequence[float]], float]:
-    """Compile e to a fast callable over a positional value vector.
+def _npow(b, n: int, node: Expr):
+    """b ** n for a negative n, refusing a zero base anywhere in b."""
+    if not np.all(b):
+        raise EvalDomainError("division by zero in %s" % render(node))
+    return b ** n
 
-    The expression must be free of field atoms (bind fields first); symbols
-    not listed raise at compile time.
+
+def compile_expr(e, syms: Sequence[Sym]) -> Callable:
+    """Compile one expression, or a sequence of them, to a callable f(v).
+
+    v holds the values of syms in order: floats, or equally shaped numpy
+    arrays evaluated elementwise.  f returns one value, or a tuple for a
+    sequence of expressions.  Expressions must be free of field atoms (bind
+    fields first); symbols not listed raise at compile time.  A zero base
+    under a negative power raises EvalDomainError.
     """
     pos = {s: ix for ix, s in enumerate(syms)}
+    lines: list[str] = []
+    poles: list[Expr] = []
 
-    def emit(x: Expr) -> str:
+    def hoist(text: str, name: Optional[str] = None) -> tuple[str, int]:
+        name = name or "t%d" % len(lines)
+        lines.append("%s = %s" % (name, text))
+        return name, 0
+
+    def join(op: str, parts) -> tuple[str, int]:
+        # Left to right, as Python groups a+b+c; an accumulator that would nest
+        # too deeply is stored and continued, which keeps the evaluation order.
+        text, depth = parts[0]
+        acc = None
+        for t, d in parts[1:]:
+            if max(depth, d) + 2 >= _MAX_DEPTH:
+                acc, depth = hoist(text, acc)
+                text = acc
+                if d + 2 >= _MAX_DEPTH:
+                    t, d = hoist(t)
+            text, depth = text + op + t, max(depth, d) + 1
+        return "(" + text + ")", depth + 1
+
+    def emit(x: Expr) -> tuple[str, int]:
         if isinstance(x, Const):
             if x.q.denominator == 1:
-                return "(%d.0)" % x.q.numerator
-            return "(%r)" % float(x.q)
+                return "(%d.0)" % x.q.numerator, 0
+            return "(%r)" % float(x.q), 0
         if isinstance(x, Atom):
             if x.sym not in pos:
                 raise UsageError("symbol %s not in compile scope" % x.sym.render())
-            return "v[%d]" % pos[x.sym]
-        if isinstance(x, Add):
-            return "(" + "+".join(emit(t) for t in x.terms) + ")"
-        if isinstance(x, Mul):
-            return "(" + "*".join(emit(f) for f in x.factors) + ")"
-        if isinstance(x, Pow):
-            return "(%s**%d)" % (emit(x.base), x.exp)
-        raise UsageError("cannot compile %r" % (x,))
+            return "v[%d]" % pos[x.sym], 0
+        if isinstance(x, (Add, Mul)):
+            parts = []
+            for c in x.terms if isinstance(x, Add) else x.factors:
+                parts.append(emit(c))  # a loop, not a comprehension: one frame per level
+            out = join("+" if isinstance(x, Add) else "*", parts)
+        elif isinstance(x, Pow):
+            text, depth = emit(x.base)
+            if x.exp > 0:
+                out = "(%s**%d)" % (text, x.exp), depth + 1
+            else:
+                poles.append(x)
+                out = "_npow(%s,%d,_P[%d])" % (text, x.exp, len(poles) - 1), depth + 1
+        else:
+            raise UsageError("cannot compile %r" % (x,))
+        return hoist(out[0]) if out[1] >= _MAX_DEPTH else out
 
-    return eval("lambda v: " + emit(e), {"__builtins__": {}})
+    single = isinstance(e, Expr)
+    results = []
+    for x in [e] if single else e:
+        results.append(emit(x)[0])
+    ret = results[0] if single else "(%s,)" % ",".join(results) if results else "()"
+    src = "def f(v):\n" + "".join("    %s\n" % ln for ln in lines) + "    return %s\n" % ret
+    namespace = {"__builtins__": {}, "_npow": _npow, "_P": poles}
+    exec(src, namespace)
+    return namespace["f"]
+
+
+def evaluate(e, point: Mapping, fields: Optional[Mapping[str, Expr]] = None):
+    """IEEE double value of e at the given assignment, through :func:`compile_expr`.
+
+    point maps symbols (or their rendered names) to floats or equally shaped
+    numpy arrays; fields optionally binds external field names to expressions
+    in the base variables.  A sequence of expressions is compiled together and
+    gives a list of values.  A missing value or a zero base under a negative
+    power raises EvalDomainError.
+    """
+    exprs = [e] if isinstance(e, Expr) else list(e)
+    if fields:
+        exprs = [substitute_fields(x, fields) for x in exprs]
+    values = {k if isinstance(k, Sym) else str(k): v if isinstance(v, np.ndarray) else float(v)
+              for k, v in point.items()}
+    syms = sorted(set().union(*map(free_syms, exprs)))
+    for s in syms:
+        if s not in values and s.render() not in values:
+            raise EvalDomainError("no value assigned to %s" % s.render())
+    out = compile_expr(exprs, syms)([values[s] if s in values else values[s.render()]
+                                     for s in syms])
+    return out[0] if isinstance(e, Expr) else list(out)
 
 
 # ---------------------------------------------------------------------------
 # Rendering
-
-
-def _is_simple(e: Expr) -> bool:
-    return isinstance(e, Atom) or (isinstance(e, Const) and e.q >= 0)
 
 
 def _render_factor(e: Expr) -> str:

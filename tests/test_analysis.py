@@ -1,9 +1,11 @@
 """Hessians, regularity, count classification, column selection, kernel dimensions."""
 
 import copy
+import itertools
 import random
 from math import comb
 
+import numpy as np
 import pytest
 
 from srfield import symexpr as sx
@@ -192,6 +194,35 @@ def test_kernel_matches_pointwise_regularity(plate_L, ch_L):
             pt = _on_point(L, spec, seed, fields)
             trivial = an.omega2_kernel_dim_at(L, spec, pt, fields) == 0
             assert trivial == an.is_regular_at(L, spec, pt, fields)
+
+
+def test_kernel_plate_3d():
+    spec = BundleSpec(3, 1, 2)
+    cat = build_catalog(spec, fields={"q": (1, 2, 3)})
+    L = sx.parse("1/2*(u[2,0,0]^2 + u[0,2,0]^2 + u[0,0,2]^2 + 2*u[1,1,0]^2"
+                 " + 2*u[1,0,1]^2 + 2*u[0,1,1]^2) - q*u[0,0,0]", cat)
+    fields = {"q": sx.Const(1)}
+    pt = _on_point(L, spec, 0, fields)
+    assert an.omega2_kernel_dim_at(L, spec, pt, fields) == 0
+    assert an.is_regular_at(L, spec, pt, fields)
+
+
+def test_minor_rows_match_loop():
+    # the stacked determinants do the loop's arithmetic in the loop's order
+    rng = np.random.default_rng(0)
+    tangent = rng.standard_normal((7, 5))
+    terms = [([0, 2, 5], 1.5), ([1, 3, 6], -0.25), ([0, 1, 4], 2.0)]
+    rows = an._minor_rows(tangent, [idx for idx, _ in terms], [c for _, c in terms], 2)
+    for r, combo in enumerate(itertools.combinations(range(5), 2)):
+        for s in range(5):
+            total = 0.0
+            for idx, c in terms:
+                sub = np.empty((3, 3))
+                for a, coord in enumerate(idx):
+                    for b, col in enumerate((s,) + combo):
+                        sub[a, b] = tangent[coord, col]
+                total += c * np.linalg.det(sub)
+            assert rows[r, s] == total
 
 
 def test_kernel_preconditions(ch_L):

@@ -165,6 +165,18 @@ def test_gateaux_hand_case():
     assert lhs == pytest.approx(-2.0 * (1.0 / 2 - 1.0 / 3), rel=1e-6)  # -2 int x(1-x)
 
 
+def test_action_value_asymmetric_box():
+    """Simpson is exact for cubics; the box [0,1] x [0,2] pins each grid axis to its interval."""
+    spec = BundleSpec(2, 1, 1)
+    cat = build_catalog(spec)
+    L = sx.parse("u[0,0]*x[2] + u[1,0]^3", cat)
+    s = SectionFn([sx.parse("x[1]*x[2]", cat)])
+    # integral of x1*x2^2 + x2^3 over the box: 4/3 + 4 (swapped axes give 2/3 + 1/4)
+    assert el.action_value(L, spec, s, 9, box=((0, 1), (0, 2))) == pytest.approx(16 / 3, abs=1e-12)
+    # a constant integrand compiles to a scalar, which broadcasts over the weights
+    assert el.action_value(sx.Const(3), spec, s, 9, box=((0, 1), (0, 2))) == pytest.approx(6.0)
+
+
 def test_gateaux_plate_random(plate_L):
     spec = BundleSpec(2, 1, 2)
     cat = build_catalog(spec, fields={"q": (1, 2)})

@@ -214,6 +214,18 @@ def test_cli_el_and_analyze(tmp_path, capsys):
     assert "analysis" in an_out and "euler_lagrange" not in an_out
 
 
+def test_cli_run_deep_lagrangian(tmp_path, capsys):
+    # 100 nested parentheses: the numeric stages compile it without hitting
+    # the Python parser's nesting limit
+    text = "u[1]^2"
+    for _ in range(100):
+        text = "(%s*2+x[1])" % text
+    path = _write(tmp_path, "deep.prob", "m=1\nn=1\nk=1\nlagrangian = %s\n" % text)
+    assert main(["run", path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(report["oracle"]) == 3
+
+
 def test_cli_exit_parse_error(tmp_path, capsys):
     path = _write(tmp_path, "bad.prob", "m=2\nn=1\nk=1\nlagrangian = u[2,0]\n")
     assert main(["run", path]) == 2

@@ -3,12 +3,13 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srfield import symexpr as sx
-from srfield.errors import EvalDomainError, ParseError
+from srfield.errors import EvalDomainError, NormalizationError, ParseError
 from srfield.jetmodel import BundleSpec, build_catalog
 from srfield.multiindex import MultiIndex
 
@@ -156,18 +157,13 @@ def test_equivalent_plate_el_text(plate_catalog):
     assert sx.equivalent(engine, sx.parse("u[2,0]", plate_catalog))
 
 
-def test_equivalence_certificate_is_symbolic(plate_L):
-    verdict, kind = sx.equivalence(plate_L, plate_L)
-    assert verdict and kind == "symbolic"
-
-
 def test_equivalence_fallback_on_normalization_failure():
-    # an identically zero denominator defeats both routes: the numeric probe
-    # cannot find regular sample points and says so
+    # an identically zero denominator has no canonical form; there is no
+    # numeric fallback, so the symbolic route reports it
     x = sx.Atom(sx.base_sym(1))
     broken = sx.Pow(sx.esub(x, x), -1)
-    with pytest.raises(EvalDomainError):
-        sx.equivalence(broken, broken)
+    with pytest.raises(NormalizationError):
+        sx.equivalent(broken, broken)
 
 
 def test_render_parse_roundtrip(plate_catalog, plate_L, ch_catalog, ch_L):
@@ -196,12 +192,43 @@ def test_render_parse_roundtrip_el_outputs():
 
 
 def test_compile_matches_evaluate(ch_L, ch_catalog):
+    # exact reference: substitute rational constants and normalize to a Fraction
     rng = random.Random(4)
     syms = sorted(sx.free_syms(ch_L))
     fn = sx.compile_expr(sx.normalize(ch_L), syms)
     for _ in range(25):
-        vals = [rng.uniform(1.0, 2.0) for _ in syms]
-        assert fn(vals) == pytest.approx(sx.evaluate(ch_L, dict(zip(syms, vals))), rel=1e-12)
+        vals = [Fraction(rng.randint(100, 200), 100) for _ in syms]
+        exact = sx.normalize(sx.substitute(ch_L, {s: sx.Const(q) for s, q in zip(syms, vals)}))
+        assert isinstance(exact, sx.Const)
+        assert fn([float(q) for q in vals]) == pytest.approx(float(exact.q), rel=1e-12)
+        assert sx.evaluate(ch_L, dict(zip(syms, vals))) == pytest.approx(float(exact.q), rel=1e-12)
+
+
+def test_compile_deep_tree():
+    # 250 alternating Add/Mul levels: nested text alone would exceed the
+    # parser's parenthesis limit, so deep subtrees become local statements
+    x = sx.Atom(sx.base_sym(1))
+    e = sx.Atom(jet(1, 1))
+    for level in range(250):
+        e = sx.emul(sx.Const(2), e) if level % 2 else sx.eadd(e, x)
+    # each Add/Mul pair maps a to 2(a + 1), so 125 pairs from a = 0 give 2^126 - 2
+    assert sx.compile_expr(e, [sx.base_sym(1), jet(1, 1)])([1.0, 0.0]) == pytest.approx(2 ** 126 - 2)
+    depth, node = 0, e
+    while isinstance(node, (sx.Add, sx.Mul)):
+        depth += 1
+        node = node.terms[0] if isinstance(node, sx.Add) else node.factors[1]
+    assert depth == 250
+
+
+def test_evaluate_arrays_and_pole(ch_L):
+    ux = jet(1, 1, 0)
+    others = {s: 1.5 for s in sx.free_syms(ch_L) if s != ux}
+    grid = np.array([[1.0, 2.0], [1.25, 1.75]])
+    vals = sx.evaluate(ch_L, {**others, ux: grid})
+    assert vals.shape == grid.shape
+    assert vals[0, 1] == sx.evaluate(ch_L, {**others, ux: 2.0})
+    with pytest.raises(EvalDomainError):
+        sx.evaluate(ch_L, {**others, ux: np.array([1.0, 0.0, 2.0])})
 
 
 # --- invariants -----------------------------------------------------------
