@@ -268,50 +268,49 @@ def c_coefficients(catalog: CoordCatalog, L: Expr,
 
     Requires a value for every A and B unknown (top-order A's may map to
     themselves).  The top-order A terms must cancel against the top-order
-    constraint; their coefficients are verified to equal that constraint's
-    residual before being dropped, anything else is an internal error.
+    constraint: in the unnormalized sum for C_j, each one's coefficient (with
+    the A's checked before it set to 0) is verified to equal that constraint's
+    residual, anything else is an internal error.  The sum with those A's set
+    to 0 is then normalized once; the canonical form is unique, so this is the
+    same as normalizing first and dropping the A's one at a time.
     """
     _check_l_on_jets(catalog, L)
     m, n, k = catalog.m, catalog.n, catalog.k
 
-    def aval(alpha: int, J: mi.MultiIndex, j: int) -> Expr:
-        sym = aux_a(alpha, J, j)
-        if sym not in a_assign:
-            raise UsageError("A assignment missing %s" % sym.render())
-        return a_assign[sym]
+    def value(assign: Mapping[Sym, Expr], sym: Sym) -> Expr:
+        if sym not in assign:
+            raise UsageError("%s assignment missing %s" % (sym.name, sym.render()))
+        return assign[sym]
 
-    def bval(I: mi.MultiIndex, i: int, alpha: int, j: int) -> Expr:
-        sym = aux_b(I, i, alpha, j)
-        if sym not in b_assign:
-            raise UsageError("B assignment missing %s" % sym.render())
-        return b_assign[sym]
-
+    dl = {(alpha, J): partial(L, jet_sym(alpha, J))
+          for alpha in range(1, n + 1) for J in mi.enumerate_up_to(m, k)}
     out: list[Expr] = []
     for j in range(1, m + 1):
         parts = [partial(L, catalog.base_syms[j - 1])]
-        for alpha in range(1, n + 1):
-            for J in mi.enumerate_up_to(m, k):
-                dl = partial(L, jet_sym(alpha, J))
-                if not is_syntactic_zero(dl):
-                    parts.append(emul(aval(alpha, J, j), dl))
+        for (alpha, J), d in dl.items():
+            if not is_syntactic_zero(d):
+                parts.append(emul(value(a_assign, aux_a(alpha, J, j)), d))
         for s in catalog.mom_syms:
-            parts.append(eneg(emul(aval(s.alpha, s.index.bump(s.i), j), Atom(s))))
-            parts.append(eneg(emul(bval(s.index, s.i, s.alpha, j),
-                                   Atom(jet_sym(s.alpha, s.index.bump(s.i))))))
-        cj = normalize(eadd(*parts))
+            top = jet_sym(s.alpha, s.index.bump(s.i))
+            parts.append(eneg(emul(value(a_assign, aux_a(s.alpha, top.index, j)), Atom(s))))
+            parts.append(eneg(emul(value(b_assign, aux_b(s.index, s.i, s.alpha, j)), Atom(top))))
+        part_syms = [free_syms(t) for t in parts]
+        checked: dict[Sym, Expr] = {}
         for alpha in range(1, n + 1):
             for K in mi.enumerate_indices(m, k):
                 sym = aux_a(alpha, K, j)
-                if sym not in free_syms(cj):
+                terms = [t for t, fs in zip(parts, part_syms) if sym in fs]
+                if not terms:
                     continue
-                coeff = normalize(partial(cj, sym))
-                w1_gap = esub(partial(L, jet_sym(alpha, K)),
-                              eadd(*[Atom(mom_sym(alpha, I, i))
-                                     for I, i in mi.decompositions(K)]))
-                if not is_zero(esub(coeff, w1_gap)):
+                coeff = substitute(partial(eadd(*terms), sym), checked)
+                w1_gap = esub(dl[alpha, K], eadd(*[Atom(mom_sym(alpha, I, i))
+                                                   for I, i in mi.decompositions(K)]))
+                # an A that cancels within the sum itself is absent from C_j
+                if not is_zero(esub(coeff, w1_gap)) and not is_zero(coeff):
                     raise InternalConsistencyError(
                         "top-order A coefficient in C_%d does not match the W1 residual" % j)
-                cj = normalize(substitute(cj, {sym: Const(0)}))
+                checked[sym] = Const(0)
+        cj = normalize(substitute(eadd(*parts), checked))
         leftover = [s for s in free_syms(cj)
                     if s.kind == AUX and s.name == "A" and sum(s.index) == k]
         if leftover:

@@ -7,7 +7,8 @@ Subcommands:
     analyze <file> [--seed N]               analysis stages only
 
 Exit codes: 0 success, 1 golden mismatch, 2 parse error, 3 precondition or
-usage error, 4 internal consistency error.
+usage error (including an unreadable file), 4 internal consistency error or
+any other unexpected exception, reported on one `internal error:` line.
 """
 
 from __future__ import annotations
@@ -123,12 +124,18 @@ def main(argv=None) -> int:
     except InternalConsistencyError as exc:
         sys.stderr.write("internal consistency error: %s\n" % exc)
         return EXIT_INTERNAL
-    except FileNotFoundError as exc:
+    except OSError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_PRECONDITION
     except EngineError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_PRECONDITION
+    except Exception as exc:
+        # a bug, or a resource limit such as RecursionError or MemoryError;
+        # exit 1 is reserved for golden mismatches
+        sys.stderr.write("internal error: %s: %s\n"
+                         % (type(exc).__name__, str(exc).replace("\n", " ")))
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

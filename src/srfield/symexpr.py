@@ -1068,6 +1068,11 @@ def render(e: Expr) -> str:
 
 _PUNCT = ("+", "-", "*", "/", "^", "(", ")", "[", "]", ",", "@", ";", "=")
 
+# Deepest parenthesis nesting the parser accepts.  Each level costs four
+# recursive parser calls, so a bound well under the interpreter's recursion
+# limit turns pathological input into a ParseError instead of a crash.
+_MAX_NESTING = 200
+
 
 class _Lexer:
     def __init__(self, text: str):
@@ -1076,6 +1081,7 @@ class _Lexer:
         self.tokens: list[tuple[str, object, int]] = []
         self._lex()
         self.ix = 0
+        self.depth = 0
 
     def _lex(self):
         t = self.text
@@ -1146,8 +1152,12 @@ def _parse_base(lx: _Lexer, catalog) -> Expr:
     if kind == "num":
         return Const(val)
     if kind == "(":
+        if lx.depth == _MAX_NESTING:
+            raise ParseError("parentheses nested deeper than %d" % _MAX_NESTING, pos)
+        lx.depth += 1
         e = _parse_expr(lx, catalog)
         lx.expect(")")
+        lx.depth -= 1
         return e
     if kind == "ident":
         name = val

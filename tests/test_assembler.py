@@ -17,9 +17,15 @@ from srfield.assembler import (
     w2_constraint,
 )
 from srfield.equations import TAG_A, TAG_B_MIDDLE, TAG_B_TRACE, TAG_TANGENCY, TAG_W1, TAG_W2
-from srfield.errors import UsageError
+from srfield.errors import InternalConsistencyError, UsageError
 from srfield.jetmodel import BundleSpec, build_catalog
-from srfield.multiindex import MultiIndex, count_indices, enumerate_indices
+from srfield.multiindex import (
+    MultiIndex,
+    count_indices,
+    decompositions,
+    enumerate_indices,
+    enumerate_up_to,
+)
 
 from conftest import jet, mom, random_poly
 
@@ -388,3 +394,78 @@ def test_c_coefficients_zero_lagrangian():
     cs = c_coefficients(cat, sx.Const(0), a_map, b_map)
     hand = sx.eneg(sx.emul(sx.Atom(sx.aux_b(MultiIndex((0,)), 1, 1, 1)), sx.Atom(jet(1, 1))))
     assert sx.equivalent(cs[0], hand)
+
+
+def test_c_coefficients_rejects_broken_w1_identity(plate_catalog, plate_L):
+    a_map, b_map = default_projector_assignments(plate_catalog)
+    top = sx.aux_a(1, MultiIndex((1, 1)), 2)
+    a_map[top] = sx.emul(sx.Const(2), sx.Atom(top))
+    with pytest.raises(InternalConsistencyError, match="W1 residual"):
+        c_coefficients(plate_catalog, plate_L, a_map, b_map)
+
+
+@pytest.mark.parametrize("missing", [sx.aux_a(1, MultiIndex((1, 0)), 1),
+                                     sx.aux_b(MultiIndex((0, 1)), 2, 1, 2)])
+def test_c_coefficients_missing_assignment(plate_catalog, plate_L, missing):
+    a_map, b_map = default_projector_assignments(plate_catalog)
+    del (a_map if missing.name == "A" else b_map)[missing]
+    with pytest.raises(UsageError, match="%s assignment missing" % missing.name):
+        c_coefficients(plate_catalog, plate_L, a_map, b_map)
+
+
+def _sequential_c_coefficients(cat, L, a_map, b_map):
+    """Reference: normalize each C_j, then per top-order A normalize its
+    coefficient, check it against W1 and renormalize with the A set to 0."""
+    m, n, k = cat.m, cat.n, cat.k
+    out = []
+    for j in range(1, m + 1):
+        parts = [sx.partial(L, cat.base_syms[j - 1])]
+        for alpha in range(1, n + 1):
+            for J in enumerate_up_to(m, k):
+                dl = sx.partial(L, sx.jet_sym(alpha, J))
+                if not sx.is_syntactic_zero(dl):
+                    parts.append(sx.emul(a_map[sx.aux_a(alpha, J, j)], dl))
+        for s in cat.mom_syms:
+            top = s.index.bump(s.i)
+            parts.append(sx.eneg(sx.emul(a_map[sx.aux_a(s.alpha, top, j)], sx.Atom(s))))
+            parts.append(sx.eneg(sx.emul(b_map[sx.aux_b(s.index, s.i, s.alpha, j)],
+                                         sx.Atom(sx.jet_sym(s.alpha, top)))))
+        cj = sx.normalize(sx.eadd(*parts))
+        for alpha in range(1, n + 1):
+            for K in enumerate_indices(m, k):
+                sym = sx.aux_a(alpha, K, j)
+                if sym not in sx.free_syms(cj):
+                    continue
+                coeff = sx.normalize(sx.partial(cj, sym))
+                gap = sx.esub(sx.partial(L, sx.jet_sym(alpha, K)),
+                              sx.eadd(*[sx.Atom(sx.mom_sym(alpha, I, i))
+                                        for I, i in decompositions(K)]))
+                assert sx.is_zero(sx.esub(coeff, gap))
+                cj = sx.normalize(sx.substitute(cj, {sym: sx.Const(0)}))
+        out.append(cj)
+    return out
+
+
+@pytest.mark.parametrize("m,n,k", [(1, 1, 3), (2, 1, 2), (2, 2, 1), (2, 1, 3), (3, 1, 2)])
+def test_c_coefficients_match_sequential_reduction(m, n, k):
+    """One normalize per C_j renders exactly as the normalize-per-A reduction."""
+    rng = random.Random(1000 * m + 100 * n + k)
+    cat = build_catalog(BundleSpec(m, n, k))
+    syms = list(cat.jet_syms) + list(cat.base_syms)
+    tops = [s for s in cat.jet_syms if sum(s.index) == k]
+    # a top-order square keeps every L at full order
+    square = sx.epow(sx.Atom(rng.choice(tops)), 2)
+    poly = sx.eadd(random_poly(rng, syms, max_terms=5, max_deg=3), square)
+    rational = sx.eadd(square, sx.ediv(
+        sx.eadd(random_poly(rng, syms, max_terms=4), sx.Const(1)),
+        sx.eadd(sx.Atom(rng.choice(tops)), sx.Const(rng.randint(1, 3)))))
+    a_map, b_map = default_projector_assignments(cat)
+    # a top-order A whose value cancels drops out of C_j without a W1 check
+    cancelled = dict(a_map)
+    for j in range(1, m + 1):
+        sym = sx.aux_a(1, tops[0].index, j)
+        cancelled[sym] = sx.esub(sx.Atom(sym), sx.Atom(sym))
+    for L, amap in ((poly, a_map), (rational, a_map), (poly, cancelled)):
+        got = [sx.render(c) for c in c_coefficients(cat, L, amap, b_map)]
+        want = [sx.render(c) for c in _sequential_c_coefficients(cat, L, amap, b_map)]
+        assert got == want

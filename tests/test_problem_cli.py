@@ -237,8 +237,30 @@ def test_cli_exit_usage_error(tmp_path, capsys):
     assert main(["run", path]) == 3
 
 
-def test_cli_missing_file(capsys):
+def test_cli_missing_file(tmp_path, capsys):
     assert main(["run", "/nonexistent/problem.prob"]) == 3
+    assert main(["run", str(tmp_path)]) == 3  # a directory, not a file
+
+
+@pytest.mark.parametrize("depth", [300, 1000])
+def test_cli_deep_parentheses_parse_error(tmp_path, capsys, depth):
+    text = "(" * depth + "u[2]*u[2]" + ")" * depth
+    path = _write(tmp_path, "deep.prob", "m=1\nn=1\nk=2\nlagrangian = %s\n" % text)
+    assert main(["el", path]) == 2
+    assert "nested deeper than" in capsys.readouterr().err
+
+
+def test_cli_unexpected_exception_exits_4(tmp_path, capsys, monkeypatch):
+    import srfield.cli
+
+    def broken(problem, seed=0, stages=None):
+        raise ZeroDivisionError("boom\nsecond line")
+
+    monkeypatch.setattr(srfield.cli, "run_problem", broken)
+    path = _write(tmp_path, "mech.prob", MECH_PROBLEM)
+    assert main(["el", path]) == 4
+    err = capsys.readouterr().err
+    assert err == "internal error: ZeroDivisionError: boom second line\n"
 
 
 def test_cli_corpus_all(capsys):

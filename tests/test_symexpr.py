@@ -55,6 +55,16 @@ def test_parse_errors(plate_catalog):
         sx.parse("u[0]", plate_catalog)  # wrong multi-index arity
 
 
+def test_parse_nesting_bound(plate_catalog):
+    # one level past the bound is a parse error, not a RecursionError
+    limit = sx._MAX_NESTING
+    inner = "u[2,0]*u[2,0]"
+    e = sx.parse("(" * limit + inner + ")" * limit, plate_catalog)
+    assert sx.render(e) == "u[2,0]*u[2,0]"
+    with pytest.raises(ParseError, match="nested deeper than %d" % limit):
+        sx.parse("(" * (limit + 1) + inner + ")" * (limit + 1), plate_catalog)
+
+
 def test_partial_plate(plate_catalog, plate_L):
     d20 = sx.normalize(sx.partial(plate_L, jet(1, 2, 0)))
     assert sx.render(d20) == "u[2,0]"
