@@ -101,9 +101,6 @@ class Form:
     def __neg__(self) -> "Form":
         return self.scale(Const(-1))
 
-    def is_syntactically_empty(self) -> bool:
-        return not self.terms
-
 
 class VecField:
     """Finitely supported vector field: coefficient expressions per coordinate direction."""

@@ -110,9 +110,6 @@ class CoordCatalog:
     def names(self) -> list[str]:
         return [s.render() for s in self.coords]
 
-    def jets_of_order(self, l: int) -> list[Sym]:
-        return [s for s in self.jet_syms if sum(s.index) == l]
-
     def field_atom(self, name: str) -> Expr:
         if name not in self.fields:
             raise UsageError("field %r not declared" % name)

@@ -159,4 +159,8 @@ def parse_problem(text: str) -> ProblemFile:
 
 def load_problem(path: str) -> ProblemFile:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_problem(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError("not UTF-8 text: byte %d" % exc.start) from None
+    return parse_problem(text)

@@ -560,154 +560,115 @@ def _p_leading(p: dict) -> tuple:
     return max(p, key=_mono_key)
 
 
-# --- multivariate gcd over Q (vectorized exponent form) ---
+# --- multivariate gcd and exact division over Q ---
+#
+# Both work on the monomial dicts above.  Exact division needs a true term
+# order: lex with the largest symbol most significant, whose key is the
+# reversed monomial.  _mono_key is graded but compares the smallest symbols
+# first, which is not compatible with multiplication; it only orders output
+# and picks the leading coefficient that makes a polynomial monic.
+
+
+def _lex_key(mono: tuple) -> tuple:
+    return mono[::-1]
+
+
+def _mono_div(a: tuple, b: tuple) -> Optional[tuple]:
+    """Monomial quotient a / b, or None when b does not divide a."""
+    out = dict(a)
+    for s, e in b:
+        left = out.get(s, 0) - e
+        if left < 0:
+            return None
+        if left:
+            out[s] = left
+        else:
+            del out[s]
+    return tuple(out.items())
+
+
+def _p_monic(p: dict) -> dict:
+    if not p:
+        return {}
+    lc = p[_p_leading(p)]
+    return _p_scale(p, Fraction(1) / lc) if lc != 1 else dict(p)
+
+
+def _p_divexact(a: dict, b: dict) -> dict:
+    """Exact quotient a / b; raises NormalizationError when b does not divide a."""
+    if _p_is_one(b):
+        return dict(a)
+    lb = max(b, key=_lex_key)
+    cb = b[lb]
+    q: dict = {}
+    r = dict(a)
+    while r:
+        lr = max(r, key=_lex_key)
+        mono = _mono_div(lr, lb)
+        if mono is None:
+            raise NormalizationError("inexact polynomial division")
+        qc = r[lr] / cb
+        q[mono] = qc
+        _p_add_into(r, {_mono_mul(m, mono): c for m, c in b.items()}, -qc)
+    return q
 
 
 def _p_gcd(a: dict, b: dict) -> dict:
-    """Monic gcd of two polynomials over Q; constants count as units."""
+    """Monic gcd of two polynomials over Q; constants count as units.
+
+    Primitive remainder sequence in the main variable, the largest symbol
+    present (the last pair of some monomial).  A polynomial is split into a
+    dict degree -> coefficient polynomial in the smaller symbols, whose
+    contents recurse into this gcd.
+    """
     if not a:
         return _p_monic(b)
     if not b:
         return _p_monic(a)
     if _p_is_const(a) or _p_is_const(b):
         return _p_one()
-    return _via_vectors(_gcd_vec, a, b)
-
-
-def _via_vectors(op, a: dict, b: dict) -> dict:
-    """op(va, vb, nv) on the exponent-vector forms of a and b, converted back."""
-    syms = sorted({s for mono in chain(a, b) for s, _ in mono})
-    pos = {s: ix for ix, s in enumerate(syms)}
-
-    def to_vec(p: dict) -> dict:
-        out = {}
-        for mono, c in p.items():
-            v = [0] * len(syms)
-            for s, e in mono:
-                v[pos[s]] = e
-            out[tuple(v)] = c
-        return out
-
-    res = op(to_vec(a), to_vec(b), len(syms))
-    return {tuple((syms[ix], e) for ix, e in enumerate(v) if e): c for v, c in res.items()}
-
-
-def _v_zero(nv: int) -> tuple:
-    return (0,) * nv
-
-
-def _v_is_const(p: dict) -> bool:
-    return not p or all(not any(v) for v in p)
-
-
-def _v_lead(p: dict) -> tuple:
-    return max(p, key=lambda v: (sum(v), v))
-
-
-def _v_monic(p: dict) -> dict:
-    if not p:
-        return p
-    lc = p[_v_lead(p)]
-    if lc == 1:
-        return p
-    return {v: c / lc for v, c in p.items()}
-
-
-def _v_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for va, ca in a.items():
-        for vb, cb in b.items():
-            key = tuple(x + y for x, y in zip(va, vb))
-            new = out.get(key, Fraction(0)) + ca * cb
-            if new:
-                out[key] = new
-            else:
-                del out[key]
-    return out
-
-
-def _v_add(a: dict, b: dict, scale=Fraction(1)) -> dict:
-    out = dict(a)
-    for v, c in b.items():
-        new = out.get(v, Fraction(0)) + c * scale
-        if new:
-            out[v] = new
-        else:
-            out.pop(v, None)
-    return out
-
-
-def _v_divexact(a: dict, b: dict) -> dict:
-    """Exact division a / b in vector form; raises if not exact."""
-    if not a:
-        return {}
-    lb = _v_lead(b)
-    cb = b[lb]
-    q: dict = {}
-    r = dict(a)
-    while r:
-        lr = _v_lead(r)
-        dv = tuple(x - y for x, y in zip(lr, lb))
-        if any(d < 0 for d in dv):
-            raise NormalizationError("inexact polynomial division")
-        qc = r[lr] / cb
-        q[dv] = q.get(dv, Fraction(0)) + qc
-        shifted = {tuple(x + y for x, y in zip(v, dv)): c * qc for v, c in b.items()}
-        r = _v_add(r, shifted, Fraction(-1))
-    return q
-
-
-def _gcd_vec(a: dict, b: dict, nv: int) -> dict:
-    if not a:
-        return _v_monic(b)
-    if not b:
-        return _v_monic(a)
-    if _v_is_const(a) or _v_is_const(b):
-        return {_v_zero(nv): Fraction(1)}
-    main = max(
-        ix
-        for ix in range(nv)
-        if any(v[ix] for v in a) or any(v[ix] for v in b)
-    )
+    main = max(mono[-1][0] for mono in chain(a, b) if mono)
 
     def to_univ(p: dict) -> dict:
         out: dict = {}
-        for v, c in p.items():
-            d = v[main]
-            vv = v[:main] + (0,) + v[main + 1:]
-            out.setdefault(d, {})[vv] = c
+        for mono, c in p.items():
+            if mono and mono[-1][0] == main:
+                out.setdefault(mono[-1][1], {})[mono[:-1]] = c
+            else:
+                out.setdefault(0, {})[mono] = c
         return out
 
     def content(u: dict) -> dict:
         g: dict = {}
         for coeff in u.values():
-            g = _gcd_vec(g, coeff, nv)
-            if _v_is_const(g) and g:
-                return {_v_zero(nv): Fraction(1)}
-        return g if g else {_v_zero(nv): Fraction(1)}
+            g = _p_gcd(g, coeff)
+            if _p_is_const(g):
+                return _p_one()
+        return g
 
     def divide_univ(u: dict, d: dict) -> dict:
-        return {deg: _v_divexact(coeff, d) for deg, coeff in u.items()}
+        return {deg: _p_divexact(coeff, d) for deg, coeff in u.items()}
 
     def prem(f: dict, g: dict) -> dict:
-        df, dg = max(f), max(g)
+        dg = max(g)
         lg = g[dg]
-        r = {d: dict(c) for d, c in f.items()}
+        r = f
         while r and max(r) >= dg:
             dr = max(r)
-            lr = r.pop(dr)
-            scaled = {d: _v_mul(c, lg) for d, c in r.items()}
-            sub = {d + dr - dg: _v_mul(c, lr) for d, c in g.items() if d != dg}
-            r = {}
-            for d in set(scaled) | set(sub):
-                c = _v_add(scaled.get(d, {}), sub.get(d, {}), Fraction(-1))
-                if c:
-                    r[d] = c
+            lr = r[dr]
+            scaled = {d: _p_mul(c, lg) for d, c in r.items() if d != dr}
+            for d, c in g.items():
+                if d != dg:
+                    acc = scaled.setdefault(d + dr - dg, {})
+                    _p_add_into(acc, _p_mul(c, lr), -1)
+                    if not acc:
+                        del scaled[d + dr - dg]
+            r = scaled
         return r
 
     fu, gu = to_univ(a), to_univ(b)
     cf, cg = content(fu), content(gu)
-    c = _gcd_vec(cf, cg, nv)
+    c = _p_gcd(cf, cg)
     fp = divide_univ(fu, cf)
     gp = divide_univ(gu, cg)
     if max(fp) < max(gp):
@@ -720,25 +681,10 @@ def _gcd_vec(a: dict, b: dict, nv: int) -> dict:
 
     flat: dict = {}
     for d, coeff in fp.items():
-        for v, cc in coeff.items():
-            key = v[:main] + (d,) + v[main + 1:]
-            flat[key] = cc
-    return _v_monic(_v_mul(flat, c))
-
-
-def _p_monic(p: dict) -> dict:
-    if not p:
-        return {}
-    lc = p[_p_leading(p)]
-    return _p_scale(p, Fraction(1) / lc) if lc != 1 else dict(p)
-
-
-def _p_divexact(a: dict, b: dict) -> dict:
-    if _p_is_one(b):
-        return dict(a)
-    if not a:
-        return {}
-    return _via_vectors(lambda va, vb, nv: _v_divexact(va, vb), a, b)
+        tail = ((main, d),) if d else ()
+        for mono, cc in coeff.items():
+            flat[mono + tail] = cc
+    return _p_monic(_p_mul(flat, c))
 
 
 def _mono_content(p: dict) -> dict:
@@ -767,9 +713,8 @@ def _rat_reduce(num: dict, den: dict) -> tuple[dict, dict]:
     common = {s: min(e, cd[s]) for s, e in cn.items() if s in cd}
     if common:
         mono = tuple(sorted(common.items(), key=lambda it: it[0]._k))
-        div = {mono: Fraction(1)}
-        num = _p_divexact(num, div)
-        den = _p_divexact(den, div)
+        num = {_mono_div(m, mono): c for m, c in num.items()}
+        den = {_mono_div(m, mono): c for m, c in den.items()}
     if _p_is_const(den):
         return _p_scale(num, Fraction(1) / den[_P_ONE_KEY]), _p_one()
     if len(den) > 1:

@@ -1,6 +1,7 @@
 """Problem-file parsing, report determinism, corpus goldens, CLI exit codes."""
 
 import json
+import random
 import subprocess
 import sys
 
@@ -240,6 +241,13 @@ def test_cli_exit_usage_error(tmp_path, capsys):
 def test_cli_missing_file(tmp_path, capsys):
     assert main(["run", "/nonexistent/problem.prob"]) == 3
     assert main(["run", str(tmp_path)]) == 3  # a directory, not a file
+
+
+def test_cli_binary_file_parse_error(tmp_path, capsys):
+    path = tmp_path / "random.prob"
+    path.write_bytes(random.Random(7).randbytes(200))
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("parse error: not UTF-8 text")
 
 
 @pytest.mark.parametrize("depth", [300, 1000])

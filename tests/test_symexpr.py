@@ -287,3 +287,97 @@ def test_render_roundtrip_random(seed):
     e = random_rational(rng, _SYMS)
     text = sx.render(sx.normalize(e))
     assert sx.equivalent(sx.parse(text, cat), e)
+
+
+# --- gcd and exact division on monomial dicts ------------------------------
+
+
+def _poly(e):
+    num, den = sx._to_rat(e)
+    assert sx._p_is_one(den)
+    return num
+
+
+def test_gcd_constant_operand():
+    x = sx.Atom(sx.base_sym(1))
+    a = _poly(sx.eadd(sx.emul(3, x, x), 1))
+    assert sx._p_gcd(a, _poly(sx.Const(5))) == sx._p_one()
+    assert sx._p_gcd(_poly(sx.Const(5)), a) == sx._p_one()
+    assert sx._p_gcd({}, a) == sx._p_monic(a)
+    assert sx._p_gcd(a, {}) == sx._p_monic(a)
+
+
+def test_gcd_operand_free_of_main_symbol():
+    # main symbol x[2] is absent from b; the gcd comes from the content of a
+    x, y = sx.Atom(sx.base_sym(1)), sx.Atom(sx.base_sym(2))
+    a = _poly(sx.emul(sx.eadd(x, 1), sx.eadd(y, 2)))
+    b = _poly(sx.esub(sx.emul(x, x), 1))
+    g = sx._p_gcd(a, b)
+    assert sx.render(sx._poly_to_expr(g)) == "x[1] + 1"
+    assert sx._p_gcd(b, a) == g
+
+
+def test_divexact_inexact_raises():
+    x, y = sx.Atom(sx.base_sym(1)), sx.Atom(sx.base_sym(2))
+    with pytest.raises(NormalizationError):
+        sx._p_divexact(_poly(sx.eadd(sx.emul(x, x), 1)), _poly(sx.eadd(x, 1)))
+    with pytest.raises(NormalizationError):
+        sx._p_divexact(_poly(sx.emul(x, y)), _poly(sx.emul(y, y)))
+
+
+def test_divexact_needs_a_term_order():
+    # under the rendering order x1*x3 < x2^2 but x1*x1*x3 > x1*x2^2, so the
+    # division has to lead with another key to stay exact
+    x1, x2, x3 = (sx.Atom(sx.base_sym(i)) for i in (1, 2, 3))
+    b = _poly(sx.eadd(sx.emul(x1, x3), sx.emul(x2, x2)))
+    q = _poly(sx.eadd(x1, sx.emul(2, x2), 3))
+    assert sx._p_divexact(sx._p_mul(q, b), b) == q
+
+
+_GCD_SYMS = [sx.base_sym(1), sx.base_sym(2), jet(1, 0, 0), jet(1, 1, 0)]
+
+
+def _nonzero_poly(rng, syms, **kw):
+    while True:
+        p = random_poly(rng, syms, **kw)
+        if not sx.is_zero(p):
+            return p
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_normalize_against_sympy(seed):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(seed)
+    syms = rng.sample(_GCD_SYMS, rng.randint(2, 4))
+    common = _nonzero_poly(rng, syms, max_terms=3, max_deg=2)
+    num = sx.normalize(sx.emul(_nonzero_poly(rng, syms, max_terms=4, max_deg=3), common))
+    den = sx.normalize(sx.emul(_nonzero_poly(rng, syms, max_terms=4, max_deg=3), common))
+    e = sx.ediv(num, den)
+    nf = sx.normalize(e)
+
+    names = {s: sympy.Symbol("s%d" % ix) for ix, s in enumerate(_GCD_SYMS)}
+
+    def to_sympy(x):
+        if isinstance(x, sx.Const):
+            return sympy.Rational(x.q.numerator, x.q.denominator)
+        if isinstance(x, sx.Atom):
+            return names[x.sym]
+        if isinstance(x, sx.Add):
+            return sympy.Add(*map(to_sympy, x.terms))
+        if isinstance(x, sx.Mul):
+            return sympy.Mul(*map(to_sympy, x.factors))
+        return sympy.Pow(to_sympy(x.base), x.exp)
+
+    if isinstance(nf, sx.Mul) and isinstance(nf.factors[-1], sx.Pow) and nf.factors[-1].exp == -1:
+        n_part, d_part = nf.factors[0], nf.factors[-1].base
+    else:
+        n_part, d_part = nf, sx.ONE
+    g = sympy.gcd(to_sympy(n_part), to_sympy(d_part))
+    assert not g.free_symbols
+    assert sympy.cancel(to_sympy(e) - to_sympy(nf)) == 0
+
+    a, b = _poly(num), _poly(den)
+    ours = sx._poly_to_expr(sx._p_gcd(a, b))
+    theirs = sympy.gcd(to_sympy(num), to_sympy(den))
+    assert not sympy.cancel(to_sympy(ours) / theirs).free_symbols
+    assert sx._p_divexact(sx._p_mul(a, b), b) == a
