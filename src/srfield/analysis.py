@@ -19,18 +19,16 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import multiindex as mi
-from .assembler import omega_h0
+from .assembler import equation_families, hamiltonian_h0, omega_h0
+from .equations import TAG_W1
 from .errors import PreconditionError, SelectionError, UsageError
 from .extalg import collect
-from .jetmodel import BundleSpec, CoordCatalog, build_catalog
+from .jetmodel import BundleSpec, build_catalog
 from .symexpr import (
-    Atom,
     Expr,
     Sym,
-    eadd,
-    esub,
     evaluate,
-    free_syms,
+    gradient,
     jet_sym,
     mom_sym,
     normalize,
@@ -307,20 +305,6 @@ def prop31_verify_detailed(sel: SelectionMatrix) -> tuple[bool, str]:
 # Pointwise multisymplecticity (kernel of the restricted form)
 
 
-def w1_residuals(catalog: CoordCatalog, L: Expr) -> list[Expr]:
-    out = []
-    for alpha in range(1, catalog.n + 1):
-        for K in mi.enumerate_indices(catalog.m, catalog.k):
-            lhs = eadd(*[Atom(mom_sym(alpha, I, i)) for I, i in mi.decompositions(K)])
-            out.append(esub(lhs, partial(L, jet_sym(alpha, K))))
-    return out
-
-
-def h0_residual(catalog: CoordCatalog, L: Expr) -> Expr:
-    from .assembler import hamiltonian_h0
-    return hamiltonian_h0(catalog, L)
-
-
 def on_constraint_point(L: Expr, spec: BundleSpec, rng: random.Random,
                         fields=None) -> dict[Sym, float]:
     """A random numeric point satisfying the momentum and scalar constraints.
@@ -366,7 +350,8 @@ def omega2_kernel_dim_at(L: Expr, spec: BundleSpec, point: Mapping,
     if spec.m < 2:
         raise UsageError("kernel check requires base dimension m >= 2")
     catalog = build_catalog(spec)
-    residuals = w1_residuals(catalog, L) + [h0_residual(catalog, L)]
+    residuals = [eq.residual() for eq in equation_families(catalog, L).values()
+                 if eq.tag == TAG_W1] + [hamiltonian_h0(catalog, L)]
     for rexpr, val in zip(residuals, evaluate(residuals, point, fields)):
         if abs(val) > residual_tol:
             raise PreconditionError("point is off the constraint set: |%s| = %.3e"
@@ -374,12 +359,12 @@ def omega2_kernel_dim_at(L: Expr, spec: BundleSpec, point: Mapping,
 
     coords = list(catalog.coords)
     cpos = {c: ix for ix, c in enumerate(coords)}
-    slots = [(r, cpos[c]) for r, rexpr in enumerate(residuals)
-             for c in sorted(free_syms(rexpr)) if c in cpos]
+    grads = [gradient(rexpr, coords) for rexpr in residuals]
+    slots = [(r, cpos[c]) for r, g in enumerate(grads) for c in g]
     grad = np.zeros((len(residuals), len(coords)))
     if slots:
         grad[tuple(np.array(slots).T)] = evaluate(
-            [partial(residuals[r], coords[c]) for r, c in slots], point, fields)
+            [d for g in grads for d in g.values()], point, fields)
     tangent = _null_space(grad)
 
     terms = collect(omega_h0(catalog, L))

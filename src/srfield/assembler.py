@@ -1,13 +1,15 @@
 """Assembly of the dynamical form and mechanical extraction of its equation families.
 
 The central routine contracts a fully generic projector template into the
-premultisymplectic form and collects coefficients monomial by monomial.  The
-grouped families (holonomy conditions on the A's, the trace and middle
-momentum relations, the top-order constraint) are then pattern-matched against
-the collected coefficients; any mismatch or unexpected monomial is an internal
-consistency error, never a silent fallback.  The gauge freedom in splitting
-individual momenta never enters: grouping by monomial yields the gauge-free
-equations directly.
+premultisymplectic form and collects coefficients monomial by monomial.  Each
+equation family (holonomy conditions on the A's, the trace and middle
+momentum relations, the top-order constraint W1) is defined once, in closed
+form, and checked against the collected coefficients; any mismatch or
+unexpected monomial is an internal consistency error, never a silent
+fallback.  The gauge freedom in splitting individual momenta never enters:
+grouping by monomial yields the gauge-free equations directly.  The tangency
+conditions and the scalar-momentum coefficients C_j are the template's lifts
+h_j applied, through one chain rule, to W1 and to the dynamical function.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .extalg import (
 from .jetmodel import CoordCatalog, pairing_phi
 from .symexpr import (
     AUX,
+    Add,
     Atom,
     BASE,
     Const,
@@ -53,12 +56,13 @@ from .symexpr import (
     aux_a,
     aux_b,
     aux_c,
+    directional,
     eadd,
     emul,
     eneg,
     esub,
     free_syms,
-    is_syntactic_zero,
+    gradient,
     is_zero,
     jet_sym,
     mom_sym,
@@ -102,144 +106,127 @@ def omega_h0(catalog: CoordCatalog, L: Expr) -> Form:
 def projector_template(catalog: CoordCatalog) -> ProjectorTemplate:
     """Generic horizontal projector with fresh unknowns A, B, C, disjoint from the catalog."""
     lifts = {}
-    unknowns: list[Sym] = []
     for j in range(1, catalog.m + 1):
         comps: dict[Sym, Expr] = {catalog.base_syms[j - 1]: Const(1)}
         for s in catalog.jet_syms:
-            a = aux_a(s.alpha, s.index, j)
-            comps[s] = Atom(a)
-            unknowns.append(a)
+            comps[s] = Atom(aux_a(s.alpha, s.index, j))
         for s in catalog.mom_syms:
-            b = aux_b(s.index, s.i, s.alpha, j)
-            comps[s] = Atom(b)
-            unknowns.append(b)
-        c = aux_c(j)
-        comps[catalog.p] = Atom(c)
-        unknowns.append(c)
+            comps[s] = Atom(aux_b(s.index, s.i, s.alpha, j))
+        comps[catalog.p] = Atom(aux_c(j))
         lifts[j] = VecField(catalog, comps)
-    return ProjectorTemplate(catalog, lifts, unknowns)
+    return ProjectorTemplate(catalog, lifts)
 
 
-def _expected_coefficient(catalog: CoordCatalog, L: Expr, sym: Sym) -> Expr:
-    """Displayed coefficient of d(sym) wedge d^m x in the collapsed dynamical form."""
-    k = catalog.k
-    if sym.kind == MOMENTUM:
-        return esub(Atom(jet_sym(sym.alpha, sym.index.bump(sym.i))),
-                    Atom(aux_a(sym.alpha, sym.index, sym.i)))
-    if sym.kind == JET:
-        parts = []
-        order = sum(sym.index)
-        if order <= k - 1:
-            for i in range(1, catalog.m + 1):
-                parts.append(Atom(aux_b(sym.index, i, sym.alpha, i)))
-        if order >= 1:
-            for I, i in mi.decompositions(sym.index):
-                parts.append(Atom(mom_sym(sym.alpha, I, i)))
-        parts.append(eneg(partial(L, sym)))
-        return eadd(*parts)
-    if sym.kind == PSCALAR:
-        return Const(0)
-    raise InternalConsistencyError("unexpected coordinate kind in dynamical form: %s"
-                                   % sym.render())
+def _assigned_lifts(catalog: CoordCatalog, a_assign: Mapping[Sym, Expr],
+                    b_assign: Mapping[Sym, Expr]) -> dict[int, dict[Sym, Expr]]:
+    """Components of the template's lifts h_j with its A and B unknowns given values."""
+    assign = {"A": a_assign, "B": b_assign}
+
+    def value(comp: Expr) -> Expr:
+        unknown = comp.sym if isinstance(comp, Atom) else None
+        if unknown is None or unknown.name not in assign:
+            return comp
+        if unknown not in assign[unknown.name]:
+            raise UsageError("%s assignment missing %s" % (unknown.name, unknown.render()))
+        return assign[unknown.name][unknown]
+
+    return {j: {s: value(comp) for s, comp in h.components.items()}
+            for j, h in projector_template(catalog).lifts.items()}
+
+
+def equation_families(catalog: CoordCatalog, L: Expr) -> dict[Sym, Equation]:
+    """The closed-form equation on each d(c) of the collapsed dynamical form.
+
+    Its residual is the coefficient of d(c) wedge d^m x, negated on momenta.
+    Momenta carry the holonomy conditions on the A's; a jet of order 0 the
+    trace relation, of order 1..k-1 the middle momentum relation and of
+    order k the top-order constraint W1.  Grouped by family in that order.
+    """
+    _check_l_on_jets(catalog, L)
+    return _families(catalog, gradient(L, catalog.jet_syms))
+
+
+def _families(catalog: CoordCatalog, dl: Mapping[Sym, Expr]) -> dict[Sym, Equation]:
+    """equation_families from the gradient dl of L along (at least) the jets."""
+    m, k = catalog.m, catalog.k
+    out: dict[Sym, Equation] = {}
+    for s in catalog.mom_syms:
+        out[s] = Equation(Atom(aux_a(s.alpha, s.index, s.i)),
+                          Atom(jet_sym(s.alpha, s.index.bump(s.i))), TAG_A, "d(%s)" % s.render())
+    for orders in ((0,), range(1, k), (k,)):
+        for alpha in range(1, catalog.n + 1):
+            for J in (J for l in orders for J in mi.enumerate_indices(m, l)):
+                u = jet_sym(alpha, J)
+                d = dl.get(u, Const(0))
+                moms = eadd(*[Atom(mom_sym(alpha, I, i)) for I, i in mi.decompositions(J)])
+                bs = eadd(*[Atom(aux_b(J, i, alpha, i)) for i in range(1, m + 1)])
+                lhs, rhs, tag = ((bs, d, TAG_B_TRACE) if sum(J) == 0 else
+                                 (moms, esub(d, bs), TAG_B_MIDDLE) if sum(J) < k else
+                                 (moms, d, TAG_W1))
+                out[u] = Equation(lhs, rhs, tag, "d(%s)" % u.render())
+    return out
 
 
 def dynamical_equations(catalog: CoordCatalog, L: Expr) -> EquationSet:
     """Collect i_h Omega_H0 - (m-1) Omega_H0 and group it into the four equation families.
 
-    The coefficient extraction is mechanical; the grouped result is verified
-    coefficient-by-coefficient against the collapsed display before the tagged
+    The coefficient extraction is mechanical; each collected coefficient is
+    verified against the residual of its family's equation, and those same
     equations are emitted.
     """
-    _check_l_on_jets(catalog, L)
+    families = equation_families(catalog, L)
     m = catalog.m
     om = omega_h0(catalog, L)
-    h = projector_template(catalog)
-    diff = contract_projector(om, h) - om.scale(Const(m - 1))
-    coll = collect(diff)
+    diff = contract_projector(om, projector_template(catalog)) - om.scale(Const(m - 1))
+
+    def expected(c: Sym) -> Expr:
+        residual = families[c].residual()
+        return eneg(residual) if c.kind == MOMENTUM else residual
 
     base = tuple(catalog.base_syms)
     sign = Const(1 if m % 2 == 0 else -1)
     seen: set[Sym] = set()
-    for mono, coef in coll.items():
+    for mono, coef in collect(diff).items():
         extras = [s for s in mono if s.kind != BASE]
-        if len(extras) != 1 or tuple(s for s in mono if s.kind == BASE) != base:
+        if (len(extras) != 1 or extras[0] not in families
+                or tuple(s for s in mono if s.kind == BASE) != base):
             raise InternalConsistencyError(
                 "unexpected monomial in dynamical form: %s" % "^".join(s.render() for s in mono))
         c = extras[0]
         displayed = emul(sign, coef)
-        expected = _expected_coefficient(catalog, L, c)
-        if not is_zero(esub(displayed, expected)):
+        if not is_zero(esub(displayed, expected(c))):
             raise InternalConsistencyError(
                 "coefficient mismatch on d(%s): got %s, expected %s"
-                % (c.render(), render(normalize(displayed)), render(normalize(expected))))
+                % (c.render(), render(normalize(displayed)), render(normalize(expected(c)))))
         seen.add(c)
-    for c in catalog.jet_syms + catalog.mom_syms:
-        if c not in seen and not is_zero(_expected_coefficient(catalog, L, c)):
+    for c in families:
+        if c not in seen and not is_zero(expected(c)):
             raise InternalConsistencyError("missing dynamical coefficient on d(%s)" % c.render())
-
-    out = EquationSet()
-    for s in catalog.mom_syms:
-        out.add(Equation(
-            Atom(aux_a(s.alpha, s.index, s.i)),
-            Atom(jet_sym(s.alpha, s.index.bump(s.i))),
-            TAG_A,
-            "d(%s)" % s.render(),
-        ))
-    for alpha in range(1, catalog.n + 1):
-        u0 = jet_sym(alpha, mi.zero(m))
-        lhs = eadd(*[Atom(aux_b(mi.zero(m), i, alpha, i)) for i in range(1, m + 1)])
-        out.add(Equation(lhs, normalize(partial(L, u0)), TAG_B_TRACE, "d(%s)" % u0.render()))
-    for alpha in range(1, catalog.n + 1):
-        for l in range(1, catalog.k):
-            for J in mi.enumerate_indices(m, l):
-                uj = jet_sym(alpha, J)
-                lhs = eadd(*[Atom(mom_sym(alpha, I, i)) for I, i in mi.decompositions(J)])
-                rhs = esub(partial(L, uj),
-                           eadd(*[Atom(aux_b(J, j, alpha, j)) for j in range(1, m + 1)]))
-                out.add(Equation(lhs, normalize(rhs), TAG_B_MIDDLE, "d(%s)" % uj.render()))
-    for alpha in range(1, catalog.n + 1):
-        for K in mi.enumerate_indices(m, catalog.k):
-            uk = jet_sym(alpha, K)
-            lhs = eadd(*[Atom(mom_sym(alpha, I, i)) for I, i in mi.decompositions(K)])
-            out.add(Equation(lhs, normalize(partial(L, uk)), TAG_W1, "d(%s)" % uk.render()))
-    return out
+    return EquationSet(families.values())
 
 
 def w2_constraint(catalog: CoordCatalog, L: Expr) -> EquationSet:
     """The single equation fixing the scalar momentum: dynamical function equal to zero."""
     _check_l_on_jets(catalog, L)
-    rhs = esub(L, eadd(*[
-        emul(Atom(s), Atom(jet_sym(s.alpha, s.index.bump(s.i))))
-        for s in catalog.mom_syms
-    ]))
-    out = EquationSet()
-    out.add(Equation(Atom(catalog.p), normalize(rhs), TAG_W2, "H0=0"))
-    return out
+    rhs = esub(eadd(L, Atom(catalog.p)), pairing_phi(catalog))
+    return EquationSet([Equation(Atom(catalog.p), normalize(rhs), TAG_W2, "H0=0")])
 
 
 def tangency_equations(catalog: CoordCatalog, L: Expr) -> EquationSet:
-    """Conditions keeping the projector tangent to the top-order constraint set."""
-    _check_l_on_jets(catalog, L)
-    m, n, k = catalog.m, catalog.n, catalog.k
+    """Conditions keeping the projector tangent to the top-order constraint set.
+
+    Each lift h_j, with the holonomy values for the lower-order A's, is applied
+    to both sides of every W1 equation.
+    """
+    lifts = _assigned_lifts(catalog, *default_projector_assignments(catalog))
     out = EquationSet()
-    for alpha in range(1, n + 1):
-        for K in mi.enumerate_indices(m, k):
-            uk = jet_sym(alpha, K)
-            dk = partial(L, uk)
-            for j in range(1, m + 1):
-                lhs = eadd(*[Atom(aux_b(I, i, alpha, j)) for I, i in mi.decompositions(K)])
-                parts = [partial(dk, catalog.base_syms[j - 1])]
-                for beta in range(1, n + 1):
-                    for I in mi.enumerate_up_to(m, k - 1):
-                        second = partial(dk, jet_sym(beta, I))
-                        if not is_syntactic_zero(second):
-                            parts.append(emul(Atom(jet_sym(beta, I.bump(j))), second))
-                    for J in mi.enumerate_indices(m, k):
-                        second = partial(dk, jet_sym(beta, J))
-                        if not is_syntactic_zero(second):
-                            parts.append(emul(Atom(aux_a(beta, J, j)), second))
-                out.add(Equation(lhs, normalize(eadd(*parts)), TAG_TANGENCY,
-                                 "d/dx[%d] of W1(%s)" % (j, uk.render())))
+    for u, eq in equation_families(catalog, L).items():
+        if eq.tag != TAG_W1:
+            continue
+        lhs, rhs = gradient(eq.lhs, catalog.coords), gradient(eq.rhs, catalog.coords)
+        for j, h in lifts.items():
+            out.add(Equation(directional(h, lhs), normalize(directional(h, rhs)), TAG_TANGENCY,
+                             "d/dx[%d] of W1(%s)" % (j, u.render())))
     return out
 
 
@@ -266,53 +253,45 @@ def c_coefficients(catalog: CoordCatalog, L: Expr,
                    a_assign: Mapping[Sym, Expr], b_assign: Mapping[Sym, Expr]) -> list[Expr]:
     """Scalar-momentum coefficients C_j, reduced so no top-order A symbol survives.
 
-    Requires a value for every A and B unknown (top-order A's may map to
-    themselves).  The top-order A terms must cancel against the top-order
-    constraint: in the unnormalized sum for C_j, each one's coefficient (with
-    the A's checked before it set to 0) is verified to equal that constraint's
+    C_j is h_j applied to L minus the pairing without p, with the given values
+    for every A and B unknown of h_j (top-order A's may map to themselves).
+    The top-order A terms must cancel against the top-order constraint: in
+    the unnormalized sum for C_j, each one's coefficient (with the A's checked
+    before it set to 0) is verified to equal minus that constraint's W1
     residual, anything else is an internal error.  The sum with those A's set
     to 0 is then normalized once; the canonical form is unique, so this is the
     same as normalizing first and dropping the A's one at a time.
     """
     _check_l_on_jets(catalog, L)
-    m, n, k = catalog.m, catalog.n, catalog.k
-
-    def value(assign: Mapping[Sym, Expr], sym: Sym) -> Expr:
-        if sym not in assign:
-            raise UsageError("%s assignment missing %s" % (sym.name, sym.render()))
-        return assign[sym]
-
-    dl = {(alpha, J): partial(L, jet_sym(alpha, J))
-          for alpha in range(1, n + 1) for J in mi.enumerate_up_to(m, k)}
+    lifts = _assigned_lifts(catalog, a_assign, b_assign)
+    grad = gradient(L, catalog.coords)
+    w1 = [(u, eq) for u, eq in _families(catalog, grad).items() if eq.tag == TAG_W1]
     out: list[Expr] = []
-    for j in range(1, m + 1):
-        parts = [partial(L, catalog.base_syms[j - 1])]
-        for (alpha, J), d in dl.items():
-            if not is_syntactic_zero(d):
-                parts.append(emul(value(a_assign, aux_a(alpha, J, j)), d))
+    for j, h in lifts.items():
+        # the pairing's part, -h_j[u_top] p - h_j[p] u_top, comes from the lift
+        # components: differentiating the pairing costs time quadratic in its size
+        pairing = []
         for s in catalog.mom_syms:
             top = jet_sym(s.alpha, s.index.bump(s.i))
-            parts.append(eneg(emul(value(a_assign, aux_a(s.alpha, top.index, j)), Atom(s))))
-            parts.append(eneg(emul(value(b_assign, aux_b(s.index, s.i, s.alpha, j)), Atom(top))))
+            pairing += [eneg(emul(h[top], Atom(s))), eneg(emul(h[s], Atom(top)))]
+        raw = eadd(directional(h, grad), *pairing)
+        parts = raw.terms if isinstance(raw, Add) else (raw,)
         part_syms = [free_syms(t) for t in parts]
         checked: dict[Sym, Expr] = {}
-        for alpha in range(1, n + 1):
-            for K in mi.enumerate_indices(m, k):
-                sym = aux_a(alpha, K, j)
-                terms = [t for t, fs in zip(parts, part_syms) if sym in fs]
-                if not terms:
-                    continue
-                coeff = substitute(partial(eadd(*terms), sym), checked)
-                w1_gap = esub(dl[alpha, K], eadd(*[Atom(mom_sym(alpha, I, i))
-                                                   for I, i in mi.decompositions(K)]))
-                # an A that cancels within the sum itself is absent from C_j
-                if not is_zero(esub(coeff, w1_gap)) and not is_zero(coeff):
-                    raise InternalConsistencyError(
-                        "top-order A coefficient in C_%d does not match the W1 residual" % j)
-                checked[sym] = Const(0)
-        cj = normalize(substitute(eadd(*parts), checked))
+        for u, eq in w1:
+            sym = aux_a(u.alpha, u.index, j)
+            terms = [t for t, fs in zip(parts, part_syms) if sym in fs]
+            if not terms:
+                continue
+            coeff = substitute(partial(eadd(*terms), sym), checked)
+            # an A that cancels within the sum itself is absent from C_j
+            if not is_zero(eadd(coeff, eq.residual())) and not is_zero(coeff):
+                raise InternalConsistencyError(
+                    "top-order A coefficient in C_%d does not match the W1 residual" % j)
+            checked[sym] = Const(0)
+        cj = normalize(substitute(raw, checked))
         leftover = [s for s in free_syms(cj)
-                    if s.kind == AUX and s.name == "A" and sum(s.index) == k]
+                    if s.kind == AUX and s.name == "A" and sum(s.index) == catalog.k]
         if leftover:
             raise InternalConsistencyError(
                 "residual top-order A symbol %s in C_%d" % (leftover[0].render(), j))

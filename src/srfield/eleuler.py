@@ -24,8 +24,11 @@ from .symexpr import (
     Const,
     Expr,
     JET,
+    ONE,
+    Sym,
     base_sym,
     compile_expr,
+    directional,
     eadd,
     emul,
     eneg,
@@ -33,11 +36,10 @@ from .symexpr import (
     esub,
     evaluate,
     free_syms,
-    is_syntactic_zero,
+    gradient,
     jet_order,
     jet_sym,
     normalize,
-    partial,
     substitute,
     substitute_fields,
 )
@@ -46,21 +48,18 @@ from .symexpr import (
 def total_derivative(e: Expr, i: int, max_order: int) -> Expr:
     """Formal total derivative D_i, with the chain rule on external fields.
 
-    D_i e = d e/d x^i + sum over jets u^a_J with |J| < max_order of
-    u^a_{J+1_i} * d e/d u^a_J.  The jet order of e must stay below max_order.
+    D_i is the holonomic lift d/dx^i + sum of u^a_{J+1_i} d/du^a_J applied to
+    e, base term first and the jets of e in sorted order.  The jet order of e
+    must stay below max_order.
     """
     order = jet_order(e)
     if order >= max_order:
         raise UsageError("total derivative would exceed the order budget %d" % max_order)
-    parts = [partial(e, base_sym(i))]
+    lift: dict[Sym, Expr] = {base_sym(i): ONE}
     for s in sorted(free_syms(e)):
-        if s.kind != JET:
-            continue
-        de = partial(e, s)
-        if is_syntactic_zero(de):
-            continue
-        parts.append(emul(Atom(jet_sym(s.alpha, s.index.bump(i))), de))
-    return eadd(*parts)
+        if s.kind == JET:
+            lift[s] = Atom(jet_sym(s.alpha, s.index.bump(i)))
+    return directional(lift, gradient(e, list(lift)))
 
 
 def iterated_total_derivative(e: Expr, J: mi.MultiIndex) -> Expr:
@@ -96,13 +95,11 @@ def euler_lagrange(L: Expr, spec: BundleSpec) -> ELSystem:
         raise UsageError("Lagrangian order exceeds the signature's jet order")
     comps = []
     for alpha in range(1, spec.n + 1):
+        jets = [jet_sym(alpha, J) for J in mi.enumerate_up_to(spec.m, spec.k)]
         parts = []
-        for J in mi.enumerate_up_to(spec.m, spec.k):
-            dl = partial(L, jet_sym(alpha, J))
-            if is_syntactic_zero(dl):
-                continue
-            term = iterated_total_derivative(dl, J)
-            parts.append(term if J.order % 2 == 0 else eneg(term))
+        for u, dl in gradient(L, jets).items():
+            term = iterated_total_derivative(dl, u.index)
+            parts.append(term if u.index.order % 2 == 0 else eneg(term))
         comps.append(normalize(eadd(*parts)))
     return ELSystem(spec, comps)
 

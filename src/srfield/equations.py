@@ -58,9 +58,6 @@ class EquationSet:
                 seen.append(e.tag)
         return seen
 
-    def records(self) -> list[dict]:
-        return [e.record() for e in self._eqs]
-
     def __iter__(self) -> Iterator[Equation]:
         return iter(self._eqs)
 

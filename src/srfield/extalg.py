@@ -8,24 +8,22 @@ derived by contraction of the volume form, signs included.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .errors import UsageError
 from .jetmodel import CoordCatalog
 from .symexpr import (
     Const,
     Expr,
-    FIELD,
     Sym,
     as_expr,
     eadd,
     emul,
     eneg,
-    free_syms,
+    gradient,
     is_syntactic_zero,
     is_zero,
     normalize,
-    partial,
     render,
 )
 
@@ -120,13 +118,11 @@ class ProjectorTemplate:
     vertical kernel condition holds by construction.
     """
 
-    __slots__ = ("catalog", "lifts", "unknowns")
+    __slots__ = ("catalog", "lifts")
 
-    def __init__(self, catalog: CoordCatalog, lifts: Mapping[int, VecField],
-                 unknowns: Iterable[Sym]):
+    def __init__(self, catalog: CoordCatalog, lifts: Mapping[int, VecField]):
         self.catalog = catalog
         self.lifts = dict(lifts)
-        self.unknowns = tuple(unknowns)
 
     def pairing(self, sym: Sym, j: int) -> Expr:
         """Component of h_j along d/d(sym): the value of d(sym) on h_j."""
@@ -168,18 +164,9 @@ def dm1x(catalog: CoordCatalog, i: int) -> Form:
 
 def exterior_d(a: Form) -> Form:
     """Exterior derivative: d(f mu) = sum over catalog coordinates of df_c dc wedge mu."""
-    catalog = a.catalog
-    out = Form(catalog, a.degree + 1)
+    out = Form(a.catalog, a.degree + 1)
     for mono, coef in a.terms.items():
-        syms = free_syms(coef)
-        coords = [c for c in catalog.coords if c in syms]
-        if any(s.kind == FIELD for s in syms):
-            present = set(coords)
-            coords.extend(b for b in catalog.base_syms if b not in present)
-        for c in coords:
-            df = partial(coef, c)
-            if is_syntactic_zero(df):
-                continue
+        for c, df in gradient(coef, a.catalog.coords).items():
             out.add_word((c,) + mono, df)
     return out
 

@@ -419,6 +419,28 @@ def partial(e: Expr, s: Sym) -> Expr:
     raise UsageError("cannot differentiate %r" % (e,))
 
 
+def gradient(e: Expr, syms: Sequence[Sym]) -> dict[Sym, Expr]:
+    """The syntactically nonzero partials of e along syms, in the order of syms.
+
+    A direction is taken when e holds its symbol, or, for a base direction,
+    a field atom that depends on it.
+    """
+    present = free_syms(e)
+    reached = {d for s in present if s.kind == FIELD for d in s.deps}
+    out: dict[Sym, Expr] = {}
+    for s in syms:
+        if s in present or (s.kind == BASE and s.i in reached):
+            d = partial(e, s)
+            if not is_syntactic_zero(d):
+                out[s] = d
+    return out
+
+
+def directional(v: Mapping[Sym, Expr], grad: Mapping[Sym, Expr]) -> Expr:
+    """The vector field with components v applied to a function by the chain rule."""
+    return eadd(*[emul(v[s], d) for s, d in grad.items() if s in v])
+
+
 def substitute(e: Expr, mapping: Mapping[Sym, Expr]) -> Expr:
     if not mapping:
         return e

@@ -10,6 +10,8 @@ import pytest
 
 from srfield import symexpr as sx
 from srfield import analysis as an
+from srfield.assembler import equation_families, hamiltonian_h0
+from srfield.equations import TAG_W1
 from srfield.errors import PreconditionError, UsageError
 from srfield.jetmodel import BundleSpec, build_catalog
 from srfield.multiindex import MultiIndex, count_indices
@@ -170,6 +172,19 @@ def test_kernel_plate(plate_L):
         assert an.omega2_kernel_dim_at(plate_L, spec, pt, fields) == 0
 
 
+def test_kernel_gradient_reaches_bound_field(plate_catalog, plate_L):
+    # H0 depends on x[1] only through q*u[0,0]; the constraint gradient keeps that entry
+    x1 = sx.base_sym(1)
+    grad = sx.gradient(hamiltonian_h0(plate_catalog, plate_L), plate_catalog.coords)
+    assert x1 in grad
+    assert sx.render(sx.normalize(grad[x1])) == "u[0,0]*q[1,0]"
+    spec = BundleSpec(2, 1, 2)
+    fields = {"q": sx.Atom(x1)}
+    pt = _on_point(plate_L, spec, 3, fields)
+    assert sx.evaluate(grad[x1], pt, fields) == pt[jet(1, 0, 0)]
+    assert an.omega2_kernel_dim_at(plate_L, spec, pt, fields) == 0
+
+
 def test_kernel_ch(ch_L):
     spec = BundleSpec(2, 1, 2)
     for seed in range(5):
@@ -239,5 +254,7 @@ def test_on_constraint_point_residuals(ch_L):
     spec = BundleSpec(2, 1, 2)
     cat = build_catalog(spec)
     pt = _on_point(ch_L, spec, 9)
-    for res in an.w1_residuals(cat, ch_L) + [an.h0_residual(cat, ch_L)]:
+    w1 = [eq.residual() for eq in equation_families(cat, ch_L).values() if eq.tag == TAG_W1]
+    assert len(w1) == 3
+    for res in w1 + [hamiltonian_h0(cat, ch_L)]:
         assert abs(sx.evaluate(res, pt)) < 1e-9

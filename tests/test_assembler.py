@@ -116,15 +116,19 @@ def test_omega_h0_zero_lagrangian_is_omega_plus_dphi():
         assert sx.equivalent(got[mono], expected[mono])
 
 
+def _template_unknowns(t):
+    return {s for h in t.lifts.values() for c in h.components.values() for s in sx.free_syms(c)}
+
+
 def test_projector_template_unknowns():
     cat = build_catalog(BundleSpec(1, 1, 1))
     t = projector_template(cat)
-    assert len(t.unknowns) == 4  # A0, A1, B, C
+    assert len(_template_unknowns(t)) == 4  # A0, A1, B, C
     cat2 = build_catalog(BundleSpec(2, 1, 2))
     t2 = projector_template(cat2)
-    assert len(t2.unknowns) == 26
+    assert len(_template_unknowns(t2)) == 26
     # disjoint from catalog coordinates
-    assert not set(t2.unknowns) & set(cat2.coords)
+    assert not _template_unknowns(t2) & set(cat2.coords)
 
 
 def test_dynamical_plate(plate_catalog, plate_L):
@@ -285,6 +289,53 @@ def jet_index_of(provenance):
     return tuple(int(c) for c in inner.split(","))
 
 
+def _corrupt_collect(monkeypatch, edit):
+    import srfield.assembler as asm
+    real = asm.collect
+
+    def collect(form):
+        coll = dict(real(form))
+        edit(coll)
+        return coll
+    monkeypatch.setattr(asm, "collect", collect)
+
+
+def _d_mono(cat, sym):
+    return tuple(sorted((sym,) + tuple(cat.base_syms)))
+
+
+def test_dynamical_rejects_unexpected_monomial(monkeypatch, ch_catalog, ch_L):
+    cat = ch_catalog
+    extra = tuple(sorted((cat.p, jet(1, 0, 0), cat.base_syms[0])))
+    _corrupt_collect(monkeypatch, lambda coll: coll.__setitem__(extra, sx.Const(1)))
+    with pytest.raises(InternalConsistencyError, match="unexpected monomial"):
+        dynamical_equations(cat, ch_L)
+
+
+def test_dynamical_rejects_scalar_momentum_coefficient(monkeypatch, ch_catalog, ch_L):
+    mono = _d_mono(ch_catalog, ch_catalog.p)
+    _corrupt_collect(monkeypatch, lambda coll: coll.__setitem__(mono, sx.Const(1)))
+    with pytest.raises(InternalConsistencyError, match="unexpected monomial"):
+        dynamical_equations(ch_catalog, ch_L)
+
+
+def test_dynamical_rejects_mismatched_coefficient(monkeypatch, ch_catalog, ch_L):
+    mono = _d_mono(ch_catalog, jet(1, 1, 1))
+
+    def edit(coll):
+        coll[mono] = sx.eadd(coll[mono], sx.Const(1))
+    _corrupt_collect(monkeypatch, edit)
+    with pytest.raises(InternalConsistencyError, match=r"coefficient mismatch on d\(u\[1,1\]\)"):
+        dynamical_equations(ch_catalog, ch_L)
+
+
+def test_dynamical_rejects_missing_coefficient(monkeypatch, ch_catalog, ch_L):
+    mono = _d_mono(ch_catalog, mom(1, (0, 0), 1))
+    _corrupt_collect(monkeypatch, lambda coll: coll.pop(mono))
+    with pytest.raises(InternalConsistencyError, match=r"missing dynamical coefficient on d\(p"):
+        dynamical_equations(ch_catalog, ch_L)
+
+
 def test_w2_plate(plate_catalog, plate_L):
     eqs = w2_constraint(plate_catalog, plate_L)
     assert len(eqs) == 1
@@ -404,13 +455,18 @@ def test_c_coefficients_rejects_broken_w1_identity(plate_catalog, plate_L):
         c_coefficients(plate_catalog, plate_L, a_map, b_map)
 
 
-@pytest.mark.parametrize("missing", [sx.aux_a(1, MultiIndex((1, 0)), 1),
-                                     sx.aux_b(MultiIndex((0, 1)), 2, 1, 2)])
-def test_c_coefficients_missing_assignment(plate_catalog, plate_L, missing):
-    a_map, b_map = default_projector_assignments(plate_catalog)
-    del (a_map if missing.name == "A" else b_map)[missing]
-    with pytest.raises(UsageError, match="%s assignment missing" % missing.name):
-        c_coefficients(plate_catalog, plate_L, a_map, b_map)
+@pytest.mark.parametrize("missing", [("plate", sx.aux_a(1, MultiIndex((1, 0)), 1)),
+                                     ("plate", sx.aux_b(MultiIndex((0, 1)), 2, 1, 2)),
+                                     # Camassa-Holm has no u[0,0]; its lift still needs the A
+                                     ("ch", sx.aux_a(1, MultiIndex((0, 0)), 1))])
+def test_c_coefficients_missing_assignment(request, missing):
+    problem, sym = missing
+    cat = request.getfixturevalue(problem + "_catalog")
+    L = request.getfixturevalue(problem + "_L")
+    a_map, b_map = default_projector_assignments(cat)
+    del (a_map if sym.name == "A" else b_map)[sym]
+    with pytest.raises(UsageError, match="%s assignment missing" % sym.name):
+        c_coefficients(cat, L, a_map, b_map)
 
 
 def _sequential_c_coefficients(cat, L, a_map, b_map):

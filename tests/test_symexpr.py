@@ -91,6 +91,26 @@ def test_partial_field_respects_dependence():
     assert sx.is_zero(sx.partial(f, sx.base_sym(2)))
 
 
+def test_gradient_order_and_syntactic_zeros():
+    u0, u1, x1 = jet(1, 0, 0), jet(1, 1, 0), sx.base_sym(1)
+    e = sx.eadd(sx.emul(sx.Atom(u1), sx.Atom(u0)), sx.Atom(x1),
+                sx.Atom(u1), sx.eneg(sx.Atom(u1)))
+    grad = sx.gradient(e, [u1, jet(1, 0, 1), x1, u0])
+    assert list(grad) == [u1, x1, u0]
+    assert sx.render(grad[u0]) == "u[1,0]"
+    # u[1,0] - u[1,0] differentiates to a syntactic zero, which is dropped
+    assert list(sx.gradient(sx.esub(sx.Atom(u1), sx.Atom(u1)), [u1])) == []
+
+
+def test_gradient_reaches_fields_through_base_directions():
+    cat = build_catalog(BundleSpec(2, 1, 1), fields={"f": (1,)})
+    e = sx.emul(cat.field_atom("f"), sx.Atom(jet(1, 0, 0)))
+    grad = sx.gradient(e, cat.coords)
+    # x[1] reaches f although e holds no x[1]; f does not depend on x[2]
+    assert list(grad) == [sx.base_sym(1), jet(1, 0, 0)]
+    assert sx.render(grad[sx.base_sym(1)]) == "f[1,0]*u[0,0]"
+
+
 def test_normalize_cancellation():
     ux = sx.Atom(jet(1, 1, 0))
     assert sx.is_zero(sx.esub(sx.emul(ux, ux), sx.epow(ux, 2)))
