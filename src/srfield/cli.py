@@ -7,8 +7,9 @@ Subcommands:
     analyze <file> [--seed N]               analysis stages only
 
 Exit codes: 0 success, 1 golden mismatch, 2 parse error, 3 precondition or
-usage error (including an unreadable file), 4 internal consistency error or
-any other unexpected exception, reported on one `internal error:` line.
+usage error (including an unreadable file and a power whose exponent exceeds
+32 in absolute value once nested powers fold), 4 internal consistency error
+or any other unexpected exception, reported on one `internal error:` line.
 """
 
 from __future__ import annotations

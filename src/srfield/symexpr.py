@@ -481,18 +481,25 @@ def substitute_fields(e: Expr, fields: Mapping[str, Expr]) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Flat polynomial arithmetic (monomial dict -> Fraction)
+# Flat polynomial arithmetic (monomial dict -> int or Fraction)
 #
 # A monomial is a tuple of (Sym, positive exponent) pairs sorted ascending by
-# the symbol order.  Rational functions are (numerator, denominator) pairs of
-# such dicts; the denominator of a canonical pair is monic with gcd 1 against
-# the numerator.
+# the symbol order.  A coefficient is an int when it is integral and a
+# Fraction otherwise; int arithmetic avoids building a Fraction for every
+# product and sum, and _coef restores the rule after each Fraction operation.
+# Rational functions are (numerator, denominator) pairs of such dicts; the
+# denominator of a canonical pair is monic with gcd 1 against the numerator.
 
 _P_ONE_KEY: tuple = ()
 
 
+def _coef(c):
+    """c as an int when it is an integral Fraction, else c unchanged."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
 def _p_one() -> dict:
-    return {_P_ONE_KEY: Fraction(1)}
+    return {_P_ONE_KEY: 1}
 
 
 def _p_is_one(p: dict) -> bool:
@@ -528,11 +535,11 @@ def _mono_mul(a: tuple, b: tuple) -> tuple:
     return tuple(out)
 
 
-def _p_add_into(acc: dict, p: dict, scale: Fraction = Fraction(1)) -> None:
+def _p_add_into(acc: dict, p: dict, scale=1) -> None:
     for mono, c in p.items():
-        new = acc.get(mono, Fraction(0)) + c * scale
+        new = acc.get(mono, 0) + c * scale
         if new:
-            acc[mono] = new
+            acc[mono] = _coef(new)
         else:
             acc.pop(mono, None)
 
@@ -548,9 +555,9 @@ def _p_mul(a: dict, b: dict) -> dict:
     for ma, ca in a.items():
         for mb, cb in b.items():
             key = _mono_mul(ma, mb)
-            new = out.get(key, Fraction(0)) + ca * cb
+            new = out.get(key, 0) + ca * cb
             if new:
-                out[key] = new
+                out[key] = _coef(new)
             else:
                 del out[key]
     return out
@@ -568,10 +575,10 @@ def _p_pow(a: dict, n: int) -> dict:
     return out
 
 
-def _p_scale(a: dict, c: Fraction) -> dict:
+def _p_scale(a: dict, c) -> dict:
     if c == 1:
         return a
-    return {m: v * c for m, v in a.items()}
+    return {m: _coef(v * c) for m, v in a.items()}
 
 
 def _mono_key(mono: tuple) -> tuple:
@@ -613,7 +620,7 @@ def _p_monic(p: dict) -> dict:
     if not p:
         return {}
     lc = p[_p_leading(p)]
-    return _p_scale(p, Fraction(1) / lc) if lc != 1 else dict(p)
+    return _p_scale(p, 1 / Fraction(lc)) if lc != 1 else dict(p)
 
 
 def _p_divexact(a: dict, b: dict) -> dict:
@@ -629,7 +636,11 @@ def _p_divexact(a: dict, b: dict) -> dict:
         mono = _mono_div(lr, lb)
         if mono is None:
             raise NormalizationError("inexact polynomial division")
-        qc = r[lr] / cb
+        rc = r[lr]
+        if type(rc) is int and type(cb) is int and rc % cb == 0:
+            qc = rc // cb
+        else:
+            qc = _coef(Fraction(rc) / cb)
         q[mono] = qc
         _p_add_into(r, {_mono_mul(m, mono): c for m, c in b.items()}, -qc)
     return q
@@ -637,6 +648,8 @@ def _p_divexact(a: dict, b: dict) -> dict:
 
 def _p_gcd(a: dict, b: dict) -> dict:
     """Monic gcd of two polynomials over Q; constants count as units.
+
+    Coefficients in and out follow the int-or-Fraction rule of this section.
 
     Primitive remainder sequence in the main variable, the largest symbol
     present (the last pair of some monomial).  A polynomial is split into a
@@ -724,12 +737,17 @@ def _mono_content(p: dict) -> dict:
 
 
 def _rat_reduce(num: dict, den: dict) -> tuple[dict, dict]:
+    """num / den in canonical form: gcd 1 and a monic denominator.
+
+    Integral coefficients come out as ints and the others as Fractions; a
+    constant denominator is folded into the numerator as 1 / c.
+    """
     if not den:
         raise NormalizationError("division by an identically zero expression")
     if not num:
         return {}, _p_one()
     if _p_is_const(den):
-        return _p_scale(num, Fraction(1) / den[_P_ONE_KEY]), _p_one()
+        return _p_scale(num, 1 / Fraction(den[_P_ONE_KEY])), _p_one()
     # joint monomial content
     cn, cd = _mono_content(num), _mono_content(den)
     common = {s: min(e, cd[s]) for s, e in cn.items() if s in cd}
@@ -738,17 +756,17 @@ def _rat_reduce(num: dict, den: dict) -> tuple[dict, dict]:
         num = {_mono_div(m, mono): c for m, c in num.items()}
         den = {_mono_div(m, mono): c for m, c in den.items()}
     if _p_is_const(den):
-        return _p_scale(num, Fraction(1) / den[_P_ONE_KEY]), _p_one()
+        return _p_scale(num, 1 / Fraction(den[_P_ONE_KEY])), _p_one()
     if len(den) > 1:
         g = _p_gcd(num, den)
         if not _p_is_const(g):
             num = _p_divexact(num, g)
             den = _p_divexact(den, g)
     if _p_is_const(den):
-        return _p_scale(num, Fraction(1) / den[_P_ONE_KEY]), _p_one()
+        return _p_scale(num, 1 / Fraction(den[_P_ONE_KEY])), _p_one()
     lc = den[_p_leading(den)]
     if lc != 1:
-        inv = Fraction(1) / lc
+        inv = 1 / Fraction(lc)
         num = _p_scale(num, inv)
         den = _p_scale(den, inv)
     return num, den
@@ -756,9 +774,9 @@ def _rat_reduce(num: dict, den: dict) -> tuple[dict, dict]:
 
 def _to_rat(e: Expr) -> tuple[dict, dict]:
     if isinstance(e, Const):
-        return ({_P_ONE_KEY: e.q} if e.q else {}), _p_one()
+        return ({_P_ONE_KEY: _coef(e.q)} if e.q else {}), _p_one()
     if isinstance(e, Atom):
-        return {((e.sym, 1),): Fraction(1)}, _p_one()
+        return {((e.sym, 1),): 1}, _p_one()
     if isinstance(e, Add):
         num: dict = {}
         den = _p_one()
@@ -772,8 +790,11 @@ def _to_rat(e: Expr) -> tuple[dict, dict]:
                 num = _p_add(_p_mul(num, dt), nt)
                 den = dt
             else:
-                num = _p_add(_p_mul(num, dt), _p_mul(nt, den))
-                den = _p_mul(den, dt)
+                # common denominator lcm(den, dt) = den * (dt / g)
+                g = _p_gcd(den, dt)
+                ct = _p_divexact(dt, g)
+                num = _p_add(_p_mul(num, ct), _p_mul(nt, _p_divexact(den, g)))
+                den = _p_mul(den, ct)
         return num, den
     if isinstance(e, Mul):
         num = _p_one()
@@ -1040,6 +1061,11 @@ _PUNCT = ("+", "-", "*", "/", "^", "(", ")", "[", "]", ",", "@", ";", "=")
 # limit turns pathological input into a ParseError instead of a crash.
 _MAX_NESTING = 200
 
+# Largest |exponent| a parsed power may carry once nested powers fold, as in
+# (a^8)^8 = a^64.  Expansion cost grows steeply with it: `srfield el` on
+# (u[1]+u[0]+x[1])^64 takes more than ten times as long as on ^32.
+_MAX_EXPONENT = 32
+
 
 class _Lexer:
     def __init__(self, text: str):
@@ -1166,7 +1192,14 @@ def _parse_factor(lx: _Lexer, catalog) -> Expr:
             lx.next()
             sign = -1
         tok = lx.expect("num")
-        return epow(base, sign * tok[1])
+        n = sign * tok[1]
+        # the exponent epow would fold to, checked before epow raises a
+        # constant base outright
+        folded = n * base.exp if isinstance(base, Pow) else n
+        if abs(folded) > _MAX_EXPONENT:
+            raise UsageError("exponent %d exceeds the budget of %d (at position %d)"
+                             % (folded, _MAX_EXPONENT, tok[2]))
+        return epow(base, n)
     return base
 
 

@@ -1,6 +1,7 @@
 """Total derivatives, the Euler-Lagrange operator, residuals, and the numeric oracle."""
 
 import random
+import time
 
 import pytest
 
@@ -225,6 +226,40 @@ def test_null_lagrangian(spec, f_order):
         ])
         out = el.euler_lagrange(div, spec)
         assert all(sx.is_zero(c) for c in out.components)
+
+
+# (q, [p_1, ..., p_m]) per signature: f_i = p_i / q, with p_i of jet order k-1
+RATIONAL_DIVERGENCES = {
+    (2, 1, 3): ("u[0,0] + 2", ["3/2*u[2,0]*u[0,0] - 2*u[1,1]*x[2]",
+                               "1/2*u[0,2]*u[0,0] + 3*u[2,0]*x[1]"]),
+    (3, 1, 2): ("u[0,0,0] + 3", ["u[1,0,0]*u[0,0,0] - 1/2*u[0,1,0]*x[3]",
+                                 "3*u[0,0,1]*u[0,0,0] + u[1,0,0]*x[1]",
+                                 "-2*u[0,1,0]*u[0,0,0] + 1/2*u[0,0,1]*x[2]"]),
+}
+
+
+@pytest.mark.parametrize("signature", sorted(RATIONAL_DIVERGENCES))
+def test_null_lagrangian_rational_budget(signature):
+    """EL of sum_i D_i(p_i / q), each term over its own q^2, is zero within 1 s.
+
+    normalize brings the terms to a common denominator; multiplying the q^2
+    factors together instead of taking their lcm made (2,1,3) take about 5 s
+    on a 2-core VM.
+    """
+    spec = BundleSpec(*signature)
+    cat = build_catalog(spec)
+    q_text, p_texts = RATIONAL_DIVERGENCES[signature]
+    q = sx.parse(q_text, cat)
+    terms = []
+    for i, p_text in enumerate(p_texts, 1):
+        p = sx.parse(p_text, cat)
+        dp, dq = el.total_derivative(p, i, spec.k), el.total_derivative(q, i, spec.k)
+        terms.append(sx.ediv(sx.esub(sx.emul(q, dp), sx.emul(p, dq)), sx.epow(q, 2)))
+    start = time.perf_counter()
+    out = el.euler_lagrange(sx.eadd(*terms), spec)
+    elapsed = time.perf_counter() - start
+    assert [sx.render(c) for c in out.components] == ["0"]
+    assert elapsed < 1.0, "rational divergence EL took %.2fs" % elapsed
 
 
 def test_proof_replay_m1_k2():

@@ -4,6 +4,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -256,6 +257,35 @@ def test_cli_deep_parentheses_parse_error(tmp_path, capsys, depth):
     path = _write(tmp_path, "deep.prob", "m=1\nn=1\nk=2\nlagrangian = %s\n" % text)
     assert main(["el", path]) == 2
     assert "nested deeper than" in capsys.readouterr().err
+
+
+def test_cli_continued_fraction_budget(tmp_path, capsys):
+    # 20 levels of 1/(1+...) put a degree-20 denominator under every sum;
+    # multiplying the denominators of a sum instead of taking their lcm took
+    # about 17 s on a 2-core VM
+    text = "u[1]"
+    for _ in range(20):
+        text = "1/(1+%s)" % text
+    path = _write(tmp_path, "cf.prob", "m=1\nn=1\nk=1\nlagrangian = %s\n" % text)
+    start = time.perf_counter()
+    assert main(["el", path]) == 0
+    elapsed = time.perf_counter() - start
+    assert json.loads(capsys.readouterr().out)["euler_lagrange"][0].startswith(
+        "(2/45765225*u[2])/(u[1]^3 + ")
+    assert elapsed < 5.0, "continued fraction took %.2fs" % elapsed
+
+
+@pytest.mark.parametrize("lagrangian,exponent", [("(u[1]+u[0]+x[1])^400", 400),
+                                                 ("(u[1]+u[0]+x[1])^-400", -400),
+                                                 ("((u[1]+u[0]+x[1])^8)^8", 64),
+                                                 ("((u[1]+u[0]+x[1])^64)^64", 64),
+                                                 ("2^1000000000", 1000000000)])
+def test_cli_exponent_budget(tmp_path, capsys, lagrangian, exponent):
+    path = _write(tmp_path, "pow.prob", "m=1\nn=1\nk=1\nlagrangian = %s\n" % lagrangian)
+    start = time.perf_counter()
+    assert main(["el", path]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert ("exponent %d exceeds the budget of 32" % exponent) in capsys.readouterr().err
 
 
 def test_cli_unexpected_exception_exits_4(tmp_path, capsys, monkeypatch):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srfield import symexpr as sx
-from srfield.errors import EvalDomainError, NormalizationError, ParseError
+from srfield.errors import EvalDomainError, NormalizationError, ParseError, UsageError
 from srfield.jetmodel import BundleSpec, build_catalog
 from srfield.multiindex import MultiIndex
 
@@ -63,6 +63,16 @@ def test_parse_nesting_bound(plate_catalog):
     assert sx.render(e) == "u[2,0]*u[2,0]"
     with pytest.raises(ParseError, match="nested deeper than %d" % limit):
         sx.parse("(" * (limit + 1) + inner + ")" * (limit + 1), plate_catalog)
+
+
+def test_parse_exponent_bound(plate_catalog):
+    limit = sx._MAX_EXPONENT
+    assert sx.parse("(u[2,0]+1)^%d" % limit, plate_catalog).exp == limit
+    assert sx.parse("((u[2,0]+1)^-2)^%d" % (limit // 2), plate_catalog).exp == -limit
+    for text in ("(u[2,0]+1)^%d" % (limit + 1), "((u[2,0]+1)^2)^%d" % (limit // 2 + 1),
+                 "3^%d" % (limit + 1)):
+        with pytest.raises(UsageError, match="exceeds the budget of %d" % limit):
+            sx.parse(text, plate_catalog)
 
 
 def test_partial_plate(plate_catalog, plate_L):
@@ -364,6 +374,21 @@ def _nonzero_poly(rng, syms, **kw):
             return p
 
 
+def _assert_coefficient_types(p):
+    # integral coefficients are ints, the others non-integral Fractions
+    for c in p.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
+
+
+def _assert_fraction_consts(e):
+    if isinstance(e, sx.Const):
+        assert type(e.q) is Fraction
+    for child in getattr(e, "terms", ()) + getattr(e, "factors", ()):
+        _assert_fraction_consts(child)
+    if isinstance(e, sx.Pow):
+        _assert_fraction_consts(e.base)
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_normalize_against_sympy(seed):
     sympy = pytest.importorskip("sympy")
@@ -401,3 +426,13 @@ def test_normalize_against_sympy(seed):
     theirs = sympy.gcd(to_sympy(num), to_sympy(den))
     assert not sympy.cancel(to_sympy(ours) / theirs).free_symbols
     assert sx._p_divexact(sx._p_mul(a, b), b) == a
+
+    # halving puts Fractions into the products, some of them integral
+    for x in (e, sx.ediv(e, 2), sx.ediv(num, 2)):
+        rat = sx._to_rat(x)
+        for p in rat + sx._rat_reduce(*rat):
+            _assert_coefficient_types(p)
+        _assert_fraction_consts(sx.normalize(x))
+    for p in (sx._p_gcd(a, b), sx._p_divexact(sx._p_mul(a, b), b),
+              sx._p_divexact(_poly(sx.emul(num, Fraction(1, 2))), sx._p_gcd(a, b))):
+        _assert_coefficient_types(p)
