@@ -3,8 +3,10 @@ algorithm with its rank certificate, and the pointwise multisymplecticity kernel
 
 The selection matrix and its verification run in exact integer arithmetic; the
 regularity and kernel checks are numeric with a relative singular-value cutoff
-of 1e-8.  Each group of expressions is evaluated by one compiled call, and the
-kernel's minors are stacked into one determinant call per form term.
+of 1e-8.  The kernel check builds and compiles its constraints, their
+gradients and the form once per problem and takes one compiled call per
+point.  It contracts the form through its components on the (m+1)-subsets of
+the tangent basis, one stacked determinant call per form term.
 """
 
 from __future__ import annotations
@@ -27,13 +29,17 @@ from .jetmodel import BundleSpec, build_catalog
 from .symexpr import (
     Expr,
     Sym,
+    bind_values,
+    compile_expr,
     evaluate,
+    free_syms,
     gradient,
     jet_sym,
     mom_sym,
     normalize,
     partial,
     render,
+    substitute_fields,
 )
 
 RANK_CUTOFF = 1e-8
@@ -80,7 +86,11 @@ def hessian_at(hess: HessianMatrix, point: Mapping, fields=None) -> np.ndarray:
 
 def is_regular_at(L: Expr, spec: BundleSpec, point: Mapping, fields=None) -> bool:
     """Full numeric rank of the top-order Hessian at the point."""
-    mat = hessian_at(highest_hessian(L, spec), point, fields)
+    return full_rank(hessian_at(highest_hessian(L, spec), point, fields))
+
+
+def full_rank(mat: np.ndarray) -> bool:
+    """Whether the smallest singular value clears the relative cutoff."""
     sv = np.linalg.svd(mat, compute_uv=False)
     if sv.size == 0:
         return True
@@ -341,60 +351,84 @@ def on_constraint_point(L: Expr, spec: BundleSpec, rng: random.Random,
 
 def omega2_kernel_dim_at(L: Expr, spec: BundleSpec, point: Mapping,
                          fields=None, residual_tol: float = 1e-9) -> int:
-    """Kernel dimension of the restricted premultisymplectic form at an on-constraint point.
+    """Kernel dimension of the restricted premultisymplectic form at one on-constraint point."""
+    return omega2_kernel_dims(L, spec, [point], fields, residual_tol)[0]
+
+
+def omega2_kernel_dims(L: Expr, spec: BundleSpec, points: Sequence[Mapping],
+                       fields=None, residual_tol: float = 1e-9) -> list[int]:
+    """Kernel dimensions of the restricted premultisymplectic form at on-constraint points.
 
     The tangent space is the numeric null space of the constraint
     differentials; the kernel is the null space of v -> components of the
-    contracted form restricted to that tangent space.
+    contracted form restricted to that tangent space.  The constraints, their
+    gradients and the form are built and compiled once; each point then takes
+    one compiled call.
     """
     if spec.m < 2:
         raise UsageError("kernel check requires base dimension m >= 2")
     catalog = build_catalog(spec)
     residuals = [eq.residual() for eq in equation_families(catalog, L).values()
                  if eq.tag == TAG_W1] + [hamiltonian_h0(catalog, L)]
-    for rexpr, val in zip(residuals, evaluate(residuals, point, fields)):
-        if abs(val) > residual_tol:
-            raise PreconditionError("point is off the constraint set: |%s| = %.3e"
-                                    % (render(normalize(rexpr)), abs(val)))
-
     coords = list(catalog.coords)
     cpos = {c: ix for ix, c in enumerate(coords)}
     grads = [gradient(rexpr, coords) for rexpr in residuals]
-    slots = [(r, cpos[c]) for r, g in enumerate(grads) for c in g]
-    grad = np.zeros((len(residuals), len(coords)))
-    if slots:
-        grad[tuple(np.array(slots).T)] = evaluate(
-            [d for g in grads for d in g.values()], point, fields)
-    tangent = _null_space(grad)
-
+    slots = tuple(np.array([(r, cpos[c]) for r, g in enumerate(grads) for c in g],
+                           dtype=int).reshape(-1, 2).T)
     terms = collect(omega_h0(catalog, L))
-    coefs = evaluate(list(terms.values()), point, fields)
-    dim_t = tangent.shape[1]
-    rows = _minor_rows(tangent, [[cpos[s] for s in mono] for mono in terms], coefs, spec.m)
-    if rows.size == 0:
-        return dim_t
-    sv = np.linalg.svd(rows, compute_uv=False)
-    cutoff = RANK_CUTOFF * max(float(sv[0]) if sv.size else 0.0, 1.0)
-    rank = int(np.sum(sv > cutoff))
-    return dim_t - rank
+    term_coords = [[cpos[s] for s in mono] for mono in terms]
+
+    group = residuals + [d for g in grads for d in g.values()] + list(terms.values())
+    if fields:
+        group = [substitute_fields(x, fields) for x in group]
+    syms = sorted(set().union(*map(free_syms, group)))
+    values_at = compile_expr(group, syms)
+    n_res, n_grad = len(residuals), len(slots[0])
+
+    dims = []
+    for point in points:
+        values = values_at(bind_values(point, syms))
+        for rexpr, val in zip(residuals, values):
+            if abs(val) > residual_tol:
+                raise PreconditionError("point is off the constraint set: |%s| = %.3e"
+                                        % (render(normalize(rexpr)), abs(val)))
+        grad = np.zeros((n_res, len(coords)))
+        grad[slots] = values[n_res:n_res + n_grad]
+        tangent = _null_space(grad)
+        dim_t = tangent.shape[1]
+        rows = _minor_rows(tangent, term_coords, values[n_res + n_grad:], spec.m)
+        if rows.size == 0:
+            dims.append(dim_t)
+            continue
+        sv = np.linalg.svd(rows, compute_uv=False)
+        cutoff = RANK_CUTOFF * max(float(sv[0]) if sv.size else 0.0, 1.0)
+        dims.append(dim_t - int(np.sum(sv > cutoff)))
+    return dims
 
 
 def _minor_rows(tangent: np.ndarray, term_coords, coefs, m: int) -> np.ndarray:
     """The contracted form on the tangent space, one row per m-subset of its basis.
 
-    rows[combo, s] = sum over terms of coef * det(tangent[idx][:, (s,) + combo]),
-    accumulated term by term; each term takes one stacked determinant call.
+    rows[combo, s] = sum over terms of coef * det(tangent[idx][:, (s,) + combo]).
+    Each such minor is, up to sign, a component of the pulled-back form on the
+    (m+1)-subset I = sorted((s,) + combo), and 0 when s is in combo.  The
+    components are summed term by term, one stacked determinant call per
+    term, and then scattered with the sign of the move of s into place.
     """
     dim_t = tangent.shape[1]
     combos = np.array(list(itertools.combinations(range(dim_t), m)), dtype=int).reshape(-1, m)
-    cols = np.concatenate([np.broadcast_to(np.arange(dim_t)[None, :, None],
-                                           (len(combos), dim_t, 1)),
-                           np.broadcast_to(combos[:, None, :],
-                                           (len(combos), dim_t, m))], axis=2)
-    rows = np.zeros((len(combos), dim_t))
+    subsets = np.array(list(itertools.combinations(range(dim_t), m + 1)),
+                       dtype=int).reshape(-1, m + 1)
+    comp = np.zeros(len(subsets))
     for idx, cval in zip(term_coords, coefs):
-        sub = tangent[idx][:, cols]  # (a, combo, s, b)
-        rows += cval * np.linalg.det(np.moveaxis(sub, 0, 2))
+        comp += cval * np.linalg.det(np.moveaxis(tangent[idx][:, subsets], 0, 1))
+    # combos are in lexicographic order, which is the order of their base-dim_t keys
+    place = dim_t ** np.arange(m - 1, -1, -1)
+    keys = combos @ place
+    rows = np.zeros((len(combos), dim_t))
+    for p in range(m + 1):
+        rest = np.delete(subsets, p, axis=1)
+        rows[np.searchsorted(keys, rest @ place), subsets[:, p]] = comp if p % 2 == 0 else -comp
     return rows
 
 

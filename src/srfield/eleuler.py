@@ -160,28 +160,21 @@ def action_value(L: Expr, spec: BundleSpec, s: SectionFn, grid: int,
                  box=None, fields: Optional[Mapping[str, Expr]] = None) -> float:
     box = default_box(spec) if box is None else box
     L_eff = substitute_fields(L, fields) if fields else L
+    lfn, jets = _compiled_lagrangian(L_eff, spec)
     sprol = prolong(s, spec.k, spec)
-    return _action_on_grid(L_eff, spec, sprol, None, (0.0,), grid, box)[0]
+    points, weights = _grid(box, grid)
+    svals = compile_expr([sprol[u] for u in jets], _base(spec))(points)
+    return float(np.sum(weights * lfn(points + list(svals))))
 
 
-def _compiled_grid_values(exprs: Sequence[Expr], spec: BundleSpec, points) -> tuple:
-    """Values of expressions in the base variables on a whole grid, from one call."""
-    return compile_expr(exprs, [base_sym(i) for i in range(1, spec.m + 1)])(points)
+def _base(spec: BundleSpec) -> list[Sym]:
+    return [base_sym(i) for i in range(1, spec.m + 1)]
 
 
-def _action_on_grid(L_eff: Expr, spec: BundleSpec, sprol, pprol, epsilons: Sequence[float],
-                    n_points: int, box) -> list[float]:
-    """Simpson actions of the section shifted by eps times the variation, one per eps."""
-    points, weights = _grid(box, n_points)
+def _compiled_lagrangian(L_eff: Expr, spec: BundleSpec):
+    """L compiled over the base variables and its jets, and those jets in order."""
     jets = sorted(s for s in free_syms(L_eff) if s.kind == JET)
-    base = [base_sym(i) for i in range(1, spec.m + 1)]
-    lfn = compile_expr(L_eff, base + jets)
-    svals = _compiled_grid_values([sprol[s] for s in jets], spec, points)
-    if pprol is None:
-        return [float(np.sum(weights * lfn(points + list(svals))))]
-    pvals = _compiled_grid_values([pprol[s] for s in jets], spec, points)
-    return [float(np.sum(weights * lfn(points + [sv + eps * pv for sv, pv in zip(svals, pvals)])))
-            for eps in epsilons]
+    return compile_expr(L_eff, _base(spec) + jets), jets
 
 
 def gateaux_oracle(L: Expr, spec: BundleSpec, s: SectionFn, psi: SectionFn,
@@ -194,36 +187,41 @@ def gateaux_oracle(L: Expr, spec: BundleSpec, s: SectionFn, psi: SectionFn,
     is multiplied in here, so the vanishing conditions hold by construction.
     Both sides use composite Simpson on `grid` points per axis and must agree
     with their x2-refined counterparts (QuadratureError otherwise); the
-    refined values are returned.
+    refined values are returned.  L, the prolongations and the EL integrand
+    are compiled once and evaluated on both grids.
     """
     box = default_box(spec) if box is None else box
     L_eff = substitute_fields(L, fields) if fields else L
     bump = bump_polynomial(spec, box)
     psi_eff = SectionFn([emul(bump, c) for c in psi.components])
 
-    sprol_k = prolong(s, spec.k, spec)
-    pprol_k = prolong(psi_eff, spec.k, spec)
+    sprol = prolong(s, 2 * spec.k, spec)
+    pprol = prolong(psi_eff, spec.k, spec)
 
     el = euler_lagrange(L, spec)
-    sprol_2k = prolong(s, 2 * spec.k, spec)
     integrand_parts = []
     for alpha in range(1, spec.n + 1):
         comp = substitute_fields(el[alpha - 1], fields) if fields else el[alpha - 1]
-        comp_on_s = substitute(comp, sprol_2k)
+        comp_on_s = substitute(comp, sprol)
         integrand_parts.append(emul(comp_on_s, psi_eff[alpha - 1]))
     el_integrand = eadd(*integrand_parts)
 
-    def lhs_at(n_points: int) -> float:
-        plus, minus = _action_on_grid(L_eff, spec, sprol_k, pprol_k, (eps, -eps), n_points, box)
-        return (plus - minus) / (2.0 * eps)
+    lfn, jets = _compiled_lagrangian(L_eff, spec)
+    jets_at = compile_expr([sprol[u] for u in jets] + [pprol[u] for u in jets], _base(spec))
+    pairing_at = compile_expr(el_integrand, _base(spec))
 
-    def rhs_at(n_points: int) -> float:
+    def sides(n_points: int) -> tuple[float, float]:
         points, weights = _grid(box, n_points)
-        return float(np.sum(weights * _compiled_grid_values([el_integrand], spec, points)[0]))
+        # the pairing first, so that its grid is freed before the jets are made
+        rhs = float(np.sum(weights * pairing_at(points)))
+        jet_values = jets_at(points)
+        svals, pvals = jet_values[:len(jets)], jet_values[len(jets):]
+        plus, minus = (float(np.sum(weights * lfn(points + [sv + e * pv
+                                                            for sv, pv in zip(svals, pvals)])))
+                       for e in (eps, -eps))
+        return (plus - minus) / (2.0 * eps), rhs
 
-    fine = 2 * grid - 1
-    lhs_c, lhs_f = lhs_at(grid), lhs_at(fine)
-    rhs_c, rhs_f = rhs_at(grid), rhs_at(fine)
+    (lhs_c, rhs_c), (lhs_f, rhs_f) = sides(grid), sides(2 * grid - 1)
     for coarse, refined, side in ((lhs_c, lhs_f, "action derivative"),
                                   (rhs_c, rhs_f, "EL pairing")):
         if abs(refined - coarse) > richardson_tol * (1.0 + abs(refined)):

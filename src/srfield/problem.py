@@ -27,7 +27,7 @@ from .jetmodel import BundleSpec, CoordCatalog, SectionFn, build_catalog
 from .symexpr import Expr, Sym, parse, parse_coordinate_name
 
 _FIELD_RE = re.compile(r"^field\s+([A-Za-z_][A-Za-z0-9_]*)\s*\(([^)]*)\)\s*(?:=\s*(.*))?$")
-_AT_RE = re.compile(r"^(section|variation)@(\d+)$")
+_AT_RE = re.compile(r"^(section|variation)@(\d{1,9})$")
 
 
 @dataclass
@@ -99,7 +99,7 @@ def parse_problem(text: str) -> ProblemFile:
             deps = []
             for part in deps_text.split(","):
                 part = part.strip()
-                dm = re.match(r"^x\[(\d+)\]$", part)
+                dm = re.match(r"^x\[(\d{1,9})\]$", part)
                 if not dm:
                     raise ParseError("line %d: bad field dependence %r" % (lineno, part))
                 deps.append(int(dm.group(1)))

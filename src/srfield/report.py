@@ -179,11 +179,11 @@ def _analysis_section(problem: ProblemFile, catalog: CoordCatalog, L: Expr,
         for s in sorted(hess_syms):
             if s.kind == FIELD and s.name not in bindings:
                 point[s] = rng.uniform(1.0, 2.0)
-        regular = analysis.is_regular_at(L, spec, point, bindings or None)
+        regular = analysis.full_rank(analysis.hessian_at(hess, point, bindings or None))
         shown = {s.render(): point[s] for s in sorted(hess_syms) if s in point}
         samples.append({"point": shown, "regular": regular})
     for point in problem.point_assignments(catalog):
-        regular = analysis.is_regular_at(L, spec, point, bindings or None)
+        regular = analysis.full_rank(analysis.hessian_at(hess, point, bindings or None))
         samples.append({"point": {s.render(): v for s, v in sorted(point.items())},
                         "regular": regular})
     out["regularity"] = {
@@ -213,10 +213,9 @@ def _analysis_section(problem: ProblemFile, catalog: CoordCatalog, L: Expr,
                          "reason": "Lagrangian has unbound external fields"}
     else:
         rng = _rng(seed, "omega2")
-        dims = []
-        for _ in range(KERNEL_SAMPLES):
-            point = analysis.on_constraint_point(L, spec, rng, bindings or None)
-            dims.append(analysis.omega2_kernel_dim_at(L, spec, point, bindings or None))
+        points = [analysis.on_constraint_point(L, spec, rng, bindings or None)
+                  for _ in range(KERNEL_SAMPLES)]
+        dims = analysis.omega2_kernel_dims(L, spec, points, bindings or None)
         out["omega2"] = {"applicable": True, "seed": seed, "kernel_dims": dims}
     return out
 

@@ -968,15 +968,19 @@ def evaluate(e, point: Mapping, fields: Optional[Mapping[str, Expr]] = None):
     exprs = [e] if isinstance(e, Expr) else list(e)
     if fields:
         exprs = [substitute_fields(x, fields) for x in exprs]
+    syms = sorted(set().union(*map(free_syms, exprs)))
+    out = compile_expr(exprs, syms)(bind_values(point, syms))
+    return out[0] if isinstance(e, Expr) else list(out)
+
+
+def bind_values(point: Mapping, syms: Sequence[Sym]) -> list:
+    """The values of syms at a point, as :func:`evaluate` reads them, in the order of syms."""
     values = {k if isinstance(k, Sym) else str(k): v if isinstance(v, np.ndarray) else float(v)
               for k, v in point.items()}
-    syms = sorted(set().union(*map(free_syms, exprs)))
     for s in syms:
         if s not in values and s.render() not in values:
             raise EvalDomainError("no value assigned to %s" % s.render())
-    out = compile_expr(exprs, syms)([values[s] if s in values else values[s.render()]
-                                     for s in syms])
-    return out[0] if isinstance(e, Expr) else list(out)
+    return [values[s] if s in values else values[s.render()] for s in syms]
 
 
 # ---------------------------------------------------------------------------
@@ -1006,7 +1010,7 @@ def _split_sign(e: Expr) -> tuple[int, Expr]:
 def render(e: Expr) -> str:
     """Deterministic text form; canonical expressions re-parse to equal values."""
     if isinstance(e, Const):
-        return str(e.q)
+        return str(_check_digits(e.q, "in a result"))
     if isinstance(e, Atom):
         return e.sym.render()
     if isinstance(e, Add):
@@ -1030,7 +1034,7 @@ def render(e: Expr) -> str:
                     neg = not neg
                     q = -q
                 if q != 1 or len(e.factors) == 1:
-                    num_parts.append(str(q))
+                    num_parts.append(str(_check_digits(q, "in a result")))
             elif isinstance(f, Pow) and f.exp < 0:
                 inner = epow(f.base, -f.exp)
                 den_parts.append(_render_factor(inner) if not isinstance(inner, Pow)
@@ -1066,6 +1070,27 @@ _MAX_NESTING = 200
 # (u[1]+u[0]+x[1])^64 takes more than ten times as long as on ^32.
 _MAX_EXPONENT = 32
 
+# Most decimal digits a numerator or denominator may have: in a literal, in a
+# constant the parser folds, as in ((3^32)^32)^32, and in a rendered result.
+# It stays under 640, the lowest int-to-string limit Python can be set to.
+_MAX_DIGITS = 600
+_DIGIT_BOUND = 10 ** _MAX_DIGITS
+
+
+def _check_digits(q: Fraction, where: str) -> Fraction:
+    if max(abs(q.numerator), q.denominator) >= _DIGIT_BOUND:
+        raise UsageError("constant with more than %d digits %s" % (_MAX_DIGITS, where))
+    return q
+
+
+def _folded(e: Expr, pos: int) -> Expr:
+    """e, once the constant the parser folded into it passes the digit budget."""
+    const = (e if isinstance(e, Const) else e.factors[0] if isinstance(e, Mul)
+             else e.terms[-1] if isinstance(e, Add) else None)
+    if isinstance(const, Const):
+        _check_digits(const.q, "(at position %d)" % pos)
+    return e
+
 
 class _Lexer:
     def __init__(self, text: str):
@@ -1088,6 +1113,8 @@ class _Lexer:
                 j = i
                 while j < len(t) and t[j].isdigit():
                     j += 1
+                if j - i > _MAX_DIGITS:
+                    raise ParseError("number with more than %d digits" % _MAX_DIGITS, i)
                 self.tokens.append(("num", int(t[i:j]), i))
                 i = j
                 continue
@@ -1199,16 +1226,16 @@ def _parse_factor(lx: _Lexer, catalog) -> Expr:
         if abs(folded) > _MAX_EXPONENT:
             raise UsageError("exponent %d exceeds the budget of %d (at position %d)"
                              % (folded, _MAX_EXPONENT, tok[2]))
-        return epow(base, n)
+        return _folded(epow(base, n), tok[2])
     return base
 
 
 def _parse_term(lx: _Lexer, catalog) -> Expr:
     e = _parse_factor(lx, catalog)
     while lx.peek()[0] in ("*", "/"):
-        op = lx.next()[0]
+        op, _, pos = lx.next()
         rhs = _parse_factor(lx, catalog)
-        e = emul(e, rhs) if op == "*" else ediv(e, rhs)
+        e = _folded(emul(e, rhs) if op == "*" else ediv(e, rhs), pos)
     return e
 
 
@@ -1221,9 +1248,9 @@ def _parse_expr(lx: _Lexer, catalog) -> Expr:
     if neg:
         e = eneg(e)
     while lx.peek()[0] in ("+", "-"):
-        op = lx.next()[0]
+        op, _, pos = lx.next()
         rhs = _parse_term(lx, catalog)
-        e = eadd(e, rhs) if op == "+" else esub(e, rhs)
+        e = _folded(eadd(e, rhs) if op == "+" else esub(e, rhs), pos)
     return e
 
 

@@ -3,6 +3,7 @@
 import copy
 import itertools
 import random
+from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -222,22 +223,89 @@ def test_kernel_plate_3d():
     assert an.is_regular_at(L, spec, pt, fields)
 
 
-def test_minor_rows_match_loop():
-    # the stacked determinants do the loop's arithmetic in the loop's order
-    rng = np.random.default_rng(0)
-    tangent = rng.standard_normal((7, 5))
-    terms = [([0, 2, 5], 1.5), ([1, 3, 6], -0.25), ([0, 1, 4], 2.0)]
-    rows = an._minor_rows(tangent, [idx for idx, _ in terms], [c for _, c in terms], 2)
-    for r, combo in enumerate(itertools.combinations(range(5), 2)):
+def _exact_det(mat):
+    """Determinant by Laplace expansion along the first row, in exact arithmetic."""
+    if len(mat) == 1:
+        return mat[0][0]
+    return sum((-1) ** b * mat[0][b] * _exact_det([row[:b] + row[b + 1:] for row in mat[1:]])
+               for b in range(len(mat)) if mat[0][b])
+
+
+def test_minor_rows_match_exact_minors():
+    # dyadic entries are exact in floats and in Fractions
+    rng = random.Random(0)
+    tangent = [[Fraction(rng.randint(-64, 64), 32) for _ in range(5)] for _ in range(7)]
+    terms = [([0, 2, 5], Fraction(3, 2)), ([1, 3, 6], Fraction(-1, 4)), ([0, 1, 4], Fraction(2))]
+    rows = an._minor_rows(np.array(tangent, dtype=float), [idx for idx, _ in terms],
+                          [float(c) for _, c in terms], 2)
+    combos = list(itertools.combinations(range(5), 2))
+    exact = [[sum(c * _exact_det([[tangent[coord][col] for col in (s,) + combo] for coord in idx])
+                  for idx, c in terms) for s in range(5)] for combo in combos]
+    scale = max(abs(v) for row in exact for v in row)
+    assert scale > 0
+    for r, combo in enumerate(combos):
         for s in range(5):
-            total = 0.0
-            for idx, c in terms:
-                sub = np.empty((3, 3))
-                for a, coord in enumerate(idx):
-                    for b, col in enumerate((s,) + combo):
-                        sub[a, b] = tangent[coord, col]
-                total += c * np.linalg.det(sub)
-            assert rows[r, s] == total
+            if s in combo:
+                assert rows[r, s] == 0.0
+            else:
+                assert abs(rows[r, s] - float(exact[r][s])) <= 1e-12 * float(scale)
+    # moving s past one more basis vector of the (m+1)-subset flips the sign
+    assert rows[combos.index((1, 2)), 0] == -rows[combos.index((0, 2)), 1] == \
+        rows[combos.index((0, 1)), 2]
+    assert np.sign(rows[combos.index((1, 2)), 0]) == np.sign(float(exact[combos.index((1, 2))][0]))
+
+
+_PLATE_3D = ("1/2*(u[2,0,0]^2 + u[0,2,0]^2 + u[0,0,2]^2 + 2*u[1,1,0]^2"
+             " + 2*u[1,0,1]^2 + 2*u[0,1,1]^2) - q*u[0,0,0]")
+
+
+@pytest.mark.parametrize("case", ["plate", "ch", "plate3d"])
+def test_kernel_dims_match_per_point(case, plate_L, ch_L):
+    if case == "plate3d":
+        spec = BundleSpec(3, 1, 2)
+        L = sx.parse(_PLATE_3D, build_catalog(spec, fields={"q": (1, 2, 3)}))
+    else:
+        spec = BundleSpec(2, 1, 2)
+        L = plate_L if case == "plate" else ch_L
+    fields = None if case == "ch" else {"q": sx.Const(1)}
+    rng = random.Random(4)
+    pts = [an.on_constraint_point(L, spec, rng, fields) for _ in range(3)]
+    dims = an.omega2_kernel_dims(L, spec, pts, fields)
+    assert dims == [an.omega2_kernel_dim_at(L, spec, p, fields) for p in pts]
+    assert all(d >= 1 for d in dims) if case == "ch" else dims == [0, 0, 0]
+
+
+def test_kernel_dims_build_once(ch_L, monkeypatch):
+    spec = BundleSpec(2, 1, 2)
+    rng = random.Random(5)
+    pts = [an.on_constraint_point(ch_L, spec, rng) for _ in range(5)]
+    calls = {"equation_families": 0, "omega_h0": 0}
+    for name in calls:
+        def counted(*args, _name=name, _orig=getattr(an, name)):
+            calls[_name] += 1
+            return _orig(*args)
+        monkeypatch.setattr(an, name, counted)
+    assert len(an.omega2_kernel_dims(ch_L, spec, pts)) == 5
+    assert calls == {"equation_families": 1, "omega_h0": 1}
+
+
+def test_kernel_determinant_count(monkeypatch):
+    # one determinant per (m+1)-subset of the tangent basis and form term
+    spec = BundleSpec(3, 1, 2)
+    L = sx.parse(_PLATE_3D, build_catalog(spec, fields={"q": (1, 2, 3)}))
+    fields = {"q": sx.Const(1)}
+    pt = an.on_constraint_point(L, spec, random.Random(0), fields)
+    matrices = []
+    det = np.linalg.det
+
+    def counted(a):
+        matrices.append(np.shape(a)[:-2])
+        return det(a)
+    monkeypatch.setattr(np.linalg, "det", counted)
+    assert an.omega2_kernel_dim_at(L, spec, pt, fields) == 0
+    assert len(matrices) == 34
+    assert all(shape == (comb(19, 4),) for shape in matrices)
+    assert sum(int(np.prod(shape)) for shape in matrices) == 34 * 3876
 
 
 def test_kernel_preconditions(ch_L):

@@ -67,6 +67,15 @@ def test_parse_problem_errors(bad, exc):
     assert exc in str(err.value)
 
 
+def test_parse_problem_long_index():
+    # an index past Python's int-to-string limit used to end in exit 4
+    big = "7" * 5000
+    for bad, exc in (("field q(x[%s])\nlagrangian = u[1]" % big, "bad field dependence"),
+                     ("lagrangian = u[1]\nsection@%s = x[1]" % big, "unknown key")):
+        with pytest.raises(ParseError, match=exc):
+            parse_problem("m=1\nn=1\nk=1\n" + bad)
+
+
 def test_report_deterministic_bytes():
     p = parse_problem(MECH_PROBLEM)
     r1 = report_json(run_problem(p, seed=3))
@@ -286,6 +295,30 @@ def test_cli_exponent_budget(tmp_path, capsys, lagrangian, exponent):
     assert main(["el", path]) == 3
     assert time.perf_counter() - start < 1.0
     assert ("exponent %d exceeds the budget of 32" % exponent) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lagrangian,code,message", [
+    ("7" * 5000 + "*u[1]^2", 2, "number with more than 600 digits"),
+    ("u[1]^2/" + "3" * 4400, 2, "number with more than 600 digits"),
+    ("(((3^32)^32)^32)*u[1]^2", 3, "constant with more than 600 digits"),
+    ("u[1]^2*" + "*".join(["(3^32)^32"] * 3), 3, "constant with more than 600 digits"),
+    ("(u[1]+(3^32)^32)^32", 3, "constant with more than 600 digits in a result"),
+], ids=["literal", "denominator", "nested-power", "product", "expansion"])
+def test_cli_digit_budget(tmp_path, capsys, lagrangian, code, message):
+    # past Python's 4,300-digit int-to-string limit these used to exit 4
+    path = _write(tmp_path, "big.prob", "m=1\nn=1\nk=1\nlagrangian = %s\n" % lagrangian)
+    start = time.perf_counter()
+    assert main(["el", path]) == code
+    assert time.perf_counter() - start < 1.0
+    assert message in capsys.readouterr().err
+
+
+def test_cli_digit_budget_boundary(tmp_path, capsys):
+    # (3^32)^32 has 489 digits, a 600-digit literal is still a number
+    text = "(3^32)^32*u[1]^2 + %s*u[1]" % ("1" * 600)
+    path = _write(tmp_path, "edge.prob", "m=1\nn=1\nk=1\nlagrangian = %s\n" % text)
+    assert main(["el", path]) == 0
+    assert str(3 ** 1024) in capsys.readouterr().out
 
 
 def test_cli_unexpected_exception_exits_4(tmp_path, capsys, monkeypatch):

@@ -75,6 +75,20 @@ def test_parse_exponent_bound(plate_catalog):
             sx.parse(text, plate_catalog)
 
 
+def test_parse_digit_budget(plate_catalog):
+    limit = sx._MAX_DIGITS
+    assert sx.parse("9" * limit, plate_catalog) == sx.Const(10 ** limit - 1)
+    # a sum of fractions folds to the lcm of their denominators: 600 digits, then 601
+    assert sx.parse("1/(10^30)^19 + 1/(10^30-1)", plate_catalog).q.denominator == (
+        10 ** 570 * (10 ** 30 - 1))
+    with pytest.raises(ParseError, match="more than %d digits" % limit):
+        sx.parse("9" * (limit + 1), plate_catalog)
+    for text in ("(10^30)^20", "(10^30)^19*10^30", "1/(10^30)^19/10^30",
+                 "1/(10^30)^19 + 1/(10^31-1)"):
+        with pytest.raises(UsageError, match="constant with more than %d digits" % limit):
+            sx.parse(text, plate_catalog)
+
+
 def test_partial_plate(plate_catalog, plate_L):
     d20 = sx.normalize(sx.partial(plate_L, jet(1, 2, 0)))
     assert sx.render(d20) == "u[2,0]"
