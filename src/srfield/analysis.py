@@ -3,10 +3,13 @@ algorithm with its rank certificate, and the pointwise multisymplecticity kernel
 
 The selection matrix and its verification run in exact integer arithmetic; the
 regularity and kernel checks are numeric with a relative singular-value cutoff
-of 1e-8.  The kernel check builds and compiles its constraints, their
-gradients and the form once per problem and takes one compiled call per
-point.  It contracts the form through its components on the (m+1)-subsets of
-the tangent basis, one stacked determinant call per form term.
+of 1e-8.  The constraint set W1 and H0 = 0 is read from one list of residuals
+(equation_families and hamiltonian_h0): the sample points are solved from it
+and the kernel check tests and differentiates it.  Each check builds and
+compiles its expressions once per problem, the Hessian included, and takes
+one compiled call per point.  The kernel check contracts the form through its
+components on the (m+1)-subsets of the tangent basis, one stacked determinant
+call per form term.
 """
 
 from __future__ import annotations
@@ -23,26 +26,24 @@ import numpy as np
 from . import multiindex as mi
 from .assembler import equation_families, hamiltonian_h0, omega_h0
 from .equations import TAG_W1
-from .errors import PreconditionError, SelectionError, UsageError
+from .errors import EvalDomainError, PreconditionError, SelectionError, UsageError
 from .extalg import collect
-from .jetmodel import BundleSpec, build_catalog
+from .jetmodel import BundleSpec, CoordCatalog, build_catalog
 from .symexpr import (
     Expr,
     Sym,
-    bind_values,
-    compile_expr,
-    evaluate,
-    free_syms,
+    compile_at,
     gradient,
     jet_sym,
     mom_sym,
     normalize,
     partial,
     render,
-    substitute_fields,
 )
 
 RANK_CUTOFF = 1e-8
+# largest constraint residual accepted at a point given to the kernel check
+RESIDUAL_TOL = 1e-9
 
 OVERDETERMINED = "overdetermined"
 EXACTLY_DETERMINED = "exactly-determined"
@@ -78,23 +79,31 @@ def highest_hessian(L: Expr, spec: BundleSpec) -> HessianMatrix:
     return HessianMatrix(labels, entries)
 
 
-def hessian_at(hess: HessianMatrix, point: Mapping, fields=None) -> np.ndarray:
+def hessian_at(hess: HessianMatrix, points: Sequence[Mapping], fields=None) -> list[np.ndarray]:
+    """The Hessian's values at each point, its entries compiled once."""
     size = hess.size()
-    values = evaluate([e for row in hess.entries for e in row], point, fields)
-    return np.array(values, dtype=float).reshape(size, size)
+    values_at = compile_at([e for row in hess.entries for e in row], fields)
+    return [np.array(values_at(point), dtype=float).reshape(size, size) for point in points]
 
 
 def is_regular_at(L: Expr, spec: BundleSpec, point: Mapping, fields=None) -> bool:
     """Full numeric rank of the top-order Hessian at the point."""
-    return full_rank(hessian_at(highest_hessian(L, spec), point, fields))
+    return full_rank(hessian_at(highest_hessian(L, spec), [point], fields)[0])
 
 
 def full_rank(mat: np.ndarray) -> bool:
     """Whether the smallest singular value clears the relative cutoff."""
-    sv = np.linalg.svd(mat, compute_uv=False)
+    sv = np.linalg.svd(_finite(mat), compute_uv=False)
     if sv.size == 0:
         return True
     return bool(sv[-1] > RANK_CUTOFF * max(sv[0], 1.0))
+
+
+def _finite(mat: np.ndarray) -> np.ndarray:
+    """mat itself, checked to hold only finite values before a rank decision."""
+    if not np.all(np.isfinite(mat)):
+        raise EvalDomainError("non-finite value in a numeric rank check")
+    return mat
 
 
 @dataclass
@@ -315,48 +324,61 @@ def prop31_verify_detailed(sel: SelectionMatrix) -> tuple[bool, str]:
 # Pointwise multisymplecticity (kernel of the restricted form)
 
 
+def _constraints(catalog: CoordCatalog, L: Expr) -> list[tuple[Sym, Expr]]:
+    """The constraint set W1 and H0 = 0, each residual paired with the coordinate it solves.
+
+    Each W1 residual, in the order of equation_families, is paired with the
+    momentum of the first decomposition of its index; H0 comes last, paired
+    with p.  Each residual is affine with unit coefficient in its coordinate.
+    """
+    out = []
+    for u, eq in equation_families(catalog, L).items():
+        if eq.tag == TAG_W1:
+            out.append((mom_sym(u.alpha, *mi.decompositions(u.index)[0]), eq.residual()))
+    out.append((catalog.p, hamiltonian_h0(catalog, L)))
+    return out
+
+
 def on_constraint_point(L: Expr, spec: BundleSpec, rng: random.Random,
                         fields=None) -> dict[Sym, float]:
-    """A random numeric point satisfying the momentum and scalar constraints.
+    """A random numeric point satisfying the momentum and scalar constraints."""
+    return on_constraint_points(L, spec, rng, 1, fields)[0]
 
-    Free coordinates are drawn uniformly from [1, 2]; one momentum per
-    top-order constraint and the scalar momentum are then solved explicitly
-    (both are affine in the solved-for variables).
+
+def on_constraint_points(L: Expr, spec: BundleSpec, rng: random.Random, count: int,
+                         fields=None) -> list[dict[Sym, float]]:
+    """Random numeric points satisfying the momentum and scalar constraints.
+
+    Free coordinates are drawn uniformly from [1, 2], x and u first, then the
+    unsolved momenta in catalog order.  Each W1 momentum, and then p, is minus
+    its residual evaluated with that coordinate set to 0.  No W1 residual holds
+    another's solved momentum or p, so one compiled call solves all of W1 and
+    a second one p.
     """
     catalog = build_catalog(spec)
-    point: dict[Sym, float] = {}
-    for s in catalog.base_syms + catalog.jet_syms:
-        point[s] = rng.uniform(1.0, 2.0)
-    solved: dict[Sym, tuple[int, mi.MultiIndex]] = {}
-    for alpha in range(1, spec.n + 1):
-        for K in mi.enumerate_indices(spec.m, spec.k):
-            I0, i0 = mi.decompositions(K)[0]
-            solved[mom_sym(alpha, I0, i0)] = (alpha, K)
-    for s in catalog.mom_syms:
-        if s not in solved:
-            point[s] = rng.uniform(1.0, 2.0)
-    # every solved momentum belongs to one K, so the right sides need only x and u
-    *rhs, l_value = evaluate([partial(L, jet_sym(alpha, K)) for alpha, K in solved.values()]
-                             + [L], point, fields)
-    for (dep, (alpha, K)), rhs_value in zip(solved.items(), rhs):
-        others = sum(point[mom_sym(alpha, I, i)]
-                     for I, i in mi.decompositions(K)
-                     if mom_sym(alpha, I, i) != dep)
-        point[dep] = rhs_value - others
-    phi_terms = sum(point[s] * point[jet_sym(s.alpha, s.index.bump(s.i))]
-                    for s in catalog.mom_syms)
-    point[catalog.p] = l_value - phi_terms
-    return point
+    solved, residuals = zip(*_constraints(catalog, L))
+    values_at = compile_at(residuals, fields)
+    free = catalog.base_syms + catalog.jet_syms + tuple(s for s in catalog.mom_syms
+                                                        if s not in solved)
+    points = []
+    for _ in range(count):
+        point = {s: rng.uniform(1.0, 2.0) for s in free}
+        point.update((s, 0.0) for s in solved)
+        *w1, _ = values_at(point)
+        # 0.0 - r, not -r: a residual of exactly 0 solves to +0.0
+        point.update(zip(solved, (0.0 - r for r in w1)))
+        point[catalog.p] = 0.0 - values_at(point)[-1]
+        points.append(point)
+    return points
 
 
-def omega2_kernel_dim_at(L: Expr, spec: BundleSpec, point: Mapping,
-                         fields=None, residual_tol: float = 1e-9) -> int:
+def omega2_kernel_dim_at(L: Expr, spec: BundleSpec, point: Mapping, fields=None) -> int:
     """Kernel dimension of the restricted premultisymplectic form at one on-constraint point."""
-    return omega2_kernel_dims(L, spec, [point], fields, residual_tol)[0]
+    return omega2_kernel_dims(L, spec, [point], fields)[0]
 
 
 def omega2_kernel_dims(L: Expr, spec: BundleSpec, points: Sequence[Mapping],
-                       fields=None, residual_tol: float = 1e-9) -> list[int]:
+                       fields=None) -> list[int]:
     """Kernel dimensions of the restricted premultisymplectic form at on-constraint points.
 
     The tangent space is the numeric null space of the constraint
@@ -368,8 +390,7 @@ def omega2_kernel_dims(L: Expr, spec: BundleSpec, points: Sequence[Mapping],
     if spec.m < 2:
         raise UsageError("kernel check requires base dimension m >= 2")
     catalog = build_catalog(spec)
-    residuals = [eq.residual() for eq in equation_families(catalog, L).values()
-                 if eq.tag == TAG_W1] + [hamiltonian_h0(catalog, L)]
+    residuals = [r for _, r in _constraints(catalog, L)]
     coords = list(catalog.coords)
     cpos = {c: ix for ix, c in enumerate(coords)}
     grads = [gradient(rexpr, coords) for rexpr in residuals]
@@ -378,18 +399,15 @@ def omega2_kernel_dims(L: Expr, spec: BundleSpec, points: Sequence[Mapping],
     terms = collect(omega_h0(catalog, L))
     term_coords = [[cpos[s] for s in mono] for mono in terms]
 
-    group = residuals + [d for g in grads for d in g.values()] + list(terms.values())
-    if fields:
-        group = [substitute_fields(x, fields) for x in group]
-    syms = sorted(set().union(*map(free_syms, group)))
-    values_at = compile_expr(group, syms)
+    values_at = compile_at(residuals + [d for g in grads for d in g.values()]
+                           + list(terms.values()), fields)
     n_res, n_grad = len(residuals), len(slots[0])
 
     dims = []
     for point in points:
-        values = values_at(bind_values(point, syms))
+        values = values_at(point)
         for rexpr, val in zip(residuals, values):
-            if abs(val) > residual_tol:
+            if not abs(val) <= RESIDUAL_TOL:  # a NaN residual fails too
                 raise PreconditionError("point is off the constraint set: |%s| = %.3e"
                                         % (render(normalize(rexpr)), abs(val)))
         grad = np.zeros((n_res, len(coords)))
@@ -400,7 +418,7 @@ def omega2_kernel_dims(L: Expr, spec: BundleSpec, points: Sequence[Mapping],
         if rows.size == 0:
             dims.append(dim_t)
             continue
-        sv = np.linalg.svd(rows, compute_uv=False)
+        sv = np.linalg.svd(_finite(rows), compute_uv=False)
         cutoff = RANK_CUTOFF * max(float(sv[0]) if sv.size else 0.0, 1.0)
         dims.append(dim_t - int(np.sum(sv > cutoff)))
     return dims
@@ -433,7 +451,7 @@ def _minor_rows(tangent: np.ndarray, term_coords, coefs, m: int) -> np.ndarray:
 
 
 def _null_space(mat: np.ndarray) -> np.ndarray:
-    u, sv, vt = np.linalg.svd(mat)
+    u, sv, vt = np.linalg.svd(_finite(mat))
     cutoff = RANK_CUTOFF * max(float(sv[0]) if sv.size else 0.0, 1.0)
     rank = int(np.sum(sv > cutoff))
     return vt[rank:].T

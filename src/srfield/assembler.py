@@ -207,8 +207,7 @@ def dynamical_equations(catalog: CoordCatalog, L: Expr) -> EquationSet:
 
 def w2_constraint(catalog: CoordCatalog, L: Expr) -> EquationSet:
     """The single equation fixing the scalar momentum: dynamical function equal to zero."""
-    _check_l_on_jets(catalog, L)
-    rhs = esub(eadd(L, Atom(catalog.p)), pairing_phi(catalog))
+    rhs = esub(Atom(catalog.p), hamiltonian_h0(catalog, L))
     return EquationSet([Equation(Atom(catalog.p), normalize(rhs), TAG_W2, "H0=0")])
 
 

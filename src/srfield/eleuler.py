@@ -44,6 +44,9 @@ from .symexpr import (
     substitute_fields,
 )
 
+# largest move of either oracle side under the x2 grid refinement, relative to 1 + |refined|
+RICHARDSON_TOL = 1e-4
+
 
 def total_derivative(e: Expr, i: int, max_order: int) -> Expr:
     """Formal total derivative D_i, with the chain rule on external fields.
@@ -179,8 +182,7 @@ def _compiled_lagrangian(L_eff: Expr, spec: BundleSpec):
 
 def gateaux_oracle(L: Expr, spec: BundleSpec, s: SectionFn, psi: SectionFn,
                    grid: int, eps: float, box=None,
-                   fields: Optional[Mapping[str, Expr]] = None,
-                   richardson_tol: float = 1e-4) -> tuple[float, float]:
+                   fields: Optional[Mapping[str, Expr]] = None) -> tuple[float, float]:
     """Numeric (action derivative, integrated EL pairing) for a compact variation.
 
     psi supplies the free polynomial part of the variation; the boundary bump
@@ -224,7 +226,7 @@ def gateaux_oracle(L: Expr, spec: BundleSpec, s: SectionFn, psi: SectionFn,
     (lhs_c, rhs_c), (lhs_f, rhs_f) = sides(grid), sides(2 * grid - 1)
     for coarse, refined, side in ((lhs_c, lhs_f, "action derivative"),
                                   (rhs_c, rhs_f, "EL pairing")):
-        if abs(refined - coarse) > richardson_tol * (1.0 + abs(refined)):
+        if abs(refined - coarse) > RICHARDSON_TOL * (1.0 + abs(refined)):
             raise QuadratureError(
                 "grid too coarse for the %s: refinement moved %.3e" % (side, abs(refined - coarse)))
     # Simpson converges at h^4: the x2 refinement supports one Richardson step.

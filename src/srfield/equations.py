@@ -14,8 +14,6 @@ TAG_W1 = "W1"
 TAG_W2 = "W2"
 TAG_TANGENCY = "TANGENCY"
 TAG_C = "C"
-TAG_HOLONOMIC_PROLONG = "HOLONOMIC_PROLONG"
-TAG_HOLONOMIC_SYMMETRY = "HOLONOMIC_SYMMETRY"
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,6 @@ from math import comb
 from typing import Mapping, Optional, Sequence
 
 from . import multiindex as mi
-from .equations import (
-    Equation,
-    EquationSet,
-    TAG_HOLONOMIC_PROLONG,
-    TAG_HOLONOMIC_SYMMETRY,
-)
 from .errors import UsageError
 from .symexpr import (
     Atom,
@@ -32,7 +26,6 @@ from .symexpr import (
     emul,
     field_sym,
     free_syms,
-    jet1_sym,
     jet_sym,
     mom_sym,
     p_sym,
@@ -134,33 +127,6 @@ def pairing_phi(catalog: CoordCatalog) -> Expr:
         terms.append(emul(Atom(s), Atom(jet_sym(s.alpha, s.index.bump(s.i)))))
     terms.append(Atom(catalog.p))
     return eadd(*terms)
-
-
-def holonomic_equations(spec: BundleSpec) -> EquationSet:
-    """Equations cutting the image of the order-(k+1) jets inside the iterated jet space."""
-    out = EquationSet()
-    m, n, k = spec.m, spec.n, spec.k
-    for alpha in range(1, n + 1):
-        for I in mi.enumerate_up_to(m, k - 1):
-            for i in range(1, m + 1):
-                out.add(Equation(
-                    Atom(jet1_sym(alpha, I, i)),
-                    Atom(jet_sym(alpha, I.bump(i))),
-                    TAG_HOLONOMIC_PROLONG,
-                    "u[%s;%d]@%d" % (",".join(map(str, I)), i, alpha),
-                ))
-    if m >= 2:
-        for alpha in range(1, n + 1):
-            for K in mi.enumerate_indices(m, k + 1):
-                decs = mi.decompositions(K)
-                for (i1, d1), (i2, d2) in zip(decs, decs[1:]):
-                    out.add(Equation(
-                        Atom(jet1_sym(alpha, i1, d1)),
-                        Atom(jet1_sym(alpha, i2, d2)),
-                        TAG_HOLONOMIC_SYMMETRY,
-                        "K=%s@%d" % (str(K), alpha),
-                    ))
-    return out
 
 
 class SectionFn:

@@ -173,19 +173,19 @@ def _analysis_section(problem: ProblemFile, catalog: CoordCatalog, L: Expr,
                      if s.kind == FIELD and s.name not in bindings)
 
     rng = _rng(seed, "regularity")
-    samples = []
+    points, shown = [], []
     for _ in range(REGULARITY_SAMPLES):
         point = {s: rng.uniform(1.0, 2.0) for s in catalog.coords}
         for s in sorted(hess_syms):
             if s.kind == FIELD and s.name not in bindings:
                 point[s] = rng.uniform(1.0, 2.0)
-        regular = analysis.full_rank(analysis.hessian_at(hess, point, bindings or None))
-        shown = {s.render(): point[s] for s in sorted(hess_syms) if s in point}
-        samples.append({"point": shown, "regular": regular})
+        points.append(point)
+        shown.append({s.render(): point[s] for s in sorted(hess_syms) if s in point})
     for point in problem.point_assignments(catalog):
-        regular = analysis.full_rank(analysis.hessian_at(hess, point, bindings or None))
-        samples.append({"point": {s.render(): v for s, v in sorted(point.items())},
-                        "regular": regular})
+        points.append(point)
+        shown.append({s.render(): v for s, v in sorted(point.items())})
+    samples = [{"point": where, "regular": analysis.full_rank(mat)}
+               for where, mat in zip(shown, analysis.hessian_at(hess, points, bindings or None))]
     out["regularity"] = {
         "seed": seed,
         "samples": samples,
@@ -212,9 +212,8 @@ def _analysis_section(problem: ProblemFile, catalog: CoordCatalog, L: Expr,
         out["omega2"] = {"applicable": False,
                          "reason": "Lagrangian has unbound external fields"}
     else:
-        rng = _rng(seed, "omega2")
-        points = [analysis.on_constraint_point(L, spec, rng, bindings or None)
-                  for _ in range(KERNEL_SAMPLES)]
+        points = analysis.on_constraint_points(L, spec, _rng(seed, "omega2"), KERNEL_SAMPLES,
+                                               bindings or None)
         dims = analysis.omega2_kernel_dims(L, spec, points, bindings or None)
         out["omega2"] = {"applicable": True, "seed": seed, "kernel_dims": dims}
     return out

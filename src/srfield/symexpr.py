@@ -31,7 +31,7 @@ from .multiindex import MultiIndex, unit, zero
 # ---------------------------------------------------------------------------
 # Symbols
 
-BASE, JET, MOMENTUM, PSCALAR, FIELD, AUX, JET1 = range(7)
+BASE, JET, MOMENTUM, PSCALAR, FIELD, AUX = range(6)
 
 
 class Sym:
@@ -91,8 +91,6 @@ class Sym:
             if self.name == "C":
                 return "C[%d]" % self.j
             return "%s[%d]" % (self.name, self.j)
-        if self.kind == JET1:
-            return "u[%s;%d]%s" % (_idx_body(self.index), self.i, a)
         raise UsageError("unknown symbol kind %r" % (self.kind,))
 
     def __repr__(self):
@@ -135,10 +133,6 @@ def aux_b(index: MultiIndex, i: int, alpha: int, j: int) -> Sym:
 
 def aux_c(j: int) -> Sym:
     return Sym(AUX, name="C", j=j)
-
-
-def jet1_sym(alpha: int, index: MultiIndex, i: int) -> Sym:
-    return Sym(JET1, alpha=alpha, index=index, i=i)
 
 
 # ---------------------------------------------------------------------------
@@ -894,8 +888,9 @@ def compile_expr(e, syms: Sequence[Sym]) -> Callable:
     v holds the values of syms in order: floats, or equally shaped numpy
     arrays evaluated elementwise.  f returns one value, or a tuple for a
     sequence of expressions.  Expressions must be free of field atoms (bind
-    fields first); symbols not listed raise at compile time.  A zero base
-    under a negative power raises EvalDomainError.
+    fields first); symbols not listed raise at compile time.  A constant
+    beyond the float range raises EvalDomainError here, and a zero base under
+    a negative power when f is called.
     """
     pos = {s: ix for ix, s in enumerate(syms)}
     lines: list[str] = []
@@ -922,9 +917,11 @@ def compile_expr(e, syms: Sequence[Sym]) -> Callable:
 
     def emit(x: Expr) -> tuple[str, int]:
         if isinstance(x, Const):
-            if x.q.denominator == 1:
-                return "(%d.0)" % x.q.numerator, 0
-            return "(%r)" % float(x.q), 0
+            try:
+                return "(%r)" % float(x.q), 0
+            except OverflowError:
+                raise EvalDomainError("a constant of %d digits is too large for floating point"
+                                      % len(str(abs(x.q.numerator)))) from None
         if isinstance(x, Atom):
             if x.sym not in pos:
                 raise UsageError("symbol %s not in compile scope" % x.sym.render())
@@ -965,12 +962,18 @@ def evaluate(e, point: Mapping, fields: Optional[Mapping[str, Expr]] = None):
     gives a list of values.  A missing value or a zero base under a negative
     power raises EvalDomainError.
     """
-    exprs = [e] if isinstance(e, Expr) else list(e)
+    out = compile_at([e] if isinstance(e, Expr) else list(e), fields)(point)
+    return out[0] if isinstance(e, Expr) else list(out)
+
+
+def compile_at(exprs: Sequence[Expr], fields: Optional[Mapping[str, Expr]] = None) -> Callable:
+    """exprs with fields bound, compiled once: a function from a point, read as by
+    :func:`evaluate`, to the tuple of their values."""
     if fields:
         exprs = [substitute_fields(x, fields) for x in exprs]
     syms = sorted(set().union(*map(free_syms, exprs)))
-    out = compile_expr(exprs, syms)(bind_values(point, syms))
-    return out[0] if isinstance(e, Expr) else list(out)
+    values_at = compile_expr(exprs, syms)
+    return lambda point: values_at(bind_values(point, syms))
 
 
 def bind_values(point: Mapping, syms: Sequence[Sym]) -> list:

@@ -13,11 +13,15 @@ from srfield import symexpr as sx
 from srfield import analysis as an
 from srfield.assembler import equation_families, hamiltonian_h0
 from srfield.equations import TAG_W1
-from srfield.errors import PreconditionError, UsageError
+from srfield.errors import EvalDomainError, PreconditionError, UsageError
 from srfield.jetmodel import BundleSpec, build_catalog
 from srfield.multiindex import MultiIndex, count_indices
+from srfield.problem import parse_problem
+from srfield.report import REGULARITY_SAMPLES, run_problem
 
-from conftest import jet
+from conftest import CH_L_TEXT, PLATE_L_TEXT, jet
+
+PLATE_PROBLEM_TEXT = "m=2\nn=1\nk=2\nfield q(x[1],x[2]) = 1\nlagrangian = %s\n" % PLATE_L_TEXT
 
 
 def test_hessian_plate(plate_L):
@@ -318,11 +322,88 @@ def test_kernel_preconditions(ch_L):
         an.omega2_kernel_dim_at(ch_L, BundleSpec(1, 1, 2), {})
 
 
-def test_on_constraint_point_residuals(ch_L):
-    spec = BundleSpec(2, 1, 2)
-    cat = build_catalog(spec)
-    pt = _on_point(ch_L, spec, 9)
-    w1 = [eq.residual() for eq in equation_families(cat, ch_L).values() if eq.tag == TAG_W1]
-    assert len(w1) == 3
-    for res in w1 + [hamiltonian_h0(cat, ch_L)]:
-        assert abs(sx.evaluate(res, pt)) < 1e-9
+_RESIDUAL_CASES = {
+    "plate-bound-field": ((2, 1, 2), PLATE_L_TEXT, {"q": (1, 2)}, "x[1]*x[2] + 1"),
+    "camassa-holm": ((2, 1, 2), CH_L_TEXT, {}, None),
+    "(2,1,3)": ((2, 1, 3), "1/2*(u[3,0]^2+3*u[2,1]^2+3*u[1,2]^2+u[0,3]^2) + u[1,0]*u[0,1]^2/2",
+                {}, None),
+    "(2,2,2)": ((2, 2, 2), "1/2*(u[2,0]@1^2+2*u[1,1]@1^2+u[0,2]@1^2+u[2,0]@2^2+2*u[1,1]@2^2"
+                "+u[0,2]@2^2) + u[1,0]@1*u[0,1]@2", {}, None),
+    "(3,1,2)-plate": ((3, 1, 2), _PLATE_3D, {"q": (1, 2, 3)}, "1"),
+}
+
+
+def _residual_case(name):
+    signature, text, deps, value = _RESIDUAL_CASES[name]
+    spec = BundleSpec(*signature)
+    cat = build_catalog(spec, fields=deps)
+    fields = {q: sx.parse(value, cat) for q in deps} or None
+    return spec, cat, sx.parse(text, cat), fields
+
+
+def test_on_constraint_point_residuals():
+    for name in _RESIDUAL_CASES:
+        spec, cat, L, fields = _residual_case(name)
+        w1 = [eq.residual() for eq in equation_families(cat, L).values() if eq.tag == TAG_W1]
+        assert len(w1) == spec.n * count_indices(spec.m, spec.k)
+        residuals = w1 + [hamiltonian_h0(cat, L)]
+        for seed in (9, 10, 11):
+            pt = _on_point(L, spec, seed, fields)
+            for res in residuals:
+                assert abs(sx.evaluate(res, pt, fields)) <= 1e-12, (name, seed, sx.render(res))
+
+
+def test_on_constraint_points_match_single():
+    for name in _RESIDUAL_CASES:
+        spec, _, L, fields = _residual_case(name)
+        batch = an.on_constraint_points(L, spec, random.Random(3), 5, fields)
+        rng = random.Random(3)
+        single = [an.on_constraint_point(L, spec, rng, fields) for _ in range(5)]
+        assert [[(s, v.hex()) for s, v in p.items()] for p in batch] == \
+            [[(s, v.hex()) for s, v in p.items()] for p in single]
+
+
+def test_on_constraint_points_build_once(ch_L, monkeypatch):
+    calls = {"equation_families": 0, "hamiltonian_h0": 0, "compile_expr": 0}
+    for module, name in ((an, "equation_families"), (an, "hamiltonian_h0"),
+                         (sx, "compile_expr")):
+        def counted(*args, _name=name, _orig=getattr(module, name)):
+            calls[_name] += 1
+            return _orig(*args)
+        monkeypatch.setattr(module, name, counted)
+    assert len(an.on_constraint_points(ch_L, BundleSpec(2, 1, 2), random.Random(5), 5)) == 5
+    assert calls == {"equation_families": 1, "hamiltonian_h0": 1, "compile_expr": 1}
+
+
+def test_analysis_compiles_each_check_once(monkeypatch):
+    problem = parse_problem(PLATE_PROBLEM_TEXT + "point = u[2,0]=1.5 u[1,1]=0.25 u[0,2]=1.0\n")
+    groups = []
+
+    def counted(exprs, fields=None, _orig=an.compile_at):
+        groups.append(list(exprs))
+        return _orig(exprs, fields)
+    monkeypatch.setattr(an, "compile_at", counted)
+    ana = run_problem(problem, stages={"analysis"})["analysis"]
+    assert len(ana["regularity"]["samples"]) == REGULARITY_SAMPLES + 1
+    assert ana["regularity"]["regular_all"] and ana["omega2"]["kernel_dims"] == [0] * 5
+    hess = an.highest_hessian(problem.lagrangian(), problem.bundle)
+    # the Hessian, the constraint points and the kernel check, one group each
+    assert len(groups) == 3
+    assert groups[0] == [e for row in hess.entries for e in row]
+
+
+def test_hessian_at_points(ch_L):
+    hess = an.highest_hessian(ch_L, BundleSpec(2, 1, 2))
+    points = [{jet(1, 1, 0): v} for v in (0.5, 2.0, 4.0)]
+    mats = an.hessian_at(hess, points)
+    assert [m[1, 1] for m in mats] == [2.0, 0.5, 0.25]
+    assert all(m.shape == (3, 3) and m[0, 0] == 0.0 for m in mats)
+
+
+def test_rank_checks_reject_non_finite():
+    for bad in (np.inf, np.nan):
+        mat = np.array([[1.0, 0.0], [0.0, bad]])
+        with pytest.raises(EvalDomainError):
+            an.full_rank(mat)
+        with pytest.raises(EvalDomainError):
+            an._null_space(mat)

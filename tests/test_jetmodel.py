@@ -1,4 +1,4 @@
-"""Catalogs, dimension formulas, the pairing, holonomic equations, prolongation."""
+"""Catalogs, dimension formulas, the pairing, prolongation."""
 
 import itertools
 import random
@@ -6,7 +6,6 @@ import random
 import pytest
 
 from srfield import symexpr as sx
-from srfield.equations import TAG_HOLONOMIC_PROLONG, TAG_HOLONOMIC_SYMMETRY
 from srfield.errors import UsageError
 from srfield.jetmodel import (
     BundleSpec,
@@ -14,7 +13,6 @@ from srfield.jetmodel import (
     build_catalog,
     coordinate_count,
     dim_jet,
-    holonomic_equations,
     pairing_phi,
     prolong,
 )
@@ -116,21 +114,6 @@ def test_pairing_k1_structure():
         for alpha in (1, 2) for i in (1, 2, 3)
     ], sx.Atom(cat.p))
     assert sx.equivalent(phi, hand)
-
-
-def test_holonomic_equations():
-    eqs = holonomic_equations(BundleSpec(2, 1, 1))
-    symm = eqs.by_tag(TAG_HOLONOMIC_SYMMETRY)
-    assert len(symm) == 1
-    assert {symm[0].lhs.sym, symm[0].rhs.sym} == {
-        sx.jet1_sym(1, MultiIndex((1, 0)), 2),
-        sx.jet1_sym(1, MultiIndex((0, 1)), 1),
-    }
-
-    assert holonomic_equations(BundleSpec(1, 1, 3)).by_tag(TAG_HOLONOMIC_SYMMETRY) == []
-
-    first = holonomic_equations(BundleSpec(2, 1, 2)).by_tag(TAG_HOLONOMIC_PROLONG)
-    assert len(first) == 6
 
 
 def test_prolong_example():

@@ -321,6 +321,19 @@ def test_cli_digit_budget_boundary(tmp_path, capsys):
     assert str(3 ** 1024) in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("coef", ["9" * 500, "9" * 500 + "/7"], ids=["integer", "fraction"])
+def test_cli_constant_beyond_float_range(tmp_path, capsys, coef):
+    # within the digit budget but past the float range: the numeric checks
+    # used to end in LinAlgError or OverflowError (exit 4)
+    text = "m=2\nn=1\nk=2\nlagrangian = %s*u[2,0]^2 + u[0,2]^2 + u[1,1]^2\n" % coef
+    path = _write(tmp_path, "big.prob", text)
+    start = time.perf_counter()
+    assert main(["run", path]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "too large for floating point" in capsys.readouterr().err
+    assert main(["el", path]) == 0
+
+
 def test_cli_unexpected_exception_exits_4(tmp_path, capsys, monkeypatch):
     import srfield.cli
 

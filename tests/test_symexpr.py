@@ -274,6 +274,16 @@ def test_compile_deep_tree():
     assert depth == 250
 
 
+def test_compile_constants_at_the_float_range():
+    u = sx.Atom(jet(1, 1))
+    big = 2 ** 1024 - 2 ** 971  # the largest finite double
+    for q in (big, -big, Fraction(3 * 10 ** 300, 7), 2 ** 80 + 1):
+        assert sx.compile_expr(sx.emul(sx.Const(q), u), [jet(1, 1)])([1.0]) == float(q)
+    for q in (2 ** 1024, -10 ** 400, Fraction(10 ** 500, 7)):
+        with pytest.raises(EvalDomainError, match="too large for floating point"):
+            sx.compile_expr(sx.emul(sx.Const(q), u), [jet(1, 1)])
+
+
 def test_evaluate_arrays_and_pole(ch_L):
     ux = jet(1, 1, 0)
     others = {s: 1.5 for s in sx.free_syms(ch_L) if s != ux}
