@@ -438,8 +438,11 @@ def _minor_rows(tangent: np.ndarray, term_coords, coefs, m: int) -> np.ndarray:
     subsets = np.array(list(itertools.combinations(range(dim_t), m + 1)),
                        dtype=int).reshape(-1, m + 1)
     comp = np.zeros(len(subsets))
-    for idx, cval in zip(term_coords, coefs):
-        comp += cval * np.linalg.det(np.moveaxis(tangent[idx][:, subsets], 0, 1))
+    # det goes through log|U_ii|, which divides by zero on an exactly singular
+    # block; that block's determinant is correctly 0
+    with np.errstate(divide="ignore"):
+        for idx, cval in zip(term_coords, coefs):
+            comp += cval * np.linalg.det(np.moveaxis(tangent[idx][:, subsets], 0, 1))
     # combos are in lexicographic order, which is the order of their base-dim_t keys
     place = dim_t ** np.arange(m - 1, -1, -1)
     keys = combos @ place

@@ -7,9 +7,11 @@ momentum relations, the top-order constraint W1) is defined once, in closed
 form, and checked against the collected coefficients; any mismatch or
 unexpected monomial is an internal consistency error, never a silent
 fallback.  The gauge freedom in splitting individual momenta never enters:
-grouping by monomial yields the gauge-free equations directly.  The tangency
-conditions and the scalar-momentum coefficients C_j are the template's lifts
-h_j applied, through one chain rule, to W1 and to the dynamical function.
+grouping by monomial yields the gauge-free equations directly.  The dynamical
+form is written term by term into one form, its dH0 part from the gradient of
+the dynamical function H0.  The tangency conditions and the scalar-momentum
+coefficients C_j are the template's lifts h_j applied, through that same chain
+rule (symexpr.gradient, one sweep for all directions), to W1 and to H0.
 """
 
 from __future__ import annotations
@@ -35,11 +37,6 @@ from .extalg import (
     collect,
     contract_projector,
     dm1x,
-    exterior_d,
-    one_form,
-    scalar_form,
-    volume_form,
-    wedge,
 )
 from .jetmodel import CoordCatalog, pairing_phi
 from .symexpr import (
@@ -89,18 +86,22 @@ def hamiltonian_h0(catalog: CoordCatalog, L: Expr) -> Expr:
 
 
 def omega_h0(catalog: CoordCatalog, L: Expr) -> Form:
-    """Premultisymplectic (m+1)-form: canonical form plus dH0 wedge volume."""
+    """Premultisymplectic (m+1)-form: canonical form plus dH0 wedge volume.
+
+    Built in one form: -dp ^ d^m x, then -dp^{I,i} ^ du_I ^ d^{m-1}x_i for
+    each momentum, then dH0 ^ d^m x term by term from the gradient of H0.
+    """
     _check_l_on_jets(catalog, L)
-    vol = volume_form(catalog)
-    omega = wedge(one_form(catalog, catalog.p), vol).scale(Const(-1))
+    base = tuple(catalog.base_syms)
+    omega = Form(catalog, catalog.m + 1)
+    omega.add_word((catalog.p,) + base, Const(-1))
+    faces = {i: dm1x(catalog, i).terms for i in range(1, catalog.m + 1)}
     for s in catalog.mom_syms:
-        term = wedge(
-            wedge(one_form(catalog, s), one_form(catalog, jet_sym(s.alpha, s.index))),
-            dm1x(catalog, s.i),
-        )
-        omega = omega + term.scale(Const(-1))
-    h0 = hamiltonian_h0(catalog, L)
-    return omega + wedge(exterior_d(scalar_form(catalog, h0)), vol)
+        for face, coef in faces[s.i].items():
+            omega.add_word((s, jet_sym(s.alpha, s.index)) + face, eneg(coef))
+    for c, dh in gradient(hamiltonian_h0(catalog, L), catalog.coords).items():
+        omega.add_word((c,) + base, dh)
+    return omega
 
 
 def projector_template(catalog: CoordCatalog) -> ProjectorTemplate:
@@ -143,11 +144,7 @@ def equation_families(catalog: CoordCatalog, L: Expr) -> dict[Sym, Equation]:
     order k the top-order constraint W1.  Grouped by family in that order.
     """
     _check_l_on_jets(catalog, L)
-    return _families(catalog, gradient(L, catalog.jet_syms))
-
-
-def _families(catalog: CoordCatalog, dl: Mapping[Sym, Expr]) -> dict[Sym, Equation]:
-    """equation_families from the gradient dl of L along (at least) the jets."""
+    dl = gradient(L, catalog.jet_syms)
     m, k = catalog.m, catalog.k
     out: dict[Sym, Equation] = {}
     for s in catalog.mom_syms:
@@ -252,28 +249,24 @@ def c_coefficients(catalog: CoordCatalog, L: Expr,
                    a_assign: Mapping[Sym, Expr], b_assign: Mapping[Sym, Expr]) -> list[Expr]:
     """Scalar-momentum coefficients C_j, reduced so no top-order A symbol survives.
 
-    C_j is h_j applied to L minus the pairing without p, with the given values
-    for every A and B unknown of h_j (top-order A's may map to themselves).
-    The top-order A terms must cancel against the top-order constraint: in
-    the unnormalized sum for C_j, each one's coefficient (with the A's checked
-    before it set to 0) is verified to equal minus that constraint's W1
-    residual, anything else is an internal error.  The sum with those A's set
-    to 0 is then normalized once; the canonical form is unique, so this is the
-    same as normalizing first and dropping the A's one at a time.
+    C_j is minus h_j applied to the dynamical function H0 without its
+    scalar momentum p (h_j[p] is the unknown C_j itself), with the given
+    values for every A and B unknown of h_j (top-order A's may map to
+    themselves).  The top-order A terms must cancel against the top-order
+    constraint: in the unnormalized sum h_j H0, each one's coefficient (with
+    the A's checked before it set to 0) is verified to equal that
+    constraint's W1 residual, anything else is an internal error.  The sum
+    with those A's set to 0 is then normalized once; the canonical form is
+    unique, so this is the same as normalizing first and dropping the A's
+    one at a time.
     """
-    _check_l_on_jets(catalog, L)
+    grad = gradient(hamiltonian_h0(catalog, L), catalog.coords)
+    del grad[catalog.p]
     lifts = _assigned_lifts(catalog, a_assign, b_assign)
-    grad = gradient(L, catalog.coords)
-    w1 = [(u, eq) for u, eq in _families(catalog, grad).items() if eq.tag == TAG_W1]
+    w1 = [(u, eq) for u, eq in equation_families(catalog, L).items() if eq.tag == TAG_W1]
     out: list[Expr] = []
     for j, h in lifts.items():
-        # the pairing's part, -h_j[u_top] p - h_j[p] u_top, comes from the lift
-        # components: differentiating the pairing costs time quadratic in its size
-        pairing = []
-        for s in catalog.mom_syms:
-            top = jet_sym(s.alpha, s.index.bump(s.i))
-            pairing += [eneg(emul(h[top], Atom(s))), eneg(emul(h[s], Atom(top)))]
-        raw = eadd(directional(h, grad), *pairing)
+        raw = directional(h, grad)
         parts = raw.terms if isinstance(raw, Add) else (raw,)
         part_syms = [free_syms(t) for t in parts]
         checked: dict[Sym, Expr] = {}
@@ -284,11 +277,11 @@ def c_coefficients(catalog: CoordCatalog, L: Expr,
                 continue
             coeff = substitute(partial(eadd(*terms), sym), checked)
             # an A that cancels within the sum itself is absent from C_j
-            if not is_zero(eadd(coeff, eq.residual())) and not is_zero(coeff):
+            if not is_zero(esub(coeff, eq.residual())) and not is_zero(coeff):
                 raise InternalConsistencyError(
                     "top-order A coefficient in C_%d does not match the W1 residual" % j)
             checked[sym] = Const(0)
-        cj = normalize(substitute(raw, checked))
+        cj = normalize(eneg(substitute(raw, checked)))
         leftover = [s for s in free_syms(cj)
                     if s.kind == AUX and s.name == "A" and sum(s.index) == catalog.k]
         if leftover:

@@ -186,7 +186,7 @@ class Const(Expr):
 
     def __init__(self, q):
         super().__init__()
-        self.q = Fraction(q)
+        self.q = q if isinstance(q, Fraction) else Fraction(q)
 
     def __eq__(self, other):
         return isinstance(other, Const) and self.q == other.q
@@ -254,6 +254,9 @@ class Pow(Expr):
 
 ZERO = Const(0)
 ONE = Const(1)
+# the starting values of eadd and emul; a Fraction is immutable, so one of each serves every call
+_Q0 = Fraction(0)
+_Q1 = Fraction(1)
 
 
 def as_expr(x) -> Expr:
@@ -268,7 +271,7 @@ def as_expr(x) -> Expr:
 
 def eadd(*xs) -> Expr:
     terms = []
-    const = Fraction(0)
+    const = _Q0
     for x in xs:
         x = as_expr(x)
         if isinstance(x, Const):
@@ -292,7 +295,7 @@ def eadd(*xs) -> Expr:
 
 def emul(*xs) -> Expr:
     factors = []
-    const = Fraction(1)
+    const = _Q1
     for x in xs:
         x = as_expr(x)
         if isinstance(x, Const):
@@ -380,54 +383,63 @@ def is_syntactic_zero(e: Expr) -> bool:
 
 
 def partial(e: Expr, s: Sym) -> Expr:
-    """Formal partial derivative treating all other symbols as independent.
-
-    External fields depend on their declared base variables only: the
-    derivative of a field atom with respect to x^i is the next formal field
-    derivative; with respect to anything else it vanishes.
-    """
-    if isinstance(e, Const):
-        return ZERO
-    if isinstance(e, Atom):
-        a = e.sym
-        if a == s:
-            return ONE
-        if a.kind == FIELD and s.kind == BASE and s.i in a.deps:
-            return Atom(field_sym(a.name, a.index.bump(s.i), a.deps))
-        return ZERO
-    if isinstance(e, Add):
-        return eadd(*[partial(t, s) for t in e.terms])
-    if isinstance(e, Mul):
-        parts = []
-        for idx, f in enumerate(e.factors):
-            df = partial(f, s)
-            if is_syntactic_zero(df):
-                continue
-            parts.append(emul(*(list(e.factors[:idx]) + [df] + list(e.factors[idx + 1:]))))
-        return eadd(*parts)
-    if isinstance(e, Pow):
-        db = partial(e.base, s)
-        if is_syntactic_zero(db):
-            return ZERO
-        return emul(Const(e.exp), epow(e.base, e.exp - 1), db)
-    raise UsageError("cannot differentiate %r" % (e,))
+    """Formal partial derivative treating all other symbols as independent."""
+    return gradient(e, (s,)).get(s, ZERO)
 
 
 def gradient(e: Expr, syms: Sequence[Sym]) -> dict[Sym, Expr]:
     """The syntactically nonzero partials of e along syms, in the order of syms.
 
-    A direction is taken when e holds its symbol, or, for a base direction,
-    a field atom that depends on it.
+    One bottom-up sweep gives every node the dict of its nonzero partials,
+    combined from its children's by the sum, product and power rules, so the
+    cost is linear in the size of e rather than in size times len(syms).
+    External fields depend on their declared base variables only: the
+    derivative of a field atom with respect to x^i is the next formal field
+    derivative; with respect to anything else it vanishes.
     """
-    present = free_syms(e)
-    reached = {d for s in present if s.kind == FIELD for d in s.deps}
-    out: dict[Sym, Expr] = {}
-    for s in syms:
-        if s in present or (s.kind == BASE and s.i in reached):
-            d = partial(e, s)
-            if not is_syntactic_zero(d):
-                out[s] = d
-    return out
+    wanted = set(syms)
+    bases = {s.i: s for s in wanted if s.kind == BASE}
+
+    def sweep(x: Expr) -> dict[Sym, Expr]:
+        if isinstance(x, Const):
+            return {}
+        if isinstance(x, Atom):
+            a = x.sym
+            out = {a: ONE} if a in wanted else {}
+            if a.kind == FIELD:
+                for i in a.deps:
+                    if i in bases:
+                        out[bases[i]] = Atom(field_sym(a.name, a.index.bump(i), a.deps))
+            return out
+        if isinstance(x, (Add, Mul)):
+            # per symbol, the summands in child order: the children's partials
+            # for a sum, each factor's partial times the other factors for a product
+            parts: dict[Sym, list] = {}
+            if isinstance(x, Add):
+                for t in x.terms:
+                    for s, dt in sweep(t).items():
+                        parts.setdefault(s, []).append(dt)
+            else:
+                fs = x.factors
+                for idx, f in enumerate(fs):
+                    for s, df in sweep(f).items():
+                        parts.setdefault(s, []).append(emul(*(fs[:idx] + (df,) + fs[idx + 1:])))
+            out = {}
+            for s, ds in parts.items():
+                d = eadd(*ds)
+                if not is_syntactic_zero(d):
+                    out[s] = d
+            return out
+        if isinstance(x, Pow):
+            db = sweep(x.base)
+            if not db:
+                return {}
+            outer = (Const(x.exp), epow(x.base, x.exp - 1))
+            return {s: emul(*outer, d) for s, d in db.items()}
+        raise UsageError("cannot differentiate %r" % (x,))
+
+    d = sweep(e)
+    return {s: d[s] for s in syms if s in d}
 
 
 def directional(v: Mapping[Sym, Expr], grad: Mapping[Sym, Expr]) -> Expr:

@@ -1,13 +1,18 @@
 """Shared fixtures and random-expression helpers for the test suite."""
 
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from srfield import symexpr as sx
+from srfield.corpus import CORPUS_NAMES, corpus_problem
 from srfield.jetmodel import BundleSpec, build_catalog
 from srfield.multiindex import MultiIndex
+from srfield.problem import parse_problem
 
 
 PLATE_SPEC = BundleSpec(2, 1, 2)
@@ -59,3 +64,26 @@ def random_rational(rng: random.Random, syms):
     num = random_poly(rng, syms)
     den_sym = rng.choice(syms)
     return sx.ediv(num, sx.eadd(sx.Atom(den_sym), sx.Const(rng.randint(1, 3))))
+
+
+def bench_problems(seed: int = 5):
+    """(id, catalog, Lagrangian) of every corpus, ladder and seeded assembly problem.
+
+    The ladder and assembly texts come from the benchmark's own generator,
+    perfbench/workloads.py, so these are the problems its workloads run.
+    """
+    name = "srfield_bench_workloads"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    workloads = sys.modules[name]
+    problems = [(n, corpus_problem(n)) for n in CORPUS_NAMES]
+    problems += [(pid, parse_problem(text)) for pid, text in workloads.LADDER]
+    problems += [(it.pid, parse_problem(it.text)) for it in workloads.generate("assembly", seed)]
+    out = []
+    for pid, problem in problems:
+        catalog = problem.catalog()
+        out.append((pid, catalog, problem.lagrangian(catalog)))
+    return out

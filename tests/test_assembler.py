@@ -27,7 +27,7 @@ from srfield.multiindex import (
     enumerate_up_to,
 )
 
-from conftest import jet, mom, random_poly
+from conftest import bench_problems, jet, mom, random_poly
 
 
 def eqmap(eqs, tag):
@@ -99,21 +99,31 @@ def test_omega_h0_plate_shape(plate_catalog, plate_L):
     assert len(single) + len(three_diff) == len(got)
 
 
-def test_omega_h0_zero_lagrangian_is_omega_plus_dphi():
-    from srfield.jetmodel import pairing_phi
-    cat = build_catalog(BundleSpec(2, 1, 1))
-    got = xa.collect(omega_h0(cat, sx.Const(0)))
+def _textbook_omega_h0(cat, L):
+    """Omega_H0 from its definition: -dp ^ vol - sum dp^{I,i} ^ du_I ^ d^{m-1}x_i + dH0 ^ vol."""
     vol = xa.volume_form(cat)
     omega = xa.wedge(xa.one_form(cat, cat.p), vol).scale(sx.Const(-1))
     for s in cat.mom_syms:
         omega = omega + xa.wedge(
-            xa.wedge(xa.one_form(cat, s), xa.one_form(cat, jet(s.alpha, *s.index))),
+            xa.wedge(xa.one_form(cat, s), xa.one_form(cat, sx.jet_sym(s.alpha, s.index))),
             xa.dm1x(cat, s.i)).scale(sx.Const(-1))
-    expected = xa.collect(omega + xa.wedge(
-        xa.exterior_d(xa.scalar_form(cat, pairing_phi(cat))), vol))
-    assert set(got) == set(expected)
-    for mono in got:
-        assert sx.equivalent(got[mono], expected[mono])
+    return omega + xa.wedge(xa.exterior_d(xa.scalar_form(cat, hamiltonian_h0(cat, L))), vol)
+
+
+def test_omega_h0_zero_lagrangian_is_omega_plus_dphi():
+    cat = build_catalog(BundleSpec(2, 1, 1))
+    got = omega_h0(cat, sx.Const(0)).terms
+    # with L = 0, dH0 is d of the pairing
+    assert list(got.items()) == list(_textbook_omega_h0(cat, sx.Const(0)).terms.items())
+
+
+def test_omega_h0_matches_the_textbook_construction():
+    problems = bench_problems()
+    assert len(problems) == 82
+    for pid, cat, L in problems:
+        got = omega_h0(cat, L).terms
+        # the same coefficient trees, in the same order
+        assert list(got.items()) == list(_textbook_omega_h0(cat, L).terms.items()), pid
 
 
 def _template_unknowns(t):

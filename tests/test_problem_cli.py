@@ -334,6 +334,19 @@ def test_cli_constant_beyond_float_range(tmp_path, capsys, coef):
     assert main(["el", path]) == 0
 
 
+def test_cli_singular_kernel_block_is_not_a_warning(tmp_path):
+    # det warns on an exactly singular block, whose determinant is correctly 0;
+    # with warnings as errors that warning used to end the run with exit 4
+    text = ("m=2\nn=1\nk=2\nlagrangian = 1%s*u[2,0]^2*u[1,0]^32 + u[0,2]^2 + u[1,1]^2\n"
+            % ("0" * 300))
+    path = _write(tmp_path, "singular.prob", text)
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "srfield",
+                           "run", path], capture_output=True, text=True)
+    assert proc.returncode == 3, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert "non-finite value" in proc.stderr
+
+
 def test_cli_unexpected_exception_exits_4(tmp_path, capsys, monkeypatch):
     import srfield.cli
 

@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srfield import symexpr as sx
+from srfield.assembler import hamiltonian_h0
 from srfield.errors import EvalDomainError, NormalizationError, ParseError, UsageError
 from srfield.jetmodel import BundleSpec, build_catalog
 from srfield.multiindex import MultiIndex
 
-from conftest import CH_L_TEXT, PLATE_L_TEXT, jet, random_poly, random_rational
+from conftest import CH_L_TEXT, PLATE_L_TEXT, PLATE_SPEC, bench_problems, jet, random_poly, random_rational
 
 
 def test_parse_plate(plate_catalog, plate_L):
@@ -133,6 +134,102 @@ def test_gradient_reaches_fields_through_base_directions():
     # x[1] reaches f although e holds no x[1]; f does not depend on x[2]
     assert list(grad) == [sx.base_sym(1), jet(1, 0, 0)]
     assert sx.render(grad[sx.base_sym(1)]) == "f[1,0]*u[0,0]"
+
+
+def _ref_partial(e, s):
+    """The per-symbol chain rule, one walk of e per symbol: the reference for gradient."""
+    if isinstance(e, sx.Const):
+        return sx.ZERO
+    if isinstance(e, sx.Atom):
+        a = e.sym
+        if a == s:
+            return sx.ONE
+        if a.kind == sx.FIELD and s.kind == sx.BASE and s.i in a.deps:
+            return sx.Atom(sx.field_sym(a.name, a.index.bump(s.i), a.deps))
+        return sx.ZERO
+    if isinstance(e, sx.Add):
+        return sx.eadd(*[_ref_partial(t, s) for t in e.terms])
+    if isinstance(e, sx.Mul):
+        parts = []
+        for idx, f in enumerate(e.factors):
+            df = _ref_partial(f, s)
+            if not sx.is_syntactic_zero(df):
+                parts.append(sx.emul(*(list(e.factors[:idx]) + [df] + list(e.factors[idx + 1:]))))
+        return sx.eadd(*parts)
+    if isinstance(e, sx.Pow):
+        db = _ref_partial(e.base, s)
+        if sx.is_syntactic_zero(db):
+            return sx.ZERO
+        return sx.emul(sx.Const(e.exp), sx.epow(e.base, e.exp - 1), db)
+    raise TypeError(e)
+
+
+def _ref_gradient(e, syms):
+    out = {}
+    for s in syms:
+        d = _ref_partial(e, s)
+        if not sx.is_syntactic_zero(d):
+            out[s] = d
+    return out
+
+
+def _gradient_cases():
+    """(id, expression, directions): every benchmark Lagrangian and its H0, plate
+    with its field bound, and a negative power over a field."""
+    cases = []
+    for pid, cat, L in bench_problems():
+        fields = sorted(s for s in sx.free_syms(L) if s.kind == sx.FIELD)
+        cases.append((pid, L, list(cat.coords) + fields))
+        cases.append((pid + ":H0", hamiltonian_h0(cat, L), list(cat.coords)))
+    cat = build_catalog(PLATE_SPEC, fields={"q": (1, 2)})
+    bound = sx.substitute_fields(sx.parse(PLATE_L_TEXT, cat), {"q": sx.parse("x[1]*x[2] + 1", cat)})
+    cases.append(("plate-bound-q", bound, list(cat.coords)))
+    q = cat.field_atom("q")
+    neg = sx.parse("u[1,1]*(u[2,0] + x[1]*q)^-3 - q/u[0,2] + (u[2,0]^2 + q)^-2", cat)
+    cases.append(("negative-pow", neg, list(cat.coords) + [q.sym]))
+    return cases
+
+
+def test_gradient_and_partial_match_the_per_symbol_reference():
+    cases = _gradient_cases()
+    assert len(cases) == 2 * 82 + 2
+    for cid, e, syms in cases:
+        grad = sx.gradient(e, syms)
+        ref = _ref_gradient(e, syms)
+        # structurally equal, in the same order, not merely equivalent
+        assert list(grad) == list(ref), cid
+        assert all(grad[s] == ref[s] for s in ref), cid
+        for s in syms:
+            assert sx.partial(e, s) == _ref_partial(e, s), (cid, s)
+
+
+def _builder_calls(monkeypatch, n):
+    """eadd and emul calls made by the gradient of a pairing of n products along
+    all 2n of its symbols."""
+    ps = [sx.Atom(sx.mom_sym(1, MultiIndex((0, 0)), i)) for i in range(1, n + 1)]
+    us = [sx.Atom(jet(1, i, 0)) for i in range(1, n + 1)]
+    pairing = sx.eadd(*[sx.emul(p, u) for p, u in zip(ps, us)])
+    syms = [a.sym for a in ps + us]
+    calls = [0]
+
+    def counted(f):
+        def wrapper(*xs):
+            calls[0] += 1
+            return f(*xs)
+        return wrapper
+
+    with monkeypatch.context() as mp:
+        mp.setattr(sx, "eadd", counted(sx.eadd))
+        mp.setattr(sx, "emul", counted(sx.emul))
+        grad = sx.gradient(pairing, syms)
+    assert len(grad) == 2 * n
+    return calls[0]
+
+
+def test_gradient_is_linear_in_the_pairing_size(monkeypatch):
+    # a walk per symbol would make the tree-building calls grow 4x per doubling
+    small, large = _builder_calls(monkeypatch, 40), _builder_calls(monkeypatch, 80)
+    assert large <= 2.1 * small
 
 
 def test_normalize_cancellation():
