@@ -1,17 +1,18 @@
 """Formal total derivatives, the higher-order Euler-Lagrange operator, and the
 independent first-variation (Gateaux) numeric oracle.
 
-The oracle compares a central-difference derivative of the action under a
+The oracle compares a complex-step derivative of the action under a
 compactly supported variation against the quadrature of the Euler-Lagrange
-expression times the variation, both on the same tensor-product composite
-Simpson grid with a x2 refinement check.  Each grid is evaluated as numpy
-arrays by compiled expressions and summed with numpy.
+expression times the variation, both on the same tensor-product
+Gauss-Legendre grid, checked against a grid of 2n-1 nodes per axis.  Each
+grid is evaluated as numpy arrays by compiled expressions and summed with
+numpy.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -44,7 +45,7 @@ from .symexpr import (
     substitute_fields,
 )
 
-# largest move of either oracle side under the x2 grid refinement, relative to 1 + |refined|
+# largest move of either oracle side from n to 2n-1 nodes per axis, relative to 1 + |refined|
 RICHARDSON_TOL = 1e-4
 
 
@@ -118,24 +119,29 @@ def residual_on_section(el: ELSystem, s: SectionFn, point: Mapping,
 # Quadrature
 
 
-def simpson_points_weights(n_points: int, a: float, b: float):
-    """Composite Simpson nodes and weights on [a, b] with an odd point count."""
-    if n_points < 3 or n_points % 2 == 0:
-        raise UsageError("composite Simpson needs an odd number of points >= 3")
-    h = (b - a) / (n_points - 1)
-    pts = [a + h * ix for ix in range(n_points)]
-    w = [1.0] * n_points
-    for ix in range(1, n_points - 1):
-        w[ix] = 4.0 if ix % 2 == 1 else 2.0
-    return pts, [wi * h / 3.0 for wi in w]
+@lru_cache(maxsize=None)
+def _gauss_legendre(n_points: int):
+    """Gauss-Legendre nodes and weights on [-1, 1] (Golub-Welsch), read-only.
+
+    The nodes are the eigenvalues of the Jacobi matrix of the Legendre
+    recurrence and the weights 2 v_0^2 from its unit eigenvectors; n nodes
+    integrate polynomials up to degree 2n-1 exactly.
+    """
+    k = np.arange(1, n_points)
+    off = k / np.sqrt(4.0 * k * k - 1.0)
+    nodes, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    weights = 2.0 * vecs[0] ** 2
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _grid(box, n_points: int):
-    """Per-axis meshgrid of the Simpson nodes and the outer product of the weights."""
-    axes = [simpson_points_weights(n_points, a, b) for a, b in box]
-    points = list(np.meshgrid(*[np.array(pts) for pts, _ in axes], indexing="ij"))
-    weights = reduce(np.multiply.outer, [np.array(ws) for _, ws in axes])
-    return points, weights
+    """Per-axis meshgrid of n Gauss-Legendre nodes in the box and the outer product of the weights."""
+    nodes, weights = _gauss_legendre(n_points)
+    centers = [(float(a) + float(b)) / 2.0 for a, b in box]
+    halves = [(float(b) - float(a)) / 2.0 for a, b in box]
+    points = list(np.meshgrid(*[c + h * nodes for c, h in zip(centers, halves)], indexing="ij"))
+    return points, reduce(np.multiply.outer, [h * weights for h in halves])
 
 
 def bump_polynomial(spec: BundleSpec, box) -> Expr:
@@ -156,18 +162,30 @@ def default_box(spec: BundleSpec):
 
 
 def default_eps(action: float) -> float:
-    return 1e-4 * (1.0 + abs(action))
+    """Complex-step size for an action of this magnitude."""
+    return 1e-20 * (1.0 + abs(action))
 
 
 def action_value(L: Expr, spec: BundleSpec, s: SectionFn, grid: int,
                  box=None, fields: Optional[Mapping[str, Expr]] = None) -> float:
+    """The action of s: L on its prolongation, summed over `grid` Gauss-Legendre nodes per axis.
+
+    A non-finite value raises QuadratureError.
+    """
     box = default_box(spec) if box is None else box
     L_eff = substitute_fields(L, fields) if fields else L
     lfn, jets = _compiled_lagrangian(L_eff, spec)
     sprol = prolong(s, spec.k, spec)
     points, weights = _grid(box, grid)
-    svals = compile_expr([sprol[u] for u in jets], _base(spec))(points)
-    return float(np.sum(weights * lfn(points + list(svals))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        svals = compile_expr([sprol[u] for u in jets], _base(spec))(points)
+        return _finite(np.sum(weights * lfn(points + list(svals))), "action", grid)
+
+
+def _finite(value, side: str, n_points: int) -> float:
+    if not np.isfinite(value):
+        raise QuadratureError("non-finite %s on the %d-node grid" % (side, n_points))
+    return float(value)
 
 
 def _base(spec: BundleSpec) -> list[Sym]:
@@ -187,10 +205,13 @@ def gateaux_oracle(L: Expr, spec: BundleSpec, s: SectionFn, psi: SectionFn,
 
     psi supplies the free polynomial part of the variation; the boundary bump
     is multiplied in here, so the vanishing conditions hold by construction.
-    Both sides use composite Simpson on `grid` points per axis and must agree
-    with their x2-refined counterparts (QuadratureError otherwise); the
-    refined values are returned.  L, the prolongations and the EL integrand
-    are compiled once and evaluated on both grids.
+    The action derivative is the complex step Im S[s + i eps psi] / eps, which
+    has no subtractive cancellation.  Both sides are summed over `grid`
+    Gauss-Legendre nodes per axis and must agree with their values on 2*grid-1
+    nodes (QuadratureError otherwise); the refined values are returned.  A
+    non-finite side on either grid raises QuadratureError.  L, the
+    prolongations and the EL integrand are compiled once and evaluated on both
+    grids.
     """
     box = default_box(spec) if box is None else box
     L_eff = substitute_fields(L, fields) if fields else L
@@ -214,24 +235,21 @@ def gateaux_oracle(L: Expr, spec: BundleSpec, s: SectionFn, psi: SectionFn,
 
     def sides(n_points: int) -> tuple[float, float]:
         points, weights = _grid(box, n_points)
-        # the pairing first, so that its grid is freed before the jets are made
-        rhs = float(np.sum(weights * pairing_at(points)))
-        jet_values = jets_at(points)
-        svals, pvals = jet_values[:len(jets)], jet_values[len(jets):]
-        plus, minus = (float(np.sum(weights * lfn(points + [sv + e * pv
-                                                            for sv, pv in zip(svals, pvals)])))
-                       for e in (eps, -eps))
-        return (plus - minus) / (2.0 * eps), rhs
+        with np.errstate(over="ignore", invalid="ignore"):
+            # the pairing first, so that its grid is freed before the jets are made
+            rhs = _finite(np.sum(weights * pairing_at(points)), "EL pairing", n_points)
+            jet_values = jets_at(points)
+            stepped = [sv + 1j * eps * pv
+                       for sv, pv in zip(jet_values[:len(jets)], jet_values[len(jets):])]
+            lhs = np.sum(weights * np.imag(lfn(points + stepped))) / eps
+        return _finite(lhs, "action derivative", n_points), rhs
 
-    (lhs_c, rhs_c), (lhs_f, rhs_f) = sides(grid), sides(2 * grid - 1)
-    for coarse, refined, side in ((lhs_c, lhs_f, "action derivative"),
-                                  (rhs_c, rhs_f, "EL pairing")):
+    (lhs_c, rhs_c), (lhs, rhs) = sides(grid), sides(2 * grid - 1)
+    for coarse, refined, side in ((lhs_c, lhs, "action derivative"),
+                                  (rhs_c, rhs, "EL pairing")):
         if abs(refined - coarse) > RICHARDSON_TOL * (1.0 + abs(refined)):
             raise QuadratureError(
                 "grid too coarse for the %s: refinement moved %.3e" % (side, abs(refined - coarse)))
-    # Simpson converges at h^4: the x2 refinement supports one Richardson step.
-    lhs = lhs_f + (lhs_f - lhs_c) / 15.0
-    rhs = rhs_f + (rhs_f - rhs_c) / 15.0
     return lhs, rhs
 
 

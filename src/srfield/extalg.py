@@ -1,9 +1,10 @@
-"""Exterior algebra of differential forms over a coordinate catalog.
+"""Differential forms over a coordinate catalog, their contractions with vector
+fields and projectors, and their normalized coefficients.
 
 Forms are stored on canonical wedge monomials: strictly increasing tuples of
 coordinate symbols under the catalog order, with the permutation parity folded
-into the coefficient.  The surface basis objects d^{m-1}x_i, d^{m-2}x_{ij} are
-derived by contraction of the volume form, signs included.
+into the coefficient.  The surface basis forms d^{m-1}x_i are derived by
+contraction of the volume form, signs included.
 """
 
 from __future__ import annotations
@@ -20,11 +21,9 @@ from .symexpr import (
     eadd,
     emul,
     eneg,
-    gradient,
     is_syntactic_zero,
     is_zero,
     normalize,
-    render,
 )
 
 
@@ -129,46 +128,14 @@ class ProjectorTemplate:
         return self.lifts[j].components.get(sym, Const(0))
 
 
-def zero_form(catalog: CoordCatalog, degree: int) -> Form:
-    return Form(catalog, degree)
-
-
-def scalar_form(catalog: CoordCatalog, value: Expr) -> Form:
-    return Form(catalog, 0, {(): value})
-
-
-def one_form(catalog: CoordCatalog, sym: Sym) -> Form:
-    """The coordinate differential d(sym)."""
-    return Form(catalog, 1, {(sym,): Const(1)})
-
-
 def volume_form(catalog: CoordCatalog) -> Form:
     return Form(catalog, catalog.m, {tuple(catalog.base_syms): Const(1)})
-
-
-def wedge(a: Form, b: Form) -> Form:
-    if a.catalog is not b.catalog:
-        raise UsageError("wedge needs both forms over the same catalog")
-    out = Form(a.catalog, a.degree + b.degree)
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
-            out.add_word(ma + mb, emul(ca, cb))
-    return out
 
 
 def dm1x(catalog: CoordCatalog, i: int) -> Form:
     """d^{m-1}x_i, the contraction of the volume form by d/dx^i."""
     return contract_vector(volume_form(catalog),
                            VecField(catalog, {catalog.base_syms[i - 1]: Const(1)}))
-
-
-def exterior_d(a: Form) -> Form:
-    """Exterior derivative: d(f mu) = sum over catalog coordinates of df_c dc wedge mu."""
-    out = Form(a.catalog, a.degree + 1)
-    for mono, coef in a.terms.items():
-        for c, df in gradient(coef, a.catalog.coords).items():
-            out.add_word((c,) + mono, df)
-    return out
 
 
 def contract_vector(a: Form, v: VecField) -> Form:
@@ -214,16 +181,3 @@ def collect(a: Form) -> dict[tuple[Sym, ...], Expr]:
         if not is_zero(nf):
             out[mono] = nf
     return out
-
-
-def render_form(a: Form) -> str:
-    """Deterministic text rendering, monomials in catalog order."""
-    coll = collect(a)
-    if not coll:
-        return "0"
-    parts = []
-    for mono in sorted(coll, key=lambda t: tuple(s._k for s in t)):
-        coef = render(coll[mono])
-        basis = "^".join("d(%s)" % s.render() for s in mono) if mono else "1"
-        parts.append("(%s) %s" % (coef, basis))
-    return "  +  ".join(parts)

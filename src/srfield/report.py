@@ -92,7 +92,8 @@ def random_variation(spec: BundleSpec, rng: random.Random) -> SectionFn:
 
 
 def default_grid(spec: BundleSpec) -> int:
-    return 65 if spec.m == 1 else 33
+    """Gauss-Legendre nodes per axis for the oracle (the refinement check uses 2n-1)."""
+    return 9
 
 
 def _section_text(s: SectionFn) -> list[str]:

@@ -66,19 +66,24 @@ def random_rational(rng: random.Random, syms):
     return sx.ediv(num, sx.eadd(sx.Atom(den_sym), sx.Const(rng.randint(1, 3))))
 
 
-def bench_problems(seed: int = 5):
-    """(id, catalog, Lagrangian) of every corpus, ladder and seeded assembly problem.
-
-    The ladder and assembly texts come from the benchmark's own generator,
-    perfbench/workloads.py, so these are the problems its workloads run.
-    """
+def bench_workloads():
+    """The benchmark's own problem generator, perfbench/workloads.py, as a module."""
     name = "srfield_bench_workloads"
     if name not in sys.modules:
         path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
         spec = importlib.util.spec_from_file_location(name, path)
         sys.modules[name] = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(sys.modules[name])
-    workloads = sys.modules[name]
+    return sys.modules[name]
+
+
+def bench_problems(seed: int = 5):
+    """(id, catalog, Lagrangian) of every corpus, ladder and seeded assembly problem.
+
+    The ladder and assembly texts come from the benchmark's own generator,
+    perfbench/workloads.py, so these are the problems its workloads run.
+    """
+    workloads = bench_workloads()
     problems = [(n, corpus_problem(n)) for n in CORPUS_NAMES]
     problems += [(pid, parse_problem(text)) for pid, text in workloads.LADDER]
     problems += [(it.pid, parse_problem(it.text)) for it in workloads.generate("assembly", seed)]

@@ -27,6 +27,7 @@ from srfield.multiindex import (
     enumerate_up_to,
 )
 
+import forms_reference as fr
 from conftest import bench_problems, jet, mom, random_poly
 
 
@@ -72,8 +73,8 @@ def test_omega_h0_mechanics_display():
     x = cat.base_syms[0]
     u, u1 = jet(1, 0), jet(1, 1)
     p1 = mom(1, (0,), 1)
-    hand = xa.zero_form(cat, 2)
-    hand = hand + xa.wedge(xa.one_form(cat, p1), xa.one_form(cat, u)).scale(sx.Const(-1))
+    hand = fr.zero_form(cat, 2)
+    hand = hand + fr.wedge(fr.one_form(cat, p1), fr.one_form(cat, u)).scale(sx.Const(-1))
     bracket = [
         (u1, sx.Atom(p1)),
         (p1, sx.Atom(u1)),
@@ -81,7 +82,7 @@ def test_omega_h0_mechanics_display():
         (u1, sx.eneg(sx.partial(L, u1))),
     ]
     for sym, coef in bracket:
-        hand = hand + xa.wedge(xa.one_form(cat, sym), xa.one_form(cat, x)).scale(coef)
+        hand = hand + fr.wedge(fr.one_form(cat, sym), fr.one_form(cat, x)).scale(coef)
     expected = xa.collect(hand)
     assert set(got) == set(expected)
     for mono in got:
@@ -102,12 +103,12 @@ def test_omega_h0_plate_shape(plate_catalog, plate_L):
 def _textbook_omega_h0(cat, L):
     """Omega_H0 from its definition: -dp ^ vol - sum dp^{I,i} ^ du_I ^ d^{m-1}x_i + dH0 ^ vol."""
     vol = xa.volume_form(cat)
-    omega = xa.wedge(xa.one_form(cat, cat.p), vol).scale(sx.Const(-1))
+    omega = fr.wedge(fr.one_form(cat, cat.p), vol).scale(sx.Const(-1))
     for s in cat.mom_syms:
-        omega = omega + xa.wedge(
-            xa.wedge(xa.one_form(cat, s), xa.one_form(cat, sx.jet_sym(s.alpha, s.index))),
+        omega = omega + fr.wedge(
+            fr.wedge(fr.one_form(cat, s), fr.one_form(cat, sx.jet_sym(s.alpha, s.index))),
             xa.dm1x(cat, s.i)).scale(sx.Const(-1))
-    return omega + xa.wedge(xa.exterior_d(xa.scalar_form(cat, hamiltonian_h0(cat, L))), vol)
+    return omega + fr.wedge(fr.exterior_d(fr.scalar_form(cat, hamiltonian_h0(cat, L))), vol)
 
 
 def test_omega_h0_zero_lagrangian_is_omega_plus_dphi():

@@ -2,16 +2,21 @@
 
 import random
 import time
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from srfield import symexpr as sx
 from srfield import eleuler as el
-from srfield.errors import UsageError
+from srfield.corpus import CORPUS_NAMES, corpus_problem
+from srfield.errors import QuadratureError, UsageError
 from srfield.jetmodel import BundleSpec, SectionFn, build_catalog
 from srfield.multiindex import MultiIndex
+from srfield.problem import parse_problem
+from srfield.report import ORACLE_PAIRS, run_problem
 
-from conftest import jet, random_poly
+from conftest import bench_workloads, jet, random_poly
 
 
 def test_total_derivative_basics():
@@ -148,11 +153,6 @@ def test_residual_toy_hand_value():
                                   point) == [pytest.approx(-2.0)]
 
 
-def test_simpson_rejects_even_grid():
-    with pytest.raises(UsageError):
-        el.simpson_points_weights(4, 0.0, 1.0)
-
-
 def test_gateaux_hand_case():
     """L = u_x^2/2, s = x^2: EL = -2, both sides equal -2 * integral of the bump."""
     spec = BundleSpec(1, 1, 1)
@@ -167,7 +167,7 @@ def test_gateaux_hand_case():
 
 
 def test_action_value_asymmetric_box():
-    """Simpson is exact for cubics; the box [0,1] x [0,2] pins each grid axis to its interval."""
+    """Nine nodes integrate cubics exactly; the box [0,1] x [0,2] pins each grid axis to its interval."""
     spec = BundleSpec(2, 1, 1)
     cat = build_catalog(spec)
     L = sx.parse("u[0,0]*x[2] + u[1,0]^3", cat)
@@ -176,6 +176,86 @@ def test_action_value_asymmetric_box():
     assert el.action_value(L, spec, s, 9, box=((0, 1), (0, 2))) == pytest.approx(16 / 3, abs=1e-12)
     # a constant integrand compiles to a scalar, which broadcasts over the weights
     assert el.action_value(sx.Const(3), spec, s, 9, box=((0, 1), (0, 2))) == pytest.approx(6.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9, 17])
+def test_gauss_legendre_degree_on_asymmetric_box(n):
+    """n nodes per axis integrate degree 2n-1 on each axis exactly and miss degree 2n."""
+    (x1, x2), weights = el._grid(((0, 1), (0, 2)), n)
+    d = 2 * n - 1
+    # integral of x1^d * x2^d over [0,1] x [0,2]
+    assert float(np.sum(weights * x1 ** d * x2 ** d)) == pytest.approx(
+        2.0 ** (d + 1) / (d + 1) ** 2, rel=1e-14, abs=0)
+
+    def legendre_n(t):
+        prev, cur = np.ones_like(t), t
+        for k in range(1, n):
+            prev, cur = cur, ((2 * k + 1) * t * cur - k * prev) / (k + 1)
+        return cur
+
+    # P_n^2 on each axis has degree 2n and integral (b - a) / (2n + 1); the nodes
+    # are the roots of P_n, so the rule gives zero
+    squared = (legendre_n(2 * x1 - 1) * legendre_n(x2 - 1)) ** 2
+    assert abs(float(np.sum(weights * squared))) < 1e-12 * 2 / (2 * n + 1) ** 2
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return out
+
+
+def _integral_01(coeffs):
+    return sum(c / (i + 1) for i, c in enumerate(coeffs))
+
+
+def test_complex_step_exact_on_cubic_lagrangian():
+    """L = u_x^3, s = x^2 + x, psi = x (so the variation is phi = x^2 - x^3).
+
+    S(t) = S[s + t phi] is a cubic in t with third derivative 6 int phi_x^3,
+    which is not zero, so a central difference of step h is off by h^2/6 times
+    it; the complex step is not.
+    """
+    spec = BundleSpec(1, 1, 1)
+    cat = build_catalog(spec)
+    L = sx.parse("u[1]^3", cat)
+    s = SectionFn([sx.parse("x[1]^2 + x[1]", cat)])
+    psi = SectionFn([sx.parse("x[1]", cat)])
+    ds = [Fraction(1), Fraction(2)]                  # s_x = 1 + 2x
+    dphi = [Fraction(0), Fraction(2), Fraction(-3)]  # phi_x = 2x - 3x^2
+    first = 3 * _integral_01(_poly_mul(_poly_mul(ds, ds), dphi))
+    third = 6 * _integral_01(_poly_mul(_poly_mul(dphi, dphi), dphi))
+    action = el.action_value(L, spec, s, 9)
+    assert action == pytest.approx(float(_integral_01(_poly_mul(_poly_mul(ds, ds), ds))),
+                                   rel=1e-14)
+    lhs, rhs = el.gateaux_oracle(L, spec, s, psi, 9, el.default_eps(action))
+    assert lhs == pytest.approx(float(first), rel=1e-13, abs=0)
+    assert rhs == pytest.approx(float(first), rel=1e-13, abs=0)
+    # a central difference with step 1e-4 * (1 + |S|) would miss by about 1e-8
+    central_bias = (Fraction(1e-4) * (1 + Fraction(action))) ** 2 * third / 6
+    assert abs(central_bias / first) > 1e-9
+
+
+def test_non_finite_action_is_a_quadrature_error():
+    spec = BundleSpec(1, 1, 1)
+    cat = build_catalog(spec)
+    L = sx.parse("1%s*u[1]^2" % ("0" * 308), cat)
+    s = SectionFn([sx.parse("2*x[1]", cat)])
+    with pytest.raises(QuadratureError, match="non-finite action on the 9-node grid"):
+        el.action_value(L, spec, s, 9)
+
+
+def test_oracle_on_corpus_and_ladder():
+    problems = [corpus_problem(name) for name in CORPUS_NAMES]
+    problems += [parse_problem(text) for _, text in bench_workloads().LADDER]
+    assert len(problems) == 8
+    for problem in problems:
+        pairs = run_problem(problem, 0, {"oracle"})["oracle"]
+        assert len(pairs) == ORACLE_PAIRS
+        for entry in pairs:
+            assert entry["rel_err"] <= 1e-11, (problem.lagrangian_text, entry)
 
 
 def test_gateaux_plate_random(plate_L):

@@ -347,6 +347,26 @@ def test_cli_singular_kernel_block_is_not_a_warning(tmp_path):
     assert "non-finite value" in proc.stderr
 
 
+def test_cli_non_finite_oracle_is_a_diagnostic(tmp_path):
+    # the oracle overflows on this Lagrangian; it used to write NaN, which is
+    # not JSON, and to exit 4 with warnings as errors
+    text = "m=1\nn=1\nk=1\nlagrangian = 1%s*u[1]^2\n" % ("0" * 300)
+    path = _write(tmp_path, "overflow.prob", text)
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "srfield",
+                           "run", path], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "Warning" not in proc.stderr
+
+    def reject(constant):
+        raise ValueError("non-finite JSON constant %s" % constant)
+
+    pairs = json.loads(proc.stdout, parse_constant=reject)["oracle"]
+    assert len(pairs) == 3
+    for entry in pairs:
+        assert entry["diagnostic"].startswith("non-finite ")
+        assert "lhs" not in entry and "rel_err" not in entry
+
+
 def test_cli_unexpected_exception_exits_4(tmp_path, capsys, monkeypatch):
     import srfield.cli
 
