@@ -2,14 +2,15 @@
 algorithm with its rank certificate, and the pointwise multisymplecticity kernel check.
 
 The selection matrix and its verification run in exact integer arithmetic; the
-regularity and kernel checks are numeric with a relative singular-value cutoff
-of 1e-8.  The constraint set W1 and H0 = 0 is read from one list of residuals
-(equation_families and hamiltonian_h0): the sample points are solved from it
-and the kernel check tests and differentiates it.  Each check builds and
-compiles its expressions once per problem, the Hessian included, and takes
-one compiled call per point.  The kernel check contracts the form through its
-components on the (m+1)-subsets of the tangent basis, one stacked determinant
-call per form term.
+regularity and kernel ranks are numeric, with one relative singular-value
+cutoff of 1e-8.  The constraint set W1 and H0 = 0 is read from one list of
+residuals, each paired with the coordinate it solves: the sample points are
+solved from it, and the kernel check tests it and reads its tangent space off
+as a graph over the free coordinates.  Each check builds and compiles its
+expressions once per problem, the Hessian included, and takes one compiled
+call per point.  The kernel check contracts the form through its components
+on the (m+1)-subsets of the tangent basis, one stacked determinant call per
+form term.
 """
 
 from __future__ import annotations
@@ -93,10 +94,13 @@ def is_regular_at(L: Expr, spec: BundleSpec, point: Mapping, fields=None) -> boo
 
 def full_rank(mat: np.ndarray) -> bool:
     """Whether the smallest singular value clears the relative cutoff."""
+    return _rank(mat) == min(mat.shape)
+
+
+def _rank(mat: np.ndarray) -> int:
+    """Numeric rank: the singular values above RANK_CUTOFF * max(largest, 1)."""
     sv = np.linalg.svd(_finite(mat), compute_uv=False)
-    if sv.size == 0:
-        return True
-    return bool(sv[-1] > RANK_CUTOFF * max(sv[0], 1.0))
+    return int(np.sum(sv > RANK_CUTOFF * max(float(sv[0]) if sv.size else 0.0, 1.0)))
 
 
 def _finite(mat: np.ndarray) -> np.ndarray:
@@ -381,18 +385,20 @@ def omega2_kernel_dims(L: Expr, spec: BundleSpec, points: Sequence[Mapping],
                        fields=None) -> list[int]:
     """Kernel dimensions of the restricted premultisymplectic form at on-constraint points.
 
-    The tangent space is the numeric null space of the constraint
-    differentials; the kernel is the null space of v -> components of the
-    contracted form restricted to that tangent space.  The constraints, their
-    gradients and the form are built and compiled once; each point then takes
-    one compiled call.
+    The tangent space is the graph over the free coordinates (_tangent_basis),
+    of a dimension fixed without a rank decision; the kernel is the null space
+    of v -> components of the contracted form restricted to that tangent
+    space.  The constraints, their gradients and the form are built and
+    compiled once; each point then takes one compiled call.
     """
     if spec.m < 2:
         raise UsageError("kernel check requires base dimension m >= 2")
     catalog = build_catalog(spec)
-    residuals = [r for _, r in _constraints(catalog, L)]
+    constraints = _constraints(catalog, L)
+    residuals = [r for _, r in constraints]
     coords = list(catalog.coords)
     cpos = {c: ix for ix, c in enumerate(coords)}
+    solved = [cpos[s] for s, _ in constraints]
     grads = [gradient(rexpr, coords) for rexpr in residuals]
     slots = tuple(np.array([(r, cpos[c]) for r, g in enumerate(grads) for c in g],
                            dtype=int).reshape(-1, 2).T)
@@ -412,16 +418,25 @@ def omega2_kernel_dims(L: Expr, spec: BundleSpec, points: Sequence[Mapping],
                                         % (render(normalize(rexpr)), abs(val)))
         grad = np.zeros((n_res, len(coords)))
         grad[slots] = values[n_res:n_res + n_grad]
-        tangent = _null_space(grad)
-        dim_t = tangent.shape[1]
+        tangent = _tangent_basis(grad, solved)
         rows = _minor_rows(tangent, term_coords, values[n_res + n_grad:], spec.m)
-        if rows.size == 0:
-            dims.append(dim_t)
-            continue
-        sv = np.linalg.svd(_finite(rows), compute_uv=False)
-        cutoff = RANK_CUTOFF * max(float(sv[0]) if sv.size else 0.0, 1.0)
-        dims.append(dim_t - int(np.sum(sv > cutoff)))
+        dims.append(tangent.shape[1] - _rank(rows))
     return dims
+
+
+def _tangent_basis(grad: np.ndarray, solved: Sequence[int]) -> np.ndarray:
+    """Orthonormal basis of the null space of grad, one column per free coordinate.
+
+    Row r solves coordinate solved[r] (_constraints), so grad on the solved
+    columns is unit lower-triangular and the null space is the graph
+    T[free] = I, T[solved] = -G_S^-1 G_F; its QR factor is the basis.
+    """
+    grad = _finite(grad)
+    free = sorted(set(range(grad.shape[1])) - set(solved))
+    graph = np.zeros((grad.shape[1], len(free)))
+    graph[free, np.arange(len(free))] = 1.0
+    graph[solved] = -np.linalg.solve(grad[:, solved], grad[:, free])
+    return np.linalg.qr(graph)[0]
 
 
 def _minor_rows(tangent: np.ndarray, term_coords, coefs, m: int) -> np.ndarray:
@@ -451,10 +466,3 @@ def _minor_rows(tangent: np.ndarray, term_coords, coefs, m: int) -> np.ndarray:
         rest = np.delete(subsets, p, axis=1)
         rows[np.searchsorted(keys, rest @ place), subsets[:, p]] = comp if p % 2 == 0 else -comp
     return rows
-
-
-def _null_space(mat: np.ndarray) -> np.ndarray:
-    u, sv, vt = np.linalg.svd(_finite(mat))
-    cutoff = RANK_CUTOFF * max(float(sv[0]) if sv.size else 0.0, 1.0)
-    rank = int(np.sum(sv > cutoff))
-    return vt[rank:].T

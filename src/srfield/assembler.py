@@ -30,18 +30,10 @@ from .equations import (
     TAG_W2,
 )
 from .errors import InternalConsistencyError, UsageError
-from .extalg import (
-    Form,
-    ProjectorTemplate,
-    VecField,
-    collect,
-    contract_projector,
-    dm1x,
-)
+from .extalg import Form, collect, contract_projector, dm1x
 from .jetmodel import CoordCatalog, pairing_phi
 from .symexpr import (
     AUX,
-    Add,
     Atom,
     BASE,
     Const,
@@ -64,7 +56,6 @@ from .symexpr import (
     jet_sym,
     mom_sym,
     normalize,
-    partial,
     render,
     substitute,
 )
@@ -104,8 +95,13 @@ def omega_h0(catalog: CoordCatalog, L: Expr) -> Form:
     return omega
 
 
-def projector_template(catalog: CoordCatalog) -> ProjectorTemplate:
-    """Generic horizontal projector with fresh unknowns A, B, C, disjoint from the catalog."""
+def projector_template(catalog: CoordCatalog) -> dict[int, dict[Sym, Expr]]:
+    """Generic horizontal projector with fresh unknowns A, B, C, disjoint from the catalog.
+
+    The projector acts as sum_j h_j (x) dx^j.  It is given by the components
+    of its horizontal lifts h_j = d/dx^j + sum of unknown-coefficient fiber
+    directions, keyed by j; the vertical kernel condition holds by construction.
+    """
     lifts = {}
     for j in range(1, catalog.m + 1):
         comps: dict[Sym, Expr] = {catalog.base_syms[j - 1]: Const(1)}
@@ -114,8 +110,8 @@ def projector_template(catalog: CoordCatalog) -> ProjectorTemplate:
         for s in catalog.mom_syms:
             comps[s] = Atom(aux_b(s.index, s.i, s.alpha, j))
         comps[catalog.p] = Atom(aux_c(j))
-        lifts[j] = VecField(catalog, comps)
-    return ProjectorTemplate(catalog, lifts)
+        lifts[j] = comps
+    return lifts
 
 
 def _assigned_lifts(catalog: CoordCatalog, a_assign: Mapping[Sym, Expr],
@@ -131,8 +127,8 @@ def _assigned_lifts(catalog: CoordCatalog, a_assign: Mapping[Sym, Expr],
             raise UsageError("%s assignment missing %s" % (unknown.name, unknown.render()))
         return assign[unknown.name][unknown]
 
-    return {j: {s: value(comp) for s, comp in h.components.items()}
-            for j, h in projector_template(catalog).lifts.items()}
+    return {j: {s: value(comp) for s, comp in h.items()}
+            for j, h in projector_template(catalog).items()}
 
 
 def equation_families(catalog: CoordCatalog, L: Expr) -> dict[Sym, Equation]:
@@ -267,15 +263,13 @@ def c_coefficients(catalog: CoordCatalog, L: Expr,
     out: list[Expr] = []
     for j, h in lifts.items():
         raw = directional(h, grad)
-        parts = raw.terms if isinstance(raw, Add) else (raw,)
-        part_syms = [free_syms(t) for t in parts]
+        tops = [aux_a(u.alpha, u.index, j) for u, _ in w1]
+        coeffs = gradient(raw, tops)
         checked: dict[Sym, Expr] = {}
-        for u, eq in w1:
-            sym = aux_a(u.alpha, u.index, j)
-            terms = [t for t, fs in zip(parts, part_syms) if sym in fs]
-            if not terms:
+        for sym, (_, eq) in zip(tops, w1):
+            if sym not in coeffs:
                 continue
-            coeff = substitute(partial(eadd(*terms), sym), checked)
+            coeff = substitute(coeffs[sym], checked)
             # an A that cancels within the sum itself is absent from C_j
             if not is_zero(esub(coeff, eq.residual())) and not is_zero(coeff):
                 raise InternalConsistencyError(

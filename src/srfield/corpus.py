@@ -22,6 +22,7 @@ from .symexpr import (
     Const,
     aux_b,
     eadd,
+    eneg,
     equivalent,
     is_zero,
     jet_sym,
@@ -135,7 +136,7 @@ def projectability_replay(problem: ProblemFile) -> dict:
         parts = [u0.rhs]
         for j in range(1, spec2.m + 1):
             dl = partial(L, jet_sym(alpha, mi.unit(j, spec2.m)))
-            parts.append(Const(-1) * eleuler.total_derivative(dl, j, 2))
+            parts.append(eneg(eleuler.total_derivative(dl, j, 2)))
         replayed.append(normalize(eadd(*parts)))
 
     el1 = eleuler.euler_lagrange(L, spec1)

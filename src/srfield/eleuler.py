@@ -47,6 +47,8 @@ from .symexpr import (
 
 # largest move of either oracle side from n to 2n-1 nodes per axis, relative to 1 + |refined|
 RICHARDSON_TOL = 1e-4
+# step of the complex-step action derivative, which has no cancellation to scale it against
+COMPLEX_STEP = 1e-20
 
 
 def total_derivative(e: Expr, i: int, max_order: int) -> Expr:
@@ -162,8 +164,8 @@ def default_box(spec: BundleSpec):
 
 
 def default_eps(action: float) -> float:
-    """Complex-step size for an action of this magnitude."""
-    return 1e-20 * (1.0 + abs(action))
+    """COMPLEX_STEP for any action: a step scaled by a large action overflowed the stepped jets."""
+    return COMPLEX_STEP
 
 
 def action_value(L: Expr, spec: BundleSpec, s: SectionFn, grid: int,

@@ -1,10 +1,10 @@
-"""Differential forms over a coordinate catalog, their contractions with vector
-fields and projectors, and their normalized coefficients.
+"""Differential forms over a coordinate catalog, their contraction with a
+projector given by its horizontal lifts, and their normalized coefficients.
 
 Forms are stored on canonical wedge monomials: strictly increasing tuples of
 coordinate symbols under the catalog order, with the permutation parity folded
-into the coefficient.  The surface basis forms d^{m-1}x_i are derived by
-contraction of the volume form, signs included.
+into the coefficient.  The surface basis forms d^{m-1}x_i are written in
+closed form, signs included.
 """
 
 from __future__ import annotations
@@ -95,78 +95,30 @@ class Form:
             out._accumulate(mono, emul(factor, coef))
         return out
 
-    def __neg__(self) -> "Form":
-        return self.scale(Const(-1))
-
-
-class VecField:
-    """Finitely supported vector field: coefficient expressions per coordinate direction."""
-
-    __slots__ = ("catalog", "components")
-
-    def __init__(self, catalog: CoordCatalog, components: Mapping[Sym, Expr]):
-        self.catalog = catalog
-        self.components = {s: as_expr(c) for s, c in components.items()
-                           if not is_syntactic_zero(as_expr(c))}
-
-
-class ProjectorTemplate:
-    """Horizontal lifts h_j = d/dx^j + sum of unknown-coefficient fiber directions.
-
-    Acts as sum_j h_j (x) dx^j; only the horizontal lifts are stored, so the
-    vertical kernel condition holds by construction.
-    """
-
-    __slots__ = ("catalog", "lifts")
-
-    def __init__(self, catalog: CoordCatalog, lifts: Mapping[int, VecField]):
-        self.catalog = catalog
-        self.lifts = dict(lifts)
-
-    def pairing(self, sym: Sym, j: int) -> Expr:
-        """Component of h_j along d/d(sym): the value of d(sym) on h_j."""
-        return self.lifts[j].components.get(sym, Const(0))
-
-
-def volume_form(catalog: CoordCatalog) -> Form:
-    return Form(catalog, catalog.m, {tuple(catalog.base_syms): Const(1)})
-
 
 def dm1x(catalog: CoordCatalog, i: int) -> Form:
-    """d^{m-1}x_i, the contraction of the volume form by d/dx^i."""
-    return contract_vector(volume_form(catalog),
-                           VecField(catalog, {catalog.base_syms[i - 1]: Const(1)}))
+    """d^{m-1}x_i = (-1)^(i-1) dx^1 ^ ... ^ dx^m with dx^i left out.
+
+    This is the volume form contracted by d/dx^i, written in closed form.
+    """
+    base = tuple(catalog.base_syms)
+    return Form(catalog, catalog.m - 1, {base[:i - 1] + base[i:]: Const((-1) ** (i - 1))})
 
 
-def contract_vector(a: Form, v: VecField) -> Form:
-    """Interior product i_v a."""
-    if a.degree < 1:
-        raise UsageError("cannot contract a 0-form with a vector field")
-    out = Form(a.catalog, a.degree - 1)
-    for mono, coef in a.terms.items():
-        for slot, sym in enumerate(mono):
-            comp = v.components.get(sym)
-            if comp is None:
-                continue
-            rest = mono[:slot] + mono[slot + 1:]
-            sgn = Const(1) if slot % 2 == 0 else Const(-1)
-            out._accumulate(rest, emul(sgn, comp, coef))
-    return out
-
-
-def contract_projector(a: Form, h: ProjectorTemplate) -> Form:
+def contract_projector(a: Form, lifts: Mapping[int, Mapping[Sym, Expr]]) -> Form:
     """Degree-preserving contraction with a projector acting as sum_j h_j (x) dx^j.
 
-    Computed slot-wise from the definition: for every wedge monomial and every
-    slot, the slot's differential is paired with h_j and replaced by dx^j.
+    lifts maps each j to the components of the horizontal lift h_j.  Computed
+    slot-wise from the definition: for every wedge monomial and every slot,
+    the slot's differential is paired with h_j and replaced by dx^j.
     """
     catalog = a.catalog
     out = Form(catalog, a.degree)
     for mono, coef in a.terms.items():
         for slot, sym in enumerate(mono):
             for j in range(1, catalog.m + 1):
-                pair = h.pairing(sym, j)
-                if is_syntactic_zero(pair):
+                pair = lifts[j].get(sym)
+                if pair is None:
                     continue
                 word = mono[:slot] + (catalog.base_syms[j - 1],) + mono[slot + 1:]
                 out.add_word(word, emul(pair, coef))

@@ -241,12 +241,10 @@ def _oracle_section(problem: ProblemFile, catalog: CoordCatalog, L: Expr,
             "seed": seed,
         }
         try:
-            action = eleuler.action_value(L, spec, s, grid, fields=bindings or None)
-            eps = eleuler.default_eps(action)
-            lhs, rhs = eleuler.gateaux_oracle(L, spec, s, psi, grid, eps,
+            lhs, rhs = eleuler.gateaux_oracle(L, spec, s, psi, grid, eleuler.COMPLEX_STEP,
                                               fields=bindings or None)
             entry.update({
-                "eps": eps,
+                "eps": eleuler.COMPLEX_STEP,
                 "lhs": lhs,
                 "rhs": rhs,
                 "rel_err": eleuler.relative_gap(lhs, rhs),

@@ -66,9 +66,6 @@ class Sym:
     def __lt__(self, other):
         return self._k < other._k
 
-    def __le__(self, other):
-        return self._k <= other._k
-
     def render(self) -> str:
         a = "" if self.alpha in (0, 1) else "@%d" % self.alpha
         if self.kind == BASE:
@@ -144,35 +141,6 @@ class Expr:
 
     def __init__(self):
         self._canon = False
-
-    # arithmetic sugar
-    def __add__(self, other):
-        return eadd(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return eadd(self, eneg(as_expr(other)))
-
-    def __rsub__(self, other):
-        return eadd(as_expr(other), eneg(self))
-
-    def __mul__(self, other):
-        return emul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return ediv(self, other)
-
-    def __rtruediv__(self, other):
-        return ediv(as_expr(other), self)
-
-    def __pow__(self, n):
-        return epow(self, n)
-
-    def __neg__(self):
-        return eneg(self)
 
     def __str__(self):
         return render(self)
@@ -566,6 +534,8 @@ def _p_mul(a: dict, b: dict) -> dict:
                 out[key] = _coef(new)
             else:
                 del out[key]
+        if len(out) > _MAX_TERMS:
+            raise UsageError("expanded product exceeds the budget of %d terms" % _MAX_TERMS)
     return out
 
 
@@ -1085,6 +1055,11 @@ _MAX_NESTING = 200
 # (u[1]+u[0]+x[1])^64 takes more than ten times as long as on ^32.
 _MAX_EXPONENT = 32
 
+# Most terms an expanded product may have.  Powers under the exponent budget
+# can still expand past it, as a sum of six jets to the 32nd power does; the
+# largest product the benchmark problems form has well under 200 terms.
+_MAX_TERMS = 10_000
+
 # Most decimal digits a numerator or denominator may have: in a literal, in a
 # constant the parser folds, as in ((3^32)^32)^32, and in a rendered result.
 # It stays under 640, the lowest int-to-string limit Python can be set to.
@@ -1286,37 +1261,26 @@ def parse(text: str, catalog) -> Expr:
 
 
 def parse_coordinate_name(text: str, catalog) -> Sym:
-    """Resolve a rendered coordinate name (x[i], u[J](@a), p[I;i](@a), p, field)."""
+    """Resolve a rendered coordinate name (x[i], u[J](@a), p[I;i](@a), p, field).
+
+    Every name but the momenta is a coordinate atom of the expression grammar.
+    """
     lx = _Lexer(text)
-    kind, val, pos = lx.next()
+    kind, val, pos = lx.peek()
     if kind != "ident":
         raise ParseError("coordinate name expected", pos)
-    if val == "p":
+    if val != "p":
+        sym = _parse_base(lx, catalog).sym
+    else:
+        lx.next()
+        sym = p_sym()
         if lx.peek()[0] == "[":
             lx.next()
             comps = _parse_nat_list(lx)
             lx.expect(";")
             i = lx.expect("num")[1]
             lx.expect("]")
-            alpha = _parse_fiber(lx, catalog.n)
-            sym = mom_sym(alpha, MultiIndex(comps), i)
-        else:
-            sym = p_sym()
-    elif val == "u":
-        lx.expect("[")
-        comps = _parse_nat_list(lx)
-        lx.expect("]")
-        alpha = _parse_fiber(lx, catalog.n)
-        sym = jet_sym(alpha, MultiIndex(comps))
-    elif val == "x":
-        lx.expect("[")
-        i = lx.expect("num")[1]
-        lx.expect("]")
-        sym = base_sym(i)
-    elif val in catalog.fields:
-        sym = field_sym(val, zero(catalog.m), catalog.fields[val])
-    else:
-        raise ParseError("unknown coordinate %r" % val, pos)
+            sym = mom_sym(_parse_fiber(lx, catalog.n), MultiIndex(comps), i)
     if lx.peek()[0] != "end":
         raise ParseError("trailing input in coordinate name", lx.peek()[2])
     if not catalog.contains(sym) and sym.kind != FIELD:

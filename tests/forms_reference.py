@@ -1,9 +1,12 @@
 """Textbook exterior-algebra constructions over `srfield.extalg.Form`.
 
-The engine builds Omega_H0 term by term in place; the tests build it again
-from these definitions (wedge products and the exterior derivative) and
-compare the two.
+The engine builds Omega_H0 term by term in place and writes d^{m-1}x_i in
+closed form; the tests build them again from these definitions (wedge
+products, the exterior derivative and the interior product with a vector
+field) and compare the two.
 """
+
+from typing import Mapping
 
 from srfield.errors import UsageError
 from srfield.extalg import Form, collect
@@ -22,6 +25,26 @@ def scalar_form(catalog: CoordCatalog, value: Expr) -> Form:
 def one_form(catalog: CoordCatalog, sym: Sym) -> Form:
     """The coordinate differential d(sym)."""
     return Form(catalog, 1, {(sym,): Const(1)})
+
+
+def volume_form(catalog: CoordCatalog) -> Form:
+    return Form(catalog, catalog.m, {tuple(catalog.base_syms): Const(1)})
+
+
+def contract_vector(a: Form, v: Mapping[Sym, Expr]) -> Form:
+    """Interior product i_v a, v given by its components per coordinate direction."""
+    if a.degree < 1:
+        raise UsageError("cannot contract a 0-form with a vector field")
+    out = Form(a.catalog, a.degree - 1)
+    for mono, coef in a.terms.items():
+        for slot, sym in enumerate(mono):
+            comp = v.get(sym)
+            if comp is None:
+                continue
+            rest = mono[:slot] + mono[slot + 1:]
+            sgn = Const(1) if slot % 2 == 0 else Const(-1)
+            out._accumulate(rest, emul(sgn, comp, coef))
+    return out
 
 
 def wedge(a: Form, b: Form) -> Form:

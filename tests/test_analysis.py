@@ -12,6 +12,7 @@ import pytest
 from srfield import symexpr as sx
 from srfield import analysis as an
 from srfield.assembler import equation_families, hamiltonian_h0
+from srfield.corpus import CORPUS_NAMES, corpus_problem
 from srfield.equations import TAG_W1
 from srfield.errors import EvalDomainError, PreconditionError, UsageError
 from srfield.jetmodel import BundleSpec, build_catalog
@@ -19,7 +20,7 @@ from srfield.multiindex import MultiIndex, count_indices
 from srfield.problem import parse_problem
 from srfield.report import REGULARITY_SAMPLES, run_problem
 
-from conftest import CH_L_TEXT, PLATE_L_TEXT, jet
+from conftest import CH_L_TEXT, PLATE_L_TEXT, bench_workloads, jet
 
 PLATE_PROBLEM_TEXT = "m=2\nn=1\nk=2\nfield q(x[1],x[2]) = 1\nlagrangian = %s\n" % PLATE_L_TEXT
 
@@ -322,6 +323,52 @@ def test_kernel_preconditions(ch_L):
         an.omega2_kernel_dim_at(ch_L, BundleSpec(1, 1, 2), {})
 
 
+_KERNEL_PROBLEMS = {n: corpus_problem(n) for n in CORPUS_NAMES if corpus_problem(n).bundle.m >= 2}
+_KERNEL_PROBLEMS.update((pid, parse_problem(text)) for pid, text in bench_workloads().LADDER)
+
+
+def _constraint_jacobians(problem, count=5):
+    """The positions of the constraints' solved coordinates in the catalog, and
+    the constraint Jacobian over all coordinates at `count` on-constraint points."""
+    spec = problem.bundle
+    cat = problem.catalog()
+    L = problem.lagrangian(cat)
+    fields = problem.field_bindings(cat) or None
+    solved, residuals = zip(*an._constraints(cat, L))
+    coords = list(cat.coords)
+    grads = [sx.gradient(r, coords) for r in residuals]
+    values_at = sx.compile_at([g.get(c, sx.Const(0)) for g in grads for c in coords], fields)
+    points = an.on_constraint_points(L, spec, random.Random(0), count, fields)
+    mats = [np.array(values_at(pt), dtype=float).reshape(len(residuals), len(coords))
+            for pt in points]
+    return [coords.index(s) for s in solved], mats
+
+
+@pytest.mark.parametrize("pid", list(_KERNEL_PROBLEMS))
+def test_constraint_block_is_unit_lower_triangular(pid):
+    # each W1 residual holds its own solved momentum only, and H0 holds p once
+    cols, mats = _constraint_jacobians(_KERNEL_PROBLEMS[pid])
+    for grad in mats:
+        block = grad[:, cols]
+        assert np.all(np.diag(block) == 1.0), pid
+        assert np.all(np.triu(block, 1) == 0.0), pid
+
+
+@pytest.mark.parametrize("pid", list(_KERNEL_PROBLEMS))
+def test_tangent_basis_is_orthonormal_null_space(pid):
+    cols, mats = _constraint_jacobians(_KERNEL_PROBLEMS[pid])
+    for grad in mats:
+        n_res, n_coords = grad.shape
+        width = n_coords - n_res
+        tangent = an._tangent_basis(grad, cols)
+        assert tangent.shape == (n_coords, width)
+        assert np.abs(grad @ tangent).max() <= 1e-12 * max(np.abs(grad).max(), 1.0), pid
+        assert np.abs(tangent.T @ tangent - np.eye(width)).max() <= 1e-12, pid
+        # the same subspace as the SVD null space of the full-rank Jacobian
+        null = np.linalg.svd(grad)[2][n_res:].T
+        assert np.abs(tangent @ tangent.T - null @ null.T).max() <= 1e-12, pid
+
+
 _RESIDUAL_CASES = {
     "plate-bound-field": ((2, 1, 2), PLATE_L_TEXT, {"q": (1, 2)}, "x[1]*x[2] + 1"),
     "camassa-holm": ((2, 1, 2), CH_L_TEXT, {}, None),
@@ -406,4 +453,4 @@ def test_rank_checks_reject_non_finite():
         with pytest.raises(EvalDomainError):
             an.full_rank(mat)
         with pytest.raises(EvalDomainError):
-            an._null_space(mat)
+            an._rank(mat)

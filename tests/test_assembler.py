@@ -102,7 +102,7 @@ def test_omega_h0_plate_shape(plate_catalog, plate_L):
 
 def _textbook_omega_h0(cat, L):
     """Omega_H0 from its definition: -dp ^ vol - sum dp^{I,i} ^ du_I ^ d^{m-1}x_i + dH0 ^ vol."""
-    vol = xa.volume_form(cat)
+    vol = fr.volume_form(cat)
     omega = fr.wedge(fr.one_form(cat, cat.p), vol).scale(sx.Const(-1))
     for s in cat.mom_syms:
         omega = omega + fr.wedge(
@@ -128,7 +128,7 @@ def test_omega_h0_matches_the_textbook_construction():
 
 
 def _template_unknowns(t):
-    return {s for h in t.lifts.values() for c in h.components.values() for s in sx.free_syms(c)}
+    return {s for h in t.values() for c in h.values() for s in sx.free_syms(c)}
 
 
 def test_projector_template_unknowns():

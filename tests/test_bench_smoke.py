@@ -1,4 +1,4 @@
-"""Smoke test of the benchmark: one traced pass of the corpus and ladder workloads.
+"""Smoke test of the benchmark: one traced pass of each workload.
 
 The traced run checks every output, and that the benchmark's own
 stage-by-stage assembly of each report equals the engine's, so an engine
@@ -16,7 +16,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["corpus", "ladder"])
+@pytest.mark.parametrize("workload", ["corpus", "ladder", "assembly"])
 def test_benchmark_traced_pass_is_correct(workload):
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,

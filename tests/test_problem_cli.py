@@ -347,24 +347,65 @@ def test_cli_singular_kernel_block_is_not_a_warning(tmp_path):
     assert "non-finite value" in proc.stderr
 
 
-def test_cli_non_finite_oracle_is_a_diagnostic(tmp_path):
-    # the oracle overflows on this Lagrangian; it used to write NaN, which is
-    # not JSON, and to exit 4 with warnings as errors
-    text = "m=1\nn=1\nk=1\nlagrangian = 1%s*u[1]^2\n" % ("0" * 300)
-    path = _write(tmp_path, "overflow.prob", text)
+def _run_strict(path):
+    """`srfield run` with warnings as errors: the exit code and the report, NaN rejected."""
     proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "srfield",
                            "run", path], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
     assert "Warning" not in proc.stderr
 
     def reject(constant):
         raise ValueError("non-finite JSON constant %s" % constant)
 
-    pairs = json.loads(proc.stdout, parse_constant=reject)["oracle"]
+    return proc.returncode, (json.loads(proc.stdout, parse_constant=reject)
+                             if proc.returncode == 0 else proc.stderr)
+
+
+def test_cli_non_finite_oracle_is_a_diagnostic(tmp_path):
+    # near the box's edge x[1] = 0, L grows like 1e300/x[1]^8 and passes the
+    # float range on the nodes nearest it, whatever the section; this used to
+    # write NaN, which is not JSON, and to exit 4 with warnings as errors
+    text = "m=1\nn=1\nk=1\nlagrangian = 1%s*u[1]^2/x[1]^8\n" % ("0" * 300)
+    code, report = _run_strict(_write(tmp_path, "overflow.prob", text))
+    assert code == 0, report
+    pairs = report["oracle"]
     assert len(pairs) == 3
     for entry in pairs:
         assert entry["diagnostic"].startswith("non-finite ")
         assert "lhs" not in entry and "rel_err" not in entry
+
+
+def test_cli_large_action_oracle_passes(tmp_path):
+    # the action is about 1e300; a complex step scaled by it overflowed the
+    # stepped jets, and every pair reported a non-finite action derivative
+    text = "m=1\nn=1\nk=1\nlagrangian = 1%s*u[1]^2\n" % ("0" * 300)
+    code, report = _run_strict(_write(tmp_path, "large.prob", text))
+    assert code == 0, report
+    pairs = report["oracle"]
+    assert len(pairs) == 3
+    for entry in pairs:
+        assert "diagnostic" not in entry
+        assert entry["eps"] == 1e-20
+        assert abs(entry["lhs"]) > 1e290
+        assert entry["rel_err"] <= 1e-9
+
+
+def test_cli_term_budget(tmp_path, capsys):
+    # every power is within the exponent budget, but expanding it passes
+    # 10,000 terms; `srfield el` used to run on for more than 20 s
+    text = "(u[0,0]+u[1,0]+u[0,1]+u[2,0]+u[1,1]+u[0,2])^32"
+    path = _write(tmp_path, "terms.prob", "m=2\nn=1\nk=2\nlagrangian = %s\n" % text)
+    start = time.perf_counter()
+    assert main(["el", path]) == 3
+    assert time.perf_counter() - start < 10.0
+    assert "exceeds the budget of 10000 terms" in capsys.readouterr().err
+
+
+def test_cli_point_name_parse_error(tmp_path, capsys):
+    # a malformed coordinate name is a parse error like any other
+    for point in ("x[0]=1", "x[3]=1", "u[3,0]=1", "u=1", "p[0,2;1]=1"):
+        path = _write(tmp_path, "point.prob", PLATE_PROBLEM + "point = %s\n" % point)
+        assert main(["analyze", path]) == 2, point
+        assert capsys.readouterr().err.startswith("parse error:")
 
 
 def test_cli_unexpected_exception_exits_4(tmp_path, capsys, monkeypatch):

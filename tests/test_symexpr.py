@@ -56,6 +56,20 @@ def test_parse_errors(plate_catalog):
         sx.parse("u[0]", plate_catalog)  # wrong multi-index arity
 
 
+def test_parse_coordinate_names():
+    cat = build_catalog(BundleSpec(2, 2, 2), fields={"q": (1, 2)})
+    for name in ("x[1]", "x[2]", "u[0,0]", "u[2,0]", "u[1,1]@2", "p[1,0;2]", "p[0,0;1]@2",
+                 "p", "q"):
+        sym = sx.parse_coordinate_name(name, cat)
+        assert sym.render() == name
+        assert cat.contains(sym) or sym.kind == sx.FIELD
+    assert sx.parse_coordinate_name("u[0,1]@1", cat) == jet(1, 0, 1)
+    for bad in ("x[0]", "x[3]", "u[3,0]", "u[1,0,0]", "u[0,0]@3", "u", "1", "(x[1])",
+                "w", "p[0,2;1]", "p[0;1]", "x[1] x[2]", "u[0,0]^2", "p p"):
+        with pytest.raises(ParseError):
+            sx.parse_coordinate_name(bad, cat)
+
+
 def test_parse_nesting_bound(plate_catalog):
     # one level past the bound is a parse error, not a RecursionError
     limit = sx._MAX_NESTING
