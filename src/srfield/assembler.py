@@ -1,6 +1,6 @@
 """Assembly of the dynamical form and mechanical extraction of its equation families.
 
-The central routine contracts a fully generic projector template into the
+The collapse check contracts a fully generic projector template into the
 premultisymplectic form and collects coefficients monomial by monomial.  Each
 equation family (holonomy conditions on the A's, the trace and middle
 momentum relations, the top-order constraint W1) is defined once, in closed
@@ -9,13 +9,17 @@ unexpected monomial is an internal consistency error, never a silent
 fallback.  The gauge freedom in splitting individual momenta never enters:
 grouping by monomial yields the gauge-free equations directly.  The dynamical
 form is written term by term into one form, its dH0 part from the gradient of
-the dynamical function H0.  The tangency conditions and the scalar-momentum
-coefficients C_j are the template's lifts h_j applied, through that same chain
-rule (symexpr.gradient, one sweep for all directions), to W1 and to H0.
+the dynamical function H0.  Both sides of the check are linear in the
+partials dL/du_J, and dL/dx^i drops out, so it runs once per signature on
+sum_J g_J u_J with opaque constants g_J.  The tangency conditions and the
+scalar-momentum coefficients C_j are the template's lifts h_j applied,
+through that same chain rule (symexpr.gradient, one sweep for all
+directions), to W1 and to H0.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Mapping
 
 from . import multiindex as mi
@@ -31,7 +35,7 @@ from .equations import (
 )
 from .errors import InternalConsistencyError, UsageError
 from .extalg import Form, collect, contract_projector, dm1x
-from .jetmodel import CoordCatalog, pairing_phi
+from .jetmodel import BundleSpec, CoordCatalog, build_catalog, pairing_phi
 from .symexpr import (
     AUX,
     Atom,
@@ -50,6 +54,7 @@ from .symexpr import (
     emul,
     eneg,
     esub,
+    field_sym,
     free_syms,
     gradient,
     is_zero,
@@ -57,14 +62,13 @@ from .symexpr import (
     mom_sym,
     normalize,
     render,
-    substitute,
 )
 
 
 def _check_l_on_jets(catalog: CoordCatalog, L: Expr) -> None:
     for s in free_syms(L):
-        if s.kind in (MOMENTUM, PSCALAR):
-            raise UsageError("Lagrangian must not reference momentum coordinates (%s)"
+        if s.kind in (MOMENTUM, PSCALAR, AUX):
+            raise UsageError("Lagrangian must not reference momenta or projector unknowns (%s)"
                              % s.render())
         if s.kind == JET and sum(s.index) > catalog.k:
             raise UsageError("Lagrangian references jet order above k: %s" % s.render())
@@ -160,13 +164,8 @@ def equation_families(catalog: CoordCatalog, L: Expr) -> dict[Sym, Equation]:
     return out
 
 
-def dynamical_equations(catalog: CoordCatalog, L: Expr) -> EquationSet:
-    """Collect i_h Omega_H0 - (m-1) Omega_H0 and group it into the four equation families.
-
-    The coefficient extraction is mechanical; each collected coefficient is
-    verified against the residual of its family's equation, and those same
-    equations are emitted.
-    """
+def check_collapse(catalog: CoordCatalog, L: Expr) -> EquationSet:
+    """The families of L, each residual checked against i_h Omega_H0 - (m-1) Omega_H0 of L."""
     families = equation_families(catalog, L)
     m = catalog.m
     om = omega_h0(catalog, L)
@@ -196,6 +195,20 @@ def dynamical_equations(catalog: CoordCatalog, L: Expr) -> EquationSet:
         if c not in seen and not is_zero(expected(c)):
             raise InternalConsistencyError("missing dynamical coefficient on d(%s)" % c.render())
     return EquationSet(families.values())
+
+
+@lru_cache(maxsize=None)
+def _collapse_proved(spec: BundleSpec) -> None:
+    """The collapse check, once per signature, on sum_J g_J u_J with opaque constants g_J."""
+    catalog = build_catalog(spec)
+    check_collapse(catalog, eadd(*[emul(Atom(field_sym("dL/d" + u.render(), mi.zero(spec.m), ())),
+                                        Atom(u)) for u in catalog.jet_syms]))
+
+
+def dynamical_equations(catalog: CoordCatalog, L: Expr) -> EquationSet:
+    """The four equation families of L, into which i_h Omega_H0 = (m-1) Omega_H0 collapses."""
+    _collapse_proved(catalog.spec)
+    return EquationSet(equation_families(catalog, L).values())
 
 
 def w2_constraint(catalog: CoordCatalog, L: Expr) -> EquationSet:
@@ -243,43 +256,29 @@ def default_projector_assignments(catalog: CoordCatalog) -> tuple[dict[Sym, Expr
 
 def c_coefficients(catalog: CoordCatalog, L: Expr,
                    a_assign: Mapping[Sym, Expr], b_assign: Mapping[Sym, Expr]) -> list[Expr]:
-    """Scalar-momentum coefficients C_j, reduced so no top-order A symbol survives.
+    """Scalar-momentum coefficients C_j, free of top-order A symbols.
 
     C_j is minus h_j applied to the dynamical function H0 without its
     scalar momentum p (h_j[p] is the unknown C_j itself), with the given
     values for every A and B unknown of h_j (top-order A's may map to
-    themselves).  The top-order A terms must cancel against the top-order
-    constraint: in the unnormalized sum h_j H0, each one's coefficient (with
-    the A's checked before it set to 0) is verified to equal that
-    constraint's W1 residual, anything else is an internal error.  The sum
-    with those A's set to 0 is then normalized once; the canonical form is
-    unique, so this is the same as normalizing first and dropping the A's
-    one at a time.
+    themselves).  As the u_K component of h_j, A_{K,j} multiplies dH0/du_K,
+    the W1 residual by the signature's collapse proof, and is set to 0; a
+    top-order A anywhere else in h_j must cancel there.
     """
+    _collapse_proved(catalog.spec)
     grad = gradient(hamiltonian_h0(catalog, L), catalog.coords)
     del grad[catalog.p]
-    lifts = _assigned_lifts(catalog, a_assign, b_assign)
-    w1 = [(u, eq) for u, eq in equation_families(catalog, L).items() if eq.tag == TAG_W1]
+    tops = {aux_a(u.alpha, u.index, j): (u, j) for u in catalog.jet_syms
+            if sum(u.index) == catalog.k for j in range(1, catalog.m + 1)}
     out: list[Expr] = []
-    for j, h in lifts.items():
-        raw = directional(h, grad)
-        tops = [aux_a(u.alpha, u.index, j) for u, _ in w1]
-        coeffs = gradient(raw, tops)
-        checked: dict[Sym, Expr] = {}
-        for sym, (_, eq) in zip(tops, w1):
-            if sym not in coeffs:
-                continue
-            coeff = substitute(coeffs[sym], checked)
-            # an A that cancels within the sum itself is absent from C_j
-            if not is_zero(esub(coeff, eq.residual())) and not is_zero(coeff):
-                raise InternalConsistencyError(
-                    "top-order A coefficient in C_%d does not match the W1 residual" % j)
-            checked[sym] = Const(0)
-        cj = normalize(eneg(substitute(raw, checked)))
-        leftover = [s for s in free_syms(cj)
-                    if s.kind == AUX and s.name == "A" and sum(s.index) == catalog.k]
-        if leftover:
-            raise InternalConsistencyError(
-                "residual top-order A symbol %s in C_%d" % (leftover[0].render(), j))
-        out.append(cj)
+    for j, h in _assigned_lifts(catalog, a_assign, b_assign).items():
+        for s, comp in h.items():
+            if tops.keys() & free_syms(comp):
+                comp = normalize(comp)
+                if isinstance(comp, Atom) and tops.get(comp.sym) == (s, j):
+                    h[s] = Const(0)
+                elif tops.keys() & free_syms(comp):
+                    raise InternalConsistencyError(
+                        "top-order A in h_%d does not multiply a W1 residual in C_%d" % (j, j))
+        out.append(normalize(eneg(directional(h, grad))))
     return out

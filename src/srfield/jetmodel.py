@@ -58,10 +58,8 @@ def dim_jet(spec: BundleSpec, order: int) -> int:
 class CoordCatalog:
     """Ordered coordinates of the velocity-momentum space for one signature."""
 
-    def __init__(self, spec: BundleSpec, fields: Optional[Mapping[str, Sequence[int]]] = None,
-                 jet_order: Optional[int] = None):
+    def __init__(self, spec: BundleSpec, fields: Optional[Mapping[str, Sequence[int]]] = None):
         self.spec = spec
-        self.jet_order = spec.k if jet_order is None else jet_order
         self.fields: dict[str, tuple[int, ...]] = {
             name: tuple(sorted(deps)) for name, deps in (fields or {}).items()
         }
@@ -73,7 +71,7 @@ class CoordCatalog:
         self.jet_syms = tuple(
             jet_sym(alpha, J)
             for alpha in range(1, n + 1)
-            for J in mi.enumerate_up_to(m, self.jet_order)
+            for J in mi.enumerate_up_to(m, k)
         )
         self.mom_syms = tuple(
             mom_sym(alpha, I, i)

@@ -13,7 +13,7 @@ Recognized lines (comments start with '#'):
 
 Sections and variations are paired in file order; a repeated fiber index
 starts a new entry.  Point assignments are whitespace-separated name=value
-pairs using the rendered coordinate names.
+pairs using the rendered coordinate names.  Every line is checked on parsing.
 """
 
 from __future__ import annotations
@@ -154,6 +154,9 @@ def parse_problem(text: str) -> ProblemFile:
     catalog = problem.catalog()
     problem.lagrangian(catalog)
     problem.field_bindings(catalog)
+    problem.section_fns(catalog)
+    problem.variation_fns(catalog)
+    problem.point_assignments(catalog)
     return problem
 
 

@@ -1180,10 +1180,9 @@ def _parse_base(lx: _Lexer, catalog) -> Expr:
                     "jet multi-index %s has %d slots, catalog needs %d"
                     % (comps, len(comps), catalog.m), pos)
             index = MultiIndex(comps)
-            if index.order > catalog.jet_order:
-                raise ParseError(
-                    "jet order %d exceeds catalog order %d" % (index.order, catalog.jet_order),
-                    pos)
+            if index.order > catalog.k:
+                raise ParseError("jet order %d exceeds catalog order %d" % (index.order, catalog.k),
+                                 pos)
             alpha = _parse_fiber(lx, catalog.n)
             return Atom(jet_sym(alpha, index))
         if name == "x" and lx.peek()[0] == "[":

@@ -1,13 +1,16 @@
 """Dynamical-form assembly and the grouped equation families, against hand results."""
 
 import random
+from functools import lru_cache
 
 import pytest
 
+from srfield import assembler as asm
 from srfield import symexpr as sx
 from srfield import extalg as xa
 from srfield.assembler import (
     c_coefficients,
+    check_collapse,
     default_projector_assignments,
     dynamical_equations,
     hamiltonian_h0,
@@ -16,7 +19,7 @@ from srfield.assembler import (
     tangency_equations,
     w2_constraint,
 )
-from srfield.equations import TAG_A, TAG_B_MIDDLE, TAG_B_TRACE, TAG_TANGENCY, TAG_W1, TAG_W2
+from srfield.equations import Equation, TAG_A, TAG_B_MIDDLE, TAG_B_TRACE, TAG_TANGENCY, TAG_W1, TAG_W2
 from srfield.errors import InternalConsistencyError, UsageError
 from srfield.jetmodel import BundleSpec, build_catalog
 from srfield.multiindex import (
@@ -300,8 +303,14 @@ def jet_index_of(provenance):
     return tuple(int(c) for c in inner.split(","))
 
 
+def _fresh_memo(monkeypatch):
+    """An empty collapse memo for this test; the one it fills is dropped after it."""
+    monkeypatch.setattr(asm, "_collapse_proved",
+                        lru_cache(maxsize=None)(asm._collapse_proved.__wrapped__))
+
+
 def _corrupt_collect(monkeypatch, edit):
-    import srfield.assembler as asm
+    _fresh_memo(monkeypatch)
     real = asm.collect
 
     def collect(form):
@@ -345,6 +354,81 @@ def test_dynamical_rejects_missing_coefficient(monkeypatch, ch_catalog, ch_L):
     _corrupt_collect(monkeypatch, lambda coll: coll.pop(mono))
     with pytest.raises(InternalConsistencyError, match=r"missing dynamical coefficient on d\(p"):
         dynamical_equations(ch_catalog, ch_L)
+
+
+def test_dynamical_rejects_broken_family_residual(monkeypatch, ch_catalog, ch_L):
+    _fresh_memo(monkeypatch)
+    real = asm.equation_families
+    top = jet(1, 1, 1)
+
+    def families(catalog, L):
+        out = real(catalog, L)
+        eq = out[top]
+        out[top] = Equation(eq.lhs, sx.eadd(eq.rhs, sx.Const(1)), eq.tag, eq.provenance)
+        return out
+    monkeypatch.setattr(asm, "equation_families", families)
+    with pytest.raises(InternalConsistencyError, match=r"coefficient mismatch on d\(u\[1,1\]\)"):
+        dynamical_equations(ch_catalog, ch_L)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(asm, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(asm, name, counted)
+    return calls
+
+
+def test_collapse_is_proved_once_per_signature(monkeypatch, plate_catalog, plate_L, ch_catalog,
+                                               ch_L):
+    _fresh_memo(monkeypatch)
+    contractions = _count_calls(monkeypatch, "contract_projector")
+    dynamical_equations(plate_catalog, plate_L)
+    dynamical_equations(ch_catalog, ch_L)
+    assert len(contractions) == 1
+
+
+def test_proved_signature_skips_the_form_machinery(monkeypatch, plate_catalog, plate_L):
+    _fresh_memo(monkeypatch)
+    families = _count_calls(monkeypatch, "equation_families")
+    a_map, b_map = default_projector_assignments(plate_catalog)
+    c_coefficients(plate_catalog, plate_L, a_map, b_map)
+    # the first call proves the signature, on the generic Lagrangian only
+    assert len(families) == 1
+    assert {s.name[:4] for s in sx.free_syms(families[0][1]) if s.kind == sx.FIELD} == {"dL/d"}
+
+    def refuse(*args):
+        raise AssertionError("form machinery on a proved signature")
+    monkeypatch.setattr(asm, "contract_projector", refuse)
+    monkeypatch.setattr(asm, "collect", refuse)
+    dynamical_equations(plate_catalog, plate_L)
+    assert len(families) == 2 and families[1][1] is plate_L
+    monkeypatch.setattr(asm, "equation_families", refuse)
+    c_coefficients(plate_catalog, plate_L, a_map, b_map)
+
+
+def test_check_collapse_on_every_bench_lagrangian():
+    """The concrete side of the once-per-signature proof: the per-Lagrangian
+    check passes on each corpus, ladder and assembly problem, and agrees with
+    the families dynamical_equations emits."""
+    for pid, cat, L in bench_problems():
+        checked = [e.record() for e in check_collapse(cat, L)]
+        assert checked == [e.record() for e in dynamical_equations(cat, L)], pid
+
+
+@pytest.mark.parametrize("unknown", [sx.aux_a(1, MultiIndex((2, 0)), 1),
+                                     sx.aux_b(MultiIndex((0, 0)), 1, 1, 2),
+                                     sx.aux_c(1)])
+def test_lagrangian_with_projector_unknown_is_rejected(plate_catalog, plate_L, unknown):
+    L = sx.eadd(plate_L, sx.Atom(unknown))
+    a_map, b_map = default_projector_assignments(plate_catalog)
+    with pytest.raises(UsageError, match="projector unknowns"):
+        dynamical_equations(plate_catalog, L)
+    with pytest.raises(UsageError, match="projector unknowns"):
+        c_coefficients(plate_catalog, L, a_map, b_map)
 
 
 def test_w2_plate(plate_catalog, plate_L):

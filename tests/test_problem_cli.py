@@ -408,6 +408,19 @@ def test_cli_point_name_parse_error(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("parse error:")
 
 
+@pytest.mark.parametrize("line,code", [("point = x[0]=1", 2),
+                                       ("section@1 = u[1,0]", 3),
+                                       ("variation@1 = 1 + u[0,0]", 3),
+                                       ("section@2 = x[1]", 3)])
+def test_cli_every_line_checked_on_parsing(tmp_path, capsys, line, code):
+    # a point, section or variation line is checked when the file is read,
+    # so each command exits alike, whether or not its stages read the line
+    path = _write(tmp_path, "line.prob", "m=2\nn=1\nk=2\nlagrangian = u[2,0]^2\n%s\n" % line)
+    for command in ("el", "analyze", "run"):
+        assert main([command, path]) == code, command
+        assert capsys.readouterr().out == ""
+
+
 def test_cli_unexpected_exception_exits_4(tmp_path, capsys, monkeypatch):
     import srfield.cli
 

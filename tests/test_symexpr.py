@@ -338,21 +338,20 @@ def test_render_parse_roundtrip(plate_catalog, plate_L, ch_catalog, ch_L):
 
 
 def test_render_parse_roundtrip_el_outputs():
-    """Derived equations re-parse under a catalog extended to order 2k."""
+    """Derived equations re-parse under the catalog of order 2k."""
     from srfield.eleuler import euler_lagrange
-    from srfield.jetmodel import CoordCatalog
 
     spec = BundleSpec(2, 1, 2)
     cat = build_catalog(spec, fields={"q": (1, 2)})
     L = sx.parse(PLATE_L_TEXT, cat)
     el = euler_lagrange(L, spec)[0]
-    extended = CoordCatalog(spec, fields={"q": (1, 2)}, jet_order=2 * spec.k)
+    extended = build_catalog(BundleSpec(spec.m, spec.n, 2 * spec.k), fields={"q": (1, 2)})
     assert sx.equivalent(sx.parse(sx.render(el), extended), el)
 
     ch_cat = build_catalog(spec)
     ch = sx.parse(CH_L_TEXT, ch_cat)
     el_ch = euler_lagrange(ch, spec)[0]
-    extended2 = CoordCatalog(spec, jet_order=2 * spec.k)
+    extended2 = build_catalog(BundleSpec(spec.m, spec.n, 2 * spec.k))
     assert sx.equivalent(sx.parse(sx.render(el_ch), extended2), el_ch)
 
 
