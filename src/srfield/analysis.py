@@ -25,8 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import multiindex as mi
-from .assembler import equation_families, hamiltonian_h0, omega_h0
-from .equations import TAG_W1
+from .assembler import hamiltonian_h0, momentum_sum, omega_h0, top_partials
 from .errors import EvalDomainError, PreconditionError, SelectionError, UsageError
 from .extalg import collect
 from .jetmodel import BundleSpec, CoordCatalog, build_catalog
@@ -34,6 +33,7 @@ from .symexpr import (
     Expr,
     Sym,
     compile_at,
+    esub,
     gradient,
     jet_sym,
     mom_sym,
@@ -331,14 +331,12 @@ def prop31_verify_detailed(sel: SelectionMatrix) -> tuple[bool, str]:
 def _constraints(catalog: CoordCatalog, L: Expr) -> list[tuple[Sym, Expr]]:
     """The constraint set W1 and H0 = 0, each residual paired with the coordinate it solves.
 
-    Each W1 residual, in the order of equation_families, is paired with the
+    Each W1 residual, in the order of top_partials, is paired with the
     momentum of the first decomposition of its index; H0 comes last, paired
     with p.  Each residual is affine with unit coefficient in its coordinate.
     """
-    out = []
-    for u, eq in equation_families(catalog, L).items():
-        if eq.tag == TAG_W1:
-            out.append((mom_sym(u.alpha, *mi.decompositions(u.index)[0]), eq.residual()))
+    out = [(mom_sym(u.alpha, *mi.decompositions(u.index)[0]), esub(momentum_sum(u), d))
+           for u, d in top_partials(catalog, L).items()]
     out.append((catalog.p, hamiltonian_h0(catalog, L)))
     return out
 

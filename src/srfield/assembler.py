@@ -11,10 +11,11 @@ grouping by monomial yields the gauge-free equations directly.  The dynamical
 form is written term by term into one form, its dH0 part from the gradient of
 the dynamical function H0.  Both sides of the check are linear in the
 partials dL/du_J, and dL/dx^i drops out, so it runs once per signature on
-sum_J g_J u_J with opaque constants g_J.  The tangency conditions and the
-scalar-momentum coefficients C_j are the template's lifts h_j applied,
-through that same chain rule (symexpr.gradient, one sweep for all
-directions), to W1 and to H0.
+sum_J g_J u_J with opaque constants g_J, and the signature's record also
+holds P_j = h_j^0(pairing - p), the Lagrangian-free half of the scalar-momentum
+coefficients C_j = h_j^0(L) - P_j.  The lifts reach L through its partials
+along x and u alone (symexpr.gradient), for C_j and for the tangency
+conditions, which apply them to both sides of W1.
 """
 
 from __future__ import annotations
@@ -118,23 +119,6 @@ def projector_template(catalog: CoordCatalog) -> dict[int, dict[Sym, Expr]]:
     return lifts
 
 
-def _assigned_lifts(catalog: CoordCatalog, a_assign: Mapping[Sym, Expr],
-                    b_assign: Mapping[Sym, Expr]) -> dict[int, dict[Sym, Expr]]:
-    """Components of the template's lifts h_j with its A and B unknowns given values."""
-    assign = {"A": a_assign, "B": b_assign}
-
-    def value(comp: Expr) -> Expr:
-        unknown = comp.sym if isinstance(comp, Atom) else None
-        if unknown is None or unknown.name not in assign:
-            return comp
-        if unknown not in assign[unknown.name]:
-            raise UsageError("%s assignment missing %s" % (unknown.name, unknown.render()))
-        return assign[unknown.name][unknown]
-
-    return {j: {s: value(comp) for s, comp in h.items()}
-            for j, h in projector_template(catalog).items()}
-
-
 def equation_families(catalog: CoordCatalog, L: Expr) -> dict[Sym, Equation]:
     """The closed-form equation on each d(c) of the collapsed dynamical form.
 
@@ -155,7 +139,7 @@ def equation_families(catalog: CoordCatalog, L: Expr) -> dict[Sym, Equation]:
             for J in (J for l in orders for J in mi.enumerate_indices(m, l)):
                 u = jet_sym(alpha, J)
                 d = dl.get(u, Const(0))
-                moms = eadd(*[Atom(mom_sym(alpha, I, i)) for I, i in mi.decompositions(J)])
+                moms = momentum_sum(u)
                 bs = eadd(*[Atom(aux_b(J, i, alpha, i)) for i in range(1, m + 1)])
                 lhs, rhs, tag = ((bs, d, TAG_B_TRACE) if sum(J) == 0 else
                                  (moms, esub(d, bs), TAG_B_MIDDLE) if sum(J) < k else
@@ -198,16 +182,19 @@ def check_collapse(catalog: CoordCatalog, L: Expr) -> EquationSet:
 
 
 @lru_cache(maxsize=None)
-def _collapse_proved(spec: BundleSpec) -> None:
-    """The collapse check, once per signature, on sum_J g_J u_J with opaque constants g_J."""
+def _signature(spec: BundleSpec) -> tuple[Expr, ...]:
+    """Once per signature: the collapse check on sum_J g_J u_J with opaque constants g_J, and
+    the record P_j = h_j^0(pairing - p), normalized, for the default assignment (c_coefficients)."""
     catalog = build_catalog(spec)
     check_collapse(catalog, eadd(*[emul(Atom(field_sym("dL/d" + u.render(), mi.zero(spec.m), ())),
                                         Atom(u)) for u in catalog.jet_syms]))
+    return tuple(_pairing_images(catalog, _reduced_lifts(
+        catalog, *default_projector_assignments(catalog))))
 
 
 def dynamical_equations(catalog: CoordCatalog, L: Expr) -> EquationSet:
     """The four equation families of L, into which i_h Omega_H0 = (m-1) Omega_H0 collapses."""
-    _collapse_proved(catalog.spec)
+    _signature(catalog.spec)
     return EquationSet(equation_families(catalog, L).values())
 
 
@@ -217,62 +204,81 @@ def w2_constraint(catalog: CoordCatalog, L: Expr) -> EquationSet:
     return EquationSet([Equation(Atom(catalog.p), normalize(rhs), TAG_W2, "H0=0")])
 
 
+def momentum_sum(u: Sym) -> Expr:
+    """The momenta p^{I,i}_a with I + 1_i = J, summed, for the jet u = u^a_J."""
+    return eadd(*[Atom(mom_sym(u.alpha, I, i)) for I, i in mi.decompositions(u.index)])
+
+
+def top_partials(catalog: CoordCatalog, L: Expr) -> dict[Sym, Expr]:
+    """dL/du_K for each top-order jet u_K in catalog order, zero ones included: W1's right sides.
+
+    A partial from gradient does not depend on the other symbols requested, so
+    each equals the W1 right side of equation_families."""
+    _check_l_on_jets(catalog, L)
+    tops = [u for u in catalog.jet_syms if sum(u.index) == catalog.k]
+    dl = gradient(L, tops)
+    return {u: dl.get(u, Const(0)) for u in tops}
+
+
 def tangency_equations(catalog: CoordCatalog, L: Expr) -> EquationSet:
     """Conditions keeping the projector tangent to the top-order constraint set.
 
-    Each lift h_j, with the holonomy values for the lower-order A's, is applied
-    to both sides of every W1 equation.
+    Each lift h_j, with the default assignment, is applied to both sides of
+    every W1 equation: the momentum sum goes to sum B^{I,i}_{a,j}, and
+    dL/du_K to the lift of its partials along x and u.
     """
-    lifts = _assigned_lifts(catalog, *default_projector_assignments(catalog))
+    syms = catalog.base_syms + catalog.jet_syms
     out = EquationSet()
-    for u, eq in equation_families(catalog, L).items():
-        if eq.tag != TAG_W1:
-            continue
-        lhs, rhs = gradient(eq.lhs, catalog.coords), gradient(eq.rhs, catalog.coords)
-        for j, h in lifts.items():
-            out.add(Equation(directional(h, lhs), normalize(directional(h, rhs)), TAG_TANGENCY,
+    for u, d in top_partials(catalog, L).items():
+        grad = gradient(d, syms)
+        for j in range(1, catalog.m + 1):
+            lhs = eadd(*[Atom(aux_b(I, i, u.alpha, j)) for I, i in mi.decompositions(u.index)])
+            out.add(Equation(lhs, normalize(_default_lift(catalog, j, grad)), TAG_TANGENCY,
                              "d/dx[%d] of W1(%s)" % (j, u.render())))
     return out
 
 
+def _default_a(catalog: CoordCatalog, u: Sym, j: int) -> Expr:
+    """Default value of A^a_{J,j}, the u = u^a_J component of h_j: u^a_{J+1_j} below top order."""
+    if sum(u.index) < catalog.k:
+        return Atom(jet_sym(u.alpha, u.index.bump(j)))
+    return Atom(aux_a(u.alpha, u.index, j))
+
+
+def _default_lift(catalog: CoordCatalog, j: int, grad: Mapping[Sym, Expr]) -> Expr:
+    """h_j with the default assignment applied to a function of x and u, given its partials."""
+    return eadd(*[d if s.kind == BASE else emul(_default_a(catalog, s, j), d)
+                  for s, d in grad.items() if s.kind != BASE or s.i == j])
+
+
 def default_projector_assignments(catalog: CoordCatalog) -> tuple[dict[Sym, Expr], dict[Sym, Expr]]:
     """Assignments (A, B): holonomy values for the determined A's, symbols elsewhere."""
-    a_map: dict[Sym, Expr] = {}
-    for alpha in range(1, catalog.n + 1):
-        for J in mi.enumerate_up_to(catalog.m, catalog.k):
-            for j in range(1, catalog.m + 1):
-                sym = aux_a(alpha, J, j)
-                if sum(J) <= catalog.k - 1:
-                    a_map[sym] = Atom(jet_sym(alpha, J.bump(j)))
-                else:
-                    a_map[sym] = Atom(sym)
-    b_map: dict[Sym, Expr] = {}
-    for s in catalog.mom_syms:
-        for j in range(1, catalog.m + 1):
-            sym = aux_b(s.index, s.i, s.alpha, j)
-            b_map[sym] = Atom(sym)
+    js = range(1, catalog.m + 1)
+    a_map = {aux_a(u.alpha, u.index, j): _default_a(catalog, u, j)
+             for u in catalog.jet_syms for j in js}
+    b_map = {b: Atom(b) for s in catalog.mom_syms
+             for b in (aux_b(s.index, s.i, s.alpha, j) for j in js)}
     return a_map, b_map
 
 
-def c_coefficients(catalog: CoordCatalog, L: Expr,
-                   a_assign: Mapping[Sym, Expr], b_assign: Mapping[Sym, Expr]) -> list[Expr]:
-    """Scalar-momentum coefficients C_j, free of top-order A symbols.
+def _reduced_lifts(catalog: CoordCatalog, a_assign: Mapping[Sym, Expr],
+                   b_assign: Mapping[Sym, Expr]) -> dict[int, dict[Sym, Expr]]:
+    """h_j^0: the template's h_j, its A and B unknowns given values, A_{K,j} on u_K set to 0.
 
-    C_j is minus h_j applied to the dynamical function H0 without its
-    scalar momentum p (h_j[p] is the unknown C_j itself), with the given
-    values for every A and B unknown of h_j (top-order A's may map to
-    themselves).  As the u_K component of h_j, A_{K,j} multiplies dH0/du_K,
-    the W1 residual by the signature's collapse proof, and is set to 0; a
-    top-order A anywhere else in h_j must cancel there.
+    A_{K,j} multiplies dH0/du_K there, the W1 residual by the signature's
+    collapse proof; a top-order A anywhere else in h_j must cancel.
     """
-    _collapse_proved(catalog.spec)
-    grad = gradient(hamiltonian_h0(catalog, L), catalog.coords)
-    del grad[catalog.p]
+    assign = {"A": a_assign, "B": b_assign}
     tops = {aux_a(u.alpha, u.index, j): (u, j) for u in catalog.jet_syms
             if sum(u.index) == catalog.k for j in range(1, catalog.m + 1)}
-    out: list[Expr] = []
-    for j, h in _assigned_lifts(catalog, a_assign, b_assign).items():
+    lifts = projector_template(catalog)
+    for j, h in lifts.items():
         for s, comp in h.items():
+            unknown = comp.sym if isinstance(comp, Atom) else None
+            if unknown is not None and unknown.name in assign:
+                if unknown not in assign[unknown.name]:
+                    raise UsageError("%s assignment missing %s" % (unknown.name, unknown.render()))
+                comp = h[s] = assign[unknown.name][unknown]
             if tops.keys() & free_syms(comp):
                 comp = normalize(comp)
                 if isinstance(comp, Atom) and tops.get(comp.sym) == (s, j):
@@ -280,5 +286,37 @@ def c_coefficients(catalog: CoordCatalog, L: Expr,
                 elif tops.keys() & free_syms(comp):
                     raise InternalConsistencyError(
                         "top-order A in h_%d does not multiply a W1 residual in C_%d" % (j, j))
-        out.append(normalize(eneg(directional(h, grad))))
-    return out
+    return lifts
+
+
+def _pairing_images(catalog: CoordCatalog, lifts: Mapping[int, Mapping[Sym, Expr]]) -> list[Expr]:
+    """P_j: each lift applied to the pairing without p, normalized."""
+    grad = gradient(pairing_phi(catalog), catalog.coords)
+    del grad[catalog.p]
+    return [normalize(directional(h, grad)) for h in lifts.values()]
+
+
+def c_coefficients(catalog: CoordCatalog, L: Expr,
+                   a_assign: Mapping[Sym, Expr], b_assign: Mapping[Sym, Expr]) -> list[Expr]:
+    """Scalar-momentum coefficients C_j, free of top-order A symbols.
+
+    C_j is minus h_j applied to the dynamical function H0 without its scalar
+    momentum p (h_j[p] is the unknown C_j itself), with the given values for
+    every A and B unknown of h_j and each top-order A_{K,j} on u_K set to 0
+    (_reduced_lifts): C_j = h_j^0(L) - P_j with P_j = h_j^0(pairing - p).
+    h_j^0 acts on L through its partials along x and u alone, and under the
+    default assignment, which is 0 on the top-order jets, through those below
+    top order; P_j then comes from the signature's record.
+    """
+    _check_l_on_jets(catalog, L)
+    images = _signature(catalog.spec)
+    if (dict(a_assign), dict(b_assign)) == default_projector_assignments(catalog):
+        grad = gradient(L, catalog.base_syms + tuple(u for u in catalog.jet_syms
+                                                     if sum(u.index) < catalog.k))
+        parts = [_default_lift(catalog, j, grad) for j in range(1, catalog.m + 1)]
+    else:
+        lifts = _reduced_lifts(catalog, a_assign, b_assign)
+        images = _pairing_images(catalog, lifts)
+        grad = gradient(L, catalog.base_syms + catalog.jet_syms)
+        parts = [directional(h, grad) for h in lifts.values()]
+    return [normalize(esub(part, image)) for part, image in zip(parts, images)]

@@ -15,6 +15,7 @@ from typing import Mapping, Optional, Sequence
 from . import multiindex as mi
 from .errors import UsageError
 from .symexpr import (
+    _MAX_COORDS,
     Atom,
     Expr,
     JET,
@@ -108,6 +109,9 @@ class CoordCatalog:
 
 
 def build_catalog(spec: BundleSpec, fields: Optional[Mapping[str, Sequence[int]]] = None) -> CoordCatalog:
+    if coordinate_count(spec) > _MAX_COORDS:
+        raise UsageError("signature (%d, %d, %d) has %d coordinates, over the budget of %d"
+                         % (spec.m, spec.n, spec.k, coordinate_count(spec), _MAX_COORDS))
     return CoordCatalog(spec, fields=fields)
 
 

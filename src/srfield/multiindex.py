@@ -54,7 +54,9 @@ class MultiIndex(tuple):
 
     def bump(self, i: int) -> "MultiIndex":
         """self + 1_i with 1-based direction i."""
-        return self.add(unit(i, len(self)))
+        if not 1 <= i <= len(self):
+            raise UsageError("direction %d out of range 1..%d" % (i, len(self)))
+        return tuple.__new__(MultiIndex, self[:i - 1] + (self[i - 1] + 1,) + self[i:])
 
     def key(self) -> tuple:
         """Sort key for the shared graded-lexicographic order."""
@@ -119,11 +121,8 @@ def enumerate_up_to(m: int, lmax: int) -> list[MultiIndex]:
 
 def decompositions(j: MultiIndex) -> list[tuple[MultiIndex, int]]:
     """All pairs (I, i) with I + 1_i = J, in ascending i order."""
-    out = []
-    for i in range(1, len(j) + 1):
-        if j[i - 1] >= 1:
-            out.append((j.sub_checked(unit(i, len(j))), i))
-    return out
+    return [(tuple.__new__(MultiIndex, j[:i - 1] + (j[i - 1] - 1,) + j[i:]), i)
+            for i in range(1, len(j) + 1) if j[i - 1] >= 1]
 
 
 def identity_weight_sum(j: MultiIndex) -> Fraction:

@@ -38,16 +38,23 @@ class ProblemFile:
     sections: list[dict[int, str]] = field(default_factory=list)
     variations: list[dict[int, str]] = field(default_factory=list)
     points: list[dict[str, float]] = field(default_factory=list)
+    # parse_problem's catalog, Lagrangian and field bindings, reused for that catalog
+    _parsed: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def catalog(self) -> CoordCatalog:
+        if self._parsed:
+            return self._parsed[0]
         return build_catalog(self.bundle, fields={n: d for n, (d, _) in self.fields.items()})
 
     def lagrangian(self, catalog: Optional[CoordCatalog] = None) -> Expr:
-        catalog = catalog or self.catalog()
-        return parse(self.lagrangian_text, catalog)
+        if self._parsed and catalog in (None, self._parsed[0]):
+            return self._parsed[1]
+        return parse(self.lagrangian_text, catalog or self.catalog())
 
     def field_bindings(self, catalog: Optional[CoordCatalog] = None) -> dict[str, Expr]:
         """Expressions bound to fields, for the numeric stages; unbound fields omitted."""
+        if self._parsed and catalog in (None, self._parsed[0]):
+            return dict(self._parsed[2])
         catalog = catalog or self.catalog()
         out = {}
         for name, (_, text) in self.fields.items():
@@ -97,7 +104,7 @@ def parse_problem(text: str) -> ProblemFile:
         if fm:
             name, deps_text, value = fm.group(1), fm.group(2), fm.group(3)
             deps = []
-            for part in deps_text.split(","):
+            for part in deps_text.split(",") if deps_text.strip() else ():
                 part = part.strip()
                 dm = re.match(r"^x\[(\d{1,9})\]$", part)
                 if not dm:
@@ -152,11 +159,11 @@ def parse_problem(text: str) -> ProblemFile:
         raise ParseError(str(exc)) from None
     problem = ProblemFile(bundle, lagrangian, fields, sections, variations, points)
     catalog = problem.catalog()
-    problem.lagrangian(catalog)
-    problem.field_bindings(catalog)
+    parsed = (catalog, problem.lagrangian(catalog), problem.field_bindings(catalog))
     problem.section_fns(catalog)
     problem.variation_fns(catalog)
     problem.point_assignments(catalog)
+    problem._parsed = parsed
     return problem
 
 

@@ -827,8 +827,8 @@ def _rat_to_expr(num: dict, den: dict) -> Expr:
 
 
 def normalize(e: Expr) -> Expr:
-    """Canonical quotient form; idempotent, exact, deterministic."""
-    if e._canon:
+    """Canonical quotient form; idempotent, exact, deterministic; atoms and constants as given."""
+    if e._canon or isinstance(e, (Atom, Const)):
         return e
     num, den = _rat_reduce(*_to_rat(e))
     out = _rat_to_expr(num, den)
@@ -1059,6 +1059,9 @@ _MAX_EXPONENT = 32
 # can still expand past it, as a sum of six jets to the 32nd power does; the
 # largest product the benchmark problems form has well under 200 terms.
 _MAX_TERMS = 10_000
+# Most coordinates a catalog may have; the benchmark and the tests build at most
+# 154 (m = n = k = 3), and m = n = k = 9 would have 2,406,700.
+_MAX_COORDS = 2_000
 
 # Most decimal digits a numerator or denominator may have: in a literal, in a
 # constant the parser folds, as in ((3^32)^32)^32, and in a rendered result.

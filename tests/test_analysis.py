@@ -284,14 +284,14 @@ def test_kernel_dims_build_once(ch_L, monkeypatch):
     spec = BundleSpec(2, 1, 2)
     rng = random.Random(5)
     pts = [an.on_constraint_point(ch_L, spec, rng) for _ in range(5)]
-    calls = {"equation_families": 0, "omega_h0": 0}
+    calls = {"top_partials": 0, "omega_h0": 0}
     for name in calls:
         def counted(*args, _name=name, _orig=getattr(an, name)):
             calls[_name] += 1
             return _orig(*args)
         monkeypatch.setattr(an, name, counted)
     assert len(an.omega2_kernel_dims(ch_L, spec, pts)) == 5
-    assert calls == {"equation_families": 1, "omega_h0": 1}
+    assert calls == {"top_partials": 1, "omega_h0": 1}
 
 
 def test_kernel_determinant_count(monkeypatch):
@@ -411,15 +411,15 @@ def test_on_constraint_points_match_single():
 
 
 def test_on_constraint_points_build_once(ch_L, monkeypatch):
-    calls = {"equation_families": 0, "hamiltonian_h0": 0, "compile_expr": 0}
-    for module, name in ((an, "equation_families"), (an, "hamiltonian_h0"),
+    calls = {"top_partials": 0, "hamiltonian_h0": 0, "compile_expr": 0}
+    for module, name in ((an, "top_partials"), (an, "hamiltonian_h0"),
                          (sx, "compile_expr")):
         def counted(*args, _name=name, _orig=getattr(module, name)):
             calls[_name] += 1
             return _orig(*args)
         monkeypatch.setattr(module, name, counted)
     assert len(an.on_constraint_points(ch_L, BundleSpec(2, 1, 2), random.Random(5), 5)) == 5
-    assert calls == {"equation_families": 1, "hamiltonian_h0": 1, "compile_expr": 1}
+    assert calls == {"top_partials": 1, "hamiltonian_h0": 1, "compile_expr": 1}
 
 
 def test_analysis_compiles_each_check_once(monkeypatch):

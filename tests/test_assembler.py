@@ -13,6 +13,7 @@ from srfield.assembler import (
     check_collapse,
     default_projector_assignments,
     dynamical_equations,
+    equation_families,
     hamiltonian_h0,
     omega_h0,
     projector_template,
@@ -20,6 +21,7 @@ from srfield.assembler import (
     w2_constraint,
 )
 from srfield.equations import Equation, TAG_A, TAG_B_MIDDLE, TAG_B_TRACE, TAG_TANGENCY, TAG_W1, TAG_W2
+from srfield.corpus import CORPUS_NAMES, CORPUS_PROBLEMS
 from srfield.errors import InternalConsistencyError, UsageError
 from srfield.jetmodel import BundleSpec, build_catalog
 from srfield.multiindex import (
@@ -30,8 +32,11 @@ from srfield.multiindex import (
     enumerate_up_to,
 )
 
+from srfield.problem import parse_problem
+from srfield.report import report_json, run_problem
+
 import forms_reference as fr
-from conftest import bench_problems, jet, mom, random_poly
+from conftest import PLATE_SPEC, bench_problems, bench_workloads, jet, mom, random_poly
 
 
 def eqmap(eqs, tag):
@@ -305,8 +310,8 @@ def jet_index_of(provenance):
 
 def _fresh_memo(monkeypatch):
     """An empty collapse memo for this test; the one it fills is dropped after it."""
-    monkeypatch.setattr(asm, "_collapse_proved",
-                        lru_cache(maxsize=None)(asm._collapse_proved.__wrapped__))
+    monkeypatch.setattr(asm, "_signature",
+                        lru_cache(maxsize=None)(asm._signature.__wrapped__))
 
 
 def _corrupt_collect(monkeypatch, edit):
@@ -417,6 +422,103 @@ def test_check_collapse_on_every_bench_lagrangian():
     for pid, cat, L in bench_problems():
         checked = [e.record() for e in check_collapse(cat, L)]
         assert checked == [e.record() for e in dynamical_equations(cat, L)], pid
+
+
+def _textbook_lifts(cat, a_map, b_map):
+    """The template's lifts h_j with every A and B unknown given its value."""
+    assign = {"A": a_map, "B": b_map}
+    return {j: {s: assign[c.sym.name][c.sym] if isinstance(c, sx.Atom) and c.sym.name in assign
+                else c for s, c in h.items()}
+            for j, h in projector_template(cat).items()}
+
+
+def _textbook_c_coefficients(cat, L):
+    """C_j = -h_j(H0 - p) under the default assignment, the top-order A's on
+    their own u_K (the W1 residual's multipliers) set to 0: the lifts act on
+    the gradient of H0 along every coordinate."""
+    grad = sx.gradient(hamiltonian_h0(cat, L), cat.coords)
+    del grad[cat.p]
+    out = []
+    for h in _textbook_lifts(cat, *default_projector_assignments(cat)).values():
+        h0 = {s: sx.Const(0) if s.kind == sx.JET and sum(s.index) == cat.k else c
+              for s, c in h.items()}
+        out.append(sx.normalize(sx.eneg(sx.directional(h0, grad))))
+    return out
+
+
+def _textbook_tangency(cat, L):
+    """Each default lift applied to both sides of each W1 equation of equation_families."""
+    lifts = _textbook_lifts(cat, *default_projector_assignments(cat))
+    out = []
+    for u, eq in equation_families(cat, L).items():
+        if eq.tag == TAG_W1:
+            lhs, rhs = sx.gradient(eq.lhs, cat.coords), sx.gradient(eq.rhs, cat.coords)
+            out += [Equation(sx.directional(h, lhs), sx.normalize(sx.directional(h, rhs)),
+                             TAG_TANGENCY, "d/dx[%d] of W1(%s)" % (j, u.render()))
+                    for j, h in lifts.items()]
+    return out
+
+
+def test_equation_stages_match_the_textbook_route():
+    """C_j and the tangency equations on each corpus, ladder and assembly
+    Lagrangian equal the lifts applied to gradients along every coordinate,
+    and C_j from the signature's record equals C_j from maps that are not
+    the defaults (an extra, unused entry) and so take P_j from the lifts."""
+    for pid, cat, L in bench_problems():
+        a_map, b_map = default_projector_assignments(cat)
+        want = [sx.render(c) for c in _textbook_c_coefficients(cat, L)]
+        assert [sx.render(c) for c in c_coefficients(cat, L, a_map, b_map)] == want, pid
+        extra = {**a_map, sx.aux_c(1): sx.Const(0)}
+        assert [sx.render(c) for c in c_coefficients(cat, L, extra, b_map)] == want, pid
+        assert ([e.record() for e in tangency_equations(cat, L)]
+                == [e.record() for e in _textbook_tangency(cat, L)]), pid
+
+
+def test_reports_equal_on_cold_and_warm_memo(monkeypatch):
+    texts = [CORPUS_PROBLEMS[name] for name in CORPUS_NAMES]
+    texts += [text for _, text in bench_workloads().LADDER]
+    for text in texts:
+        _fresh_memo(monkeypatch)
+        cold = report_json(run_problem(parse_problem(text), 5))
+        assert report_json(run_problem(parse_problem(text), 5)) == cold
+
+
+def test_signature_record_is_built_once(monkeypatch, plate_catalog, plate_L, ch_catalog, ch_L):
+    builds = []
+
+    def counted(spec, _build=asm._signature.__wrapped__):
+        builds.append(spec)
+        return _build(spec)
+    monkeypatch.setattr(asm, "_signature", lru_cache(maxsize=None)(counted))
+    for cat, L in ((plate_catalog, plate_L), (ch_catalog, ch_L)):
+        a_map, b_map = default_projector_assignments(cat)
+        dynamical_equations(cat, L)
+        tangency_equations(cat, L)
+        c_coefficients(cat, L, a_map, b_map)
+        c_coefficients(cat, L, {**a_map, sx.aux_c(1): sx.Const(0)}, b_map)
+    assert builds == [PLATE_SPEC]
+
+
+def test_warm_equation_stages_skip_h0_and_the_families(monkeypatch, plate_catalog, plate_L):
+    a_map, b_map = default_projector_assignments(plate_catalog)
+    want = ([sx.render(c) for c in c_coefficients(plate_catalog, plate_L, a_map, b_map)],
+            [e.record() for e in tangency_equations(plate_catalog, plate_L)])
+
+    def refuse(*args):
+        raise AssertionError("recomputed on a signature with a record")
+    for name in ("hamiltonian_h0", "equation_families", "pairing_phi", "projector_template"):
+        monkeypatch.setattr(asm, name, refuse)
+    requested = []
+
+    def gradient(e, syms, _real=sx.gradient):
+        requested.extend(syms)
+        return _real(e, syms)
+    monkeypatch.setattr(asm, "gradient", gradient)
+    got = ([sx.render(c) for c in c_coefficients(plate_catalog, plate_L, a_map, b_map)],
+           [e.record() for e in tangency_equations(plate_catalog, plate_L)])
+    assert got == want
+    # every partial taken is along x or u, none along a momentum or p
+    assert requested and {s.kind for s in requested} == {sx.BASE, sx.JET}
 
 
 @pytest.mark.parametrize("unknown", [sx.aux_a(1, MultiIndex((2, 0)), 1),

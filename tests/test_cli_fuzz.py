@@ -1,7 +1,8 @@
 """Random problem files through the command line.
 
 The texts are built from the problem grammar's tokens: headers m, n, k from 0
-to 3, a Lagrangian, fields with and without values, point lines and
+to 3, a Lagrangian, fields with and without values (and with no base
+dependence, `field q()`), point lines and
 section/variation lines, in any order.  Most lines are well formed; each
 token or line is out of place with a small probability, so a file is as
 likely to run as to be rejected.  Every file must end with a documented exit
@@ -81,7 +82,7 @@ def problem_text(rng, max_header):
     if not flawed(rng):
         lines.append("lagrangian = " + expression(rng, any_leaf, 2))
     for name in fields:
-        deps = sorted(rng.sample(range(1, m + 1), rng.randint(1, m)) if m else [])
+        deps = sorted(rng.sample(range(1, m + 1), rng.randint(0, m)) if m else [])
         if flawed(rng):
             deps.append(rng.choice([0, m + 1]))
         value = " = " + expression(rng, in_base, 2) if rng.random() < 0.6 else ""

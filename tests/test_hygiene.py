@@ -1,6 +1,7 @@
 """Source hygiene: every name a module of the package imports is used in that
 module, every function, class and public method it defines is used somewhere,
-and every engine name the benchmark scripts use exists and binds its call."""
+every process-wide memo is keyed by a signature or a size, and every engine
+name the benchmark scripts use exists and binds its call."""
 
 import ast
 import importlib
@@ -81,6 +82,33 @@ def test_no_dead_definitions():
             for name, line in definitions(path.read_text())
             if name not in used]
     assert dead == []
+
+
+def memo_keys(source: str) -> list[tuple[str, list[str]]]:
+    """Each function under a functools cache decorator, with its parameters' annotations."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and any(
+                "cache" in ast.unparse(d.func if isinstance(d, ast.Call) else d)
+                for d in node.decorator_list):
+            args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            out.append((node.name, [ast.unparse(a.annotation) if a.annotation else "?"
+                                    for a in args]))
+    return out
+
+
+def test_memo_keys_are_found():
+    source = ("import functools\n@functools.lru_cache(maxsize=None)\ndef f(spec: BundleSpec): pass\n"
+              "@cache\ndef g(L, n: int): pass\ndef h(x: int): pass\n")
+    assert memo_keys(source) == [("f", ["BundleSpec"]), ("g", ["?", "int"])]
+
+
+def test_memos_are_keyed_by_signature_or_size():
+    # a process-wide memo keyed by a Lagrangian or a problem would grow with
+    # every input; one keyed by a signature (m, n, k) or an int stays bounded
+    # by the signatures and sizes in use
+    memos = {name: keys for path in MODULES for name, keys in memo_keys(path.read_text())}
+    assert memos == {"_gauss_legendre": ["int"], "_signature": ["BundleSpec"]}
 
 
 def engine_uses(source: str) -> list[tuple]:

@@ -72,6 +72,16 @@ def test_small_catalog_count():
     assert len(build_catalog(BundleSpec(2, 1, 1)).coords) == 8
 
 
+def test_catalog_budget():
+    # the largest catalogs in use: the fuzz test's (3, 3, 3) and a one-term (4, 2, 4) run
+    assert len(build_catalog(BundleSpec(4, 2, 4)).coords) == 425
+    assert coordinate_count(BundleSpec(5, 2, 5)) == 1770
+    build_catalog(BundleSpec(5, 2, 5))
+    assert coordinate_count(BundleSpec(4, 3, 6)) == 2147
+    with pytest.raises(UsageError, match="2147 coordinates, over the budget of 2000"):
+        build_catalog(BundleSpec(4, 3, 6))
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -17,6 +17,7 @@ from srfield.corpus import (
     run_corpus,
 )
 from srfield.errors import ParseError
+from srfield.jetmodel import BundleSpec, build_catalog
 from srfield.problem import parse_problem
 from srfield.report import report_json, run_problem
 
@@ -419,6 +420,51 @@ def test_cli_every_line_checked_on_parsing(tmp_path, capsys, line, code):
     for command in ("el", "analyze", "run"):
         assert main([command, path]) == code, command
         assert capsys.readouterr().out == ""
+
+
+def test_cli_catalog_budget(tmp_path, capsys):
+    # m = n = k = 9 has 2,406,700 coordinates; listing them ran past 30 s
+    text = "m=9\nn=9\nk=9\nlagrangian = u[1,0,0,0,0,0,0,0,0]^2\n"
+    path = _write(tmp_path, "big.prob", text)
+    start = time.perf_counter()
+    assert main(["el", path]) == 3
+    assert time.perf_counter() - start < 5.0
+    assert "2406700 coordinates, over the budget of 2000" in capsys.readouterr().err
+
+
+def test_cli_field_without_dependence(tmp_path, capsys):
+    text = "m=1\nn=1\nk=1\nfield q() = 2\nlagrangian = q*u[1]^2\n"
+    path = _write(tmp_path, "q.prob", text)
+    assert main(["el", path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    # the canonical form lists field atoms after the jets
+    assert report["problem"]["lagrangian"] == "u[1]^2*q"
+    assert report["problem"]["fields"] == {"q": {"depends": [], "value": "2"}}
+    assert report["euler_lagrange"] == ["-2*u[2]*q"]
+
+
+def test_problem_is_parsed_once(monkeypatch):
+    import srfield.problem
+
+    problem = parse_problem(PLATE_PROBLEM)
+    parsed = []
+
+    def counted(text, catalog, _real=srfield.problem.parse):
+        parsed.append(text)
+        return _real(text, catalog)
+    monkeypatch.setattr(srfield.problem, "parse", counted)
+    catalog = problem.catalog()
+    assert problem.lagrangian(catalog) is problem.lagrangian()
+    assert problem.field_bindings(catalog) == problem.field_bindings()
+    run_problem(problem, 0, {"equations", "el"})
+    assert parsed == []
+    # a catalog of another signature still parses against that catalog
+    fields = {"q": (1, 2)}
+    order_3 = problem.lagrangian(build_catalog(BundleSpec(2, 1, 3), fields=fields))
+    assert order_3 == problem.lagrangian()
+    with pytest.raises(ParseError, match="jet order"):
+        problem.lagrangian(build_catalog(BundleSpec(2, 1, 1), fields=fields))
+    assert parsed == [problem.lagrangian_text] * 2
 
 
 def test_cli_unexpected_exception_exits_4(tmp_path, capsys, monkeypatch):

@@ -263,6 +263,16 @@ def test_normalize_idempotent(plate_L):
     assert n1 is n2 or n1 == n2
 
 
+@pytest.mark.parametrize("x", [sx.Atom(jet(1, 1, 0)), sx.Atom(sx.aux_b(MultiIndex((0, 1)), 2, 1, 2)),
+                               sx.Const(0), sx.Const(-3), sx.Const(Fraction(-7, 4))],
+                         ids=["jet", "B", "zero", "int", "fraction"])
+def test_normalize_returns_atoms_and_constants_unchanged(x):
+    # already canonical: the object itself comes back, and it renders as
+    # the quotient round trip does
+    assert sx.normalize(x) is x
+    assert sx.render(x) == sx.render(sx._rat_to_expr(*sx._rat_reduce(*sx._to_rat(x))))
+
+
 def test_normalize_multivariate_gcd():
     x, y = sx.Atom(sx.base_sym(1)), sx.Atom(sx.base_sym(2))
     common = sx.eadd(x, y)
