@@ -183,8 +183,8 @@ def check_collapse(catalog: CoordCatalog, L: Expr) -> EquationSet:
 
 @lru_cache(maxsize=None)
 def _signature(spec: BundleSpec) -> tuple[Expr, ...]:
-    """Once per signature: the collapse check on sum_J g_J u_J with opaque constants g_J, and
-    the record P_j = h_j^0(pairing - p), normalized, for the default assignment (c_coefficients)."""
+    """The signature's record, built once: the collapse check on sum_J g_J u_J with opaque
+    constants g_J, then P_j = h_j^0(pairing - p), normalized, for the default assignment."""
     catalog = build_catalog(spec)
     check_collapse(catalog, eadd(*[emul(Atom(field_sym("dL/d" + u.render(), mi.zero(spec.m), ())),
                                         Atom(u)) for u in catalog.jet_syms]))

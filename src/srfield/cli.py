@@ -11,10 +11,10 @@ literal longer than 600 digits and a malformed coordinate name in a point
 line), 3 precondition or usage error (including a section or variation on a
 jet coordinate, an unreadable file, a power whose exponent exceeds 32 in
 absolute value once nested powers fold, an expanded product with more than
-10,000 terms, and a constant with more than 600 digits, folded by the parser
-or computed, or one beyond the float range met by a numeric check), 4
-internal consistency error or any other unexpected exception, reported on one
-`internal error:` line.
+10,000 terms, a catalog of more than 2,000 coordinates, and a constant with
+more than 600 digits, folded by the parser or computed, or one beyond the
+float range met by a numeric check), 4 internal consistency error or any
+other unexpected exception, reported on one `internal error:` line.
 """
 
 from __future__ import annotations
