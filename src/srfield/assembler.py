@@ -274,11 +274,10 @@ def _reduced_lifts(catalog: CoordCatalog, a_assign: Mapping[Sym, Expr],
     lifts = projector_template(catalog)
     for j, h in lifts.items():
         for s, comp in h.items():
-            unknown = comp.sym if isinstance(comp, Atom) else None
-            if unknown is not None and unknown.name in assign:
-                if unknown not in assign[unknown.name]:
-                    raise UsageError("%s assignment missing %s" % (unknown.name, unknown.render()))
-                comp = h[s] = assign[unknown.name][unknown]
+            if isinstance(comp, Atom) and comp.sym.name in assign:
+                if comp.sym not in assign[comp.sym.name]:
+                    raise UsageError("%s assignment missing %s" % (comp.sym.name, comp.sym.render()))
+                comp = h[s] = assign[comp.sym.name][comp.sym]
             if tops.keys() & free_syms(comp):
                 comp = normalize(comp)
                 if isinstance(comp, Atom) and tops.get(comp.sym) == (s, j):

@@ -649,8 +649,7 @@ def _p_gcd(a: dict, b: dict) -> dict:
                 out.setdefault(0, {})[mono] = c
         return out
 
-    def content(u: dict) -> dict:
-        g: dict = {}
+    def content(u: dict, g: dict) -> dict:
         for coeff in u.values():
             g = _p_gcd(g, coeff)
             if _p_is_const(g):
@@ -678,7 +677,10 @@ def _p_gcd(a: dict, b: dict) -> dict:
         return r
 
     fu, gu = to_univ(a), to_univ(b)
-    cf, cg = content(fu), content(gu)
+    if not (max(fu) and max(gu)):
+        # an operand free of the main variable: its gcd with the other's coefficients
+        return content(fu, b) if max(fu) else content(gu, a)
+    cf, cg = content(fu, {}), content(gu, {})
     c = _p_gcd(cf, cg)
     fp = divide_univ(fu, cf)
     gp = divide_univ(gu, cg)
@@ -687,7 +689,7 @@ def _p_gcd(a: dict, b: dict) -> dict:
     while gp:
         r = prem(fp, gp)
         if r:
-            r = divide_univ(r, content(r))
+            r = divide_univ(r, content(r, {}))
         fp, gp = gp, r
 
     flat: dict = {}
