@@ -109,9 +109,10 @@ class CoordCatalog:
 
 
 def build_catalog(spec: BundleSpec, fields: Optional[Mapping[str, Sequence[int]]] = None) -> CoordCatalog:
-    if coordinate_count(spec) > _MAX_COORDS:
-        raise UsageError("signature (%d, %d, %d) has %d coordinates, over the budget of %d"
-                         % (spec.m, spec.n, spec.k, coordinate_count(spec), _MAX_COORDS))
+    # m + n(k + 1) bounds the count from below and keeps huge headers from its binomials
+    if spec.m + spec.n * (spec.k + 1) > _MAX_COORDS or coordinate_count(spec) > _MAX_COORDS:
+        raise UsageError("signature (%d, %d, %d) has more than the budget of %d coordinates"
+                         % (spec.m, spec.n, spec.k, _MAX_COORDS))
     return CoordCatalog(spec, fields=fields)
 
 

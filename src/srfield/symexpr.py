@@ -1061,8 +1061,7 @@ _MAX_EXPONENT = 32
 # can still expand past it, as a sum of six jets to the 32nd power does; the
 # largest product the benchmark problems form has well under 200 terms.
 _MAX_TERMS = 10_000
-# Most coordinates a catalog may have; the benchmark and the tests build at most
-# 154 (m = n = k = 3), and m = n = k = 9 would have 2,406,700.
+# Most coordinates a catalog may have; the benchmark and the tests build at most 154.
 _MAX_COORDS = 2_000
 
 # Most decimal digits a numerator or denominator may have: in a literal, in a

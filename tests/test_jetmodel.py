@@ -78,8 +78,11 @@ def test_catalog_budget():
     assert coordinate_count(BundleSpec(5, 2, 5)) == 1770
     build_catalog(BundleSpec(5, 2, 5))
     assert coordinate_count(BundleSpec(4, 3, 6)) == 2147
-    with pytest.raises(UsageError, match="2147 coordinates, over the budget of 2000"):
+    with pytest.raises(UsageError, match=r"\(4, 3, 6\) has more than the budget of 2000"):
         build_catalog(BundleSpec(4, 3, 6))
+    # m + n(k + 1) alone exceeds the budget: rejected without the binomial sum
+    with pytest.raises(UsageError, match="budget"):
+        build_catalog(BundleSpec(10 ** 9, 1, 10 ** 9))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

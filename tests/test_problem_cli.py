@@ -429,7 +429,17 @@ def test_cli_catalog_budget(tmp_path, capsys):
     start = time.perf_counter()
     assert main(["el", path]) == 3
     assert time.perf_counter() - start < 5.0
-    assert "2406700 coordinates, over the budget of 2000" in capsys.readouterr().err
+    assert "(9, 9, 9) has more than the budget of 2000 coordinates" in capsys.readouterr().err
+
+
+def test_cli_catalog_budget_huge_header(tmp_path, capsys):
+    # the count's binomials for m = k = 100000 would run for minutes; the
+    # parent ended in a RecursionError (exit 4)
+    path = _write(tmp_path, "huge.prob", "m=100000\nn=1\nk=100000\nlagrangian = u[1,0]^2\n")
+    start = time.perf_counter()
+    assert main(["el", path]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "more than the budget of 2000 coordinates" in capsys.readouterr().err
 
 
 def test_cli_field_without_dependence(tmp_path, capsys):
