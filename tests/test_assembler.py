@@ -20,8 +20,8 @@ from srfield.assembler import (
     tangency_equations,
     w2_constraint,
 )
-from srfield.equations import Equation, TAG_A, TAG_B_MIDDLE, TAG_B_TRACE, TAG_TANGENCY, TAG_W1, TAG_W2
 from srfield.corpus import CORPUS_NAMES, CORPUS_PROBLEMS
+from srfield.equations import Equation, TAG_A, TAG_B_MIDDLE, TAG_B_TRACE, TAG_TANGENCY, TAG_W1, TAG_W2
 from srfield.errors import InternalConsistencyError, UsageError
 from srfield.jetmodel import BundleSpec, build_catalog
 from srfield.multiindex import (
@@ -31,7 +31,6 @@ from srfield.multiindex import (
     enumerate_indices,
     enumerate_up_to,
 )
-
 from srfield.problem import parse_problem
 from srfield.report import report_json, run_problem
 
@@ -309,7 +308,7 @@ def jet_index_of(provenance):
 
 
 def _fresh_memo(monkeypatch):
-    """An empty collapse memo for this test; the one it fills is dropped after it."""
+    """An empty signature-record memo for this test; the one it fills is dropped after it."""
     monkeypatch.setattr(asm, "_signature",
                         lru_cache(maxsize=None)(asm._signature.__wrapped__))
 
