@@ -9,8 +9,8 @@ solved from it, and the kernel check tests it and reads its tangent space off
 as a graph over the free coordinates.  Each check builds and compiles its
 expressions once per problem, the Hessian included, and takes one compiled
 call per point.  The kernel check contracts the form through its components
-on the (m+1)-subsets of the tangent basis, one stacked determinant call per
-form term.
+on the (m+1)-subsets of the tangent basis, by a Laplace expansion along the
+base rows: one stacked determinant call per base part of the form.
 """
 
 from __future__ import annotations
@@ -26,7 +26,13 @@ import numpy as np
 
 from . import multiindex as mi
 from .assembler import hamiltonian_h0, momentum_sum, omega_h0, top_partials
-from .errors import EvalDomainError, PreconditionError, SelectionError, UsageError
+from .errors import (
+    EvalDomainError,
+    InternalConsistencyError,
+    PreconditionError,
+    SelectionError,
+    UsageError,
+)
 from .extalg import collect
 from .jetmodel import BundleSpec, CoordCatalog, build_catalog
 from .symexpr import (
@@ -386,8 +392,14 @@ def omega2_kernel_dims(L: Expr, spec: BundleSpec, points: Sequence[Mapping],
     The tangent space is the graph over the free coordinates (_tangent_basis),
     of a dimension fixed without a rank decision; the kernel is the null space
     of v -> components of the contracted form restricted to that tangent
-    space.  The constraints, their gradients and the form are built and
-    compiled once; each point then takes one compiled call.
+    space.  Omega_H0 splits by its base part: theta ^ d^m x, with
+    theta = -dp + dH0 (whose dx parts drop out), and the sum over i of
+    omega_i ^ d^{m-1}x_i, with omega_i = -sum dp^{I,i} ^ du_I.  Each component on an (m+1)-subset of the
+    tangent basis is a signed sum of theta times m-minors of the base rows
+    and of omega_i times (m-1)-minors (_laplace_rows has the signs).  The
+    constraints, their gradients and the form are built and compiled once,
+    with the index tables of the expansion; each point then takes one
+    compiled call.
     """
     if spec.m < 2:
         raise UsageError("kernel check requires base dimension m >= 2")
@@ -401,7 +413,7 @@ def omega2_kernel_dims(L: Expr, spec: BundleSpec, points: Sequence[Mapping],
     slots = tuple(np.array([(r, cpos[c]) for r, g in enumerate(grads) for c in g],
                            dtype=int).reshape(-1, 2).T)
     terms = collect(omega_h0(catalog, L))
-    term_coords = [[cpos[s] for s in mono] for mono in terms]
+    rows_at = _laplace_rows(list(terms), cpos, catalog.base_syms, len(coords) - len(solved))
 
     values_at = compile_at(residuals + [d for g in grads for d in g.values()]
                            + list(terms.values()), fields)
@@ -417,7 +429,7 @@ def omega2_kernel_dims(L: Expr, spec: BundleSpec, points: Sequence[Mapping],
         grad = np.zeros((n_res, len(coords)))
         grad[slots] = values[n_res:n_res + n_grad]
         tangent = _tangent_basis(grad, solved)
-        rows = _minor_rows(tangent, term_coords, values[n_res + n_grad:], spec.m)
+        rows = rows_at(tangent, values[n_res + n_grad:])
         dims.append(tangent.shape[1] - _rank(rows))
     return dims
 
@@ -437,30 +449,94 @@ def _tangent_basis(grad: np.ndarray, solved: Sequence[int]) -> np.ndarray:
     return np.linalg.qr(graph)[0]
 
 
-def _minor_rows(tangent: np.ndarray, term_coords, coefs, m: int) -> np.ndarray:
-    """The contracted form on the tangent space, one row per m-subset of its basis.
+def _laplace_rows(monos: Sequence[tuple[Sym, ...]], cpos: Mapping[Sym, int],
+                 base: Sequence[Sym], dim_t: int):
+    """The contracted form on a tangent space of dimension dim_t, as a function of
+    the tangent basis T (one row per coordinate, positions cpos) and of the
+    coefficients of the monomials at a point.
 
-    rows[combo, s] = sum over terms of coef * det(tangent[idx][:, (s,) + combo]).
-    Each such minor is, up to sign, a component of the pulled-back form on the
-    (m+1)-subset I = sorted((s,) + combo), and 0 when s is in combo.  The
-    components are summed term by term, one stacked determinant call per
-    term, and then scattered with the sign of the move of s into place.
+    Each monomial of Omega_H0 is its base part, dx rows in the monomial's
+    order, wedged with one other factor (the theta part: -dp ^ d^m x and
+    dH0 ^ d^m x) or two (the omega_i part: -dp^{I,i} ^ du_I ^ d^{m-1}x_i).
+    Its coefficient takes the sign of moving the base rows to the front.
+    The determinant is multilinear in its rows, so the monomials that share a
+    base part pull back to one vector theta = sum coef * T[c], or to one skew
+    matrix W = sum coef * (T[o1] (x) T[o2] - T[o2] (x) T[o1]) with o1 before
+    o2 as in the monomial.  The Laplace expansion along the base rows gives
+    the component on the (m+1)-subset S = (s_0 < ... < s_m) of the basis as
+
+        sum_q (-1)^(m-q) theta[s_q] * det(T[base][:, S - s_q])
+        + sum_i sum_{q<r} (-1)^(1+q+r) W_i[s_q, s_r] * det(T[base_i][:, S - {s_q, s_r}]),
+
+    one stacked determinant call per base part.  rows[combo, s] is then the
+    component on sorted((s,) + combo), with the sign of the move of s into
+    place, and 0 when s is in combo.  The index tables are built here, once.
+    A monomial of any other shape raises InternalConsistencyError.
     """
-    dim_t = tangent.shape[1]
-    combos = np.array(list(itertools.combinations(range(dim_t), m)), dtype=int).reshape(-1, m)
-    subsets = np.array(list(itertools.combinations(range(dim_t), m + 1)),
-                       dtype=int).reshape(-1, m + 1)
-    comp = np.zeros(len(subsets))
-    # det goes through log|U_ii|, which divides by zero on an exactly singular
-    # block; that block's determinant is correctly 0
-    with np.errstate(divide="ignore"):
-        for idx, cval in zip(term_coords, coefs):
-            comp += cval * np.linalg.det(np.moveaxis(tangent[idx][:, subsets], 0, 1))
-    # combos are in lexicographic order, which is the order of their base-dim_t keys
-    place = dim_t ** np.arange(m - 1, -1, -1)
-    keys = combos @ place
-    rows = np.zeros((len(combos), dim_t))
-    for p in range(m + 1):
-        rest = np.delete(subsets, p, axis=1)
-        rows[np.searchsorted(keys, rest @ place), subsets[:, p]] = comp if p % 2 == 0 else -comp
-    return rows
+    m = len(base)
+    on_base = set(base)
+    groups: dict[tuple[int, ...], list] = {}
+    for pos, mono in enumerate(monos):
+        base_rows = tuple(cpos[s] for s in mono if s in on_base)
+        others = [cpos[s] for s in mono if s not in on_base]
+        if len(others) not in (1, 2) or len(base_rows) != m + 1 - len(others):
+            raise InternalConsistencyError(
+                "kernel check: form term %s is not m or m-1 base factors with one or two others"
+                % "^".join("d(%s)" % s.render() for s in mono))
+        # transpositions that move the base rows to the front
+        moves = sum(1 for ix, s in enumerate(mono) if s in on_base
+                    for t in mono[:ix] if t not in on_base)
+        groups.setdefault(base_rows, []).append((pos, (-1) ** moves, *others))
+    combos = {size: _subsets(dim_t, size) for size in (m - 1, m, m + 1)}
+    subsets = combos[m + 1]
+    # S - s_q among the m-subsets, for every q: the theta gathers and the scatter
+    drop = np.stack([_positions(subsets, [q], combos[m], dim_t) for q in range(m + 1)], axis=1)
+    theta_sign = (-1.0) ** (m - np.arange(m + 1))
+    pairs = list(itertools.combinations(range(m + 1), 2))
+    drop2 = np.stack([_positions(subsets, list(qr), combos[m - 1], dim_t) for qr in pairs],
+                     axis=1)
+    skew_sign = np.array([(-1.0) ** (1 + q + r) for q, r in pairs])
+    firsts, seconds = subsets[:, [q for q, _ in pairs]], subsets[:, [r for _, r in pairs]]
+    plans = []
+    for base_rows, group in groups.items():
+        pos, sign, *others = (np.array(col) for col in zip(*group))
+        plans.append((np.array(base_rows), combos[len(base_rows)], pos, sign, others))
+
+    def rows_at(tangent: np.ndarray, coefs) -> np.ndarray:
+        coefs = np.asarray(coefs, dtype=float)
+        comp = np.zeros(len(subsets))
+        # det goes through log|U_ii|, which divides by zero on an exactly singular
+        # block, whose determinant is correctly 0; an overflow or NaN reaches
+        # _rank, which names it
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for base_rows, columns, pos, sign, others in plans:
+                minors = np.linalg.det(np.moveaxis(tangent[base_rows][:, columns], 0, 1))
+                weights = sign * coefs[pos]
+                if len(others) == 1:
+                    theta = weights @ tangent[others[0]]
+                    comp += (theta[subsets] * minors[drop]) @ theta_sign
+                else:
+                    skew = (weights[:, None] * tangent[others[0]]).T @ tangent[others[1]]
+                    skew -= skew.T
+                    comp += (skew[firsts, seconds] * minors[drop2]) @ skew_sign
+        out = np.zeros((len(combos[m]), dim_t))
+        for q in range(m + 1):
+            out[drop[:, q], subsets[:, q]] = comp if q % 2 == 0 else -comp
+        return out
+
+    return rows_at
+
+
+def _subsets(dim_t: int, size: int) -> np.ndarray:
+    """The size-subsets of range(dim_t) in lexicographic order, one per row."""
+    return np.array(list(itertools.combinations(range(dim_t), size)), dtype=int).reshape(-1, size)
+
+
+def _positions(subsets: np.ndarray, cols: Sequence[int], smaller: np.ndarray,
+               dim_t: int) -> np.ndarray:
+    """For each row of subsets, the position of the row with the columns cols
+    taken out among smaller, the subsets of that size in lexicographic order."""
+    rest = np.delete(subsets, cols, axis=1)
+    # lexicographic order is the order of the base-dim_t keys
+    place = dim_t ** np.arange(rest.shape[1] - 1, -1, -1)
+    return np.searchsorted(smaller @ place, rest @ place)

@@ -3,10 +3,15 @@
 The engine builds Omega_H0 term by term in place and writes d^{m-1}x_i in
 closed form; the tests build them again from these definitions (wedge
 products, the exterior derivative and the interior product with a vector
-field) and compare the two.
+field) and compare the two.  The kernel check's contraction rows come from a
+Laplace expansion along the base rows; `_minor_rows` computes them with one
+(m+1)-determinant per form term and (m+1)-subset, as the reference.
 """
 
+import itertools
 from typing import Mapping
+
+import numpy as np
 
 from srfield.errors import UsageError
 from srfield.extalg import Form, collect
@@ -77,3 +82,32 @@ def render_form(a: Form) -> str:
         basis = "^".join("d(%s)" % s.render() for s in mono) if mono else "1"
         parts.append("(%s) %s" % (coef, basis))
     return "  +  ".join(parts)
+
+
+def _minor_rows(tangent: np.ndarray, term_coords, coefs, m: int) -> np.ndarray:
+    """The contracted form on the tangent space, one row per m-subset of its basis.
+
+    rows[combo, s] = sum over terms of coef * det(tangent[idx][:, (s,) + combo]).
+    Each such minor is, up to sign, a component of the pulled-back form on the
+    (m+1)-subset I = sorted((s,) + combo), and 0 when s is in combo.  The
+    components are summed term by term, one stacked determinant call per
+    term, and then scattered with the sign of the move of s into place.
+    """
+    dim_t = tangent.shape[1]
+    combos = np.array(list(itertools.combinations(range(dim_t), m)), dtype=int).reshape(-1, m)
+    subsets = np.array(list(itertools.combinations(range(dim_t), m + 1)),
+                       dtype=int).reshape(-1, m + 1)
+    comp = np.zeros(len(subsets))
+    # det goes through log|U_ii|, which divides by zero on an exactly singular
+    # block; that block's determinant is correctly 0
+    with np.errstate(divide="ignore"):
+        for idx, cval in zip(term_coords, coefs):
+            comp += cval * np.linalg.det(np.moveaxis(tangent[idx][:, subsets], 0, 1))
+    # combos are in lexicographic order, which is the order of their base-dim_t keys
+    place = dim_t ** np.arange(m - 1, -1, -1)
+    keys = combos @ place
+    rows = np.zeros((len(combos), dim_t))
+    for p in range(m + 1):
+        rest = np.delete(subsets, p, axis=1)
+        rows[np.searchsorted(keys, rest @ place), subsets[:, p]] = comp if p % 2 == 0 else -comp
+    return rows

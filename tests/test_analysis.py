@@ -3,6 +3,7 @@
 import copy
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import comb
 
@@ -11,16 +12,23 @@ import pytest
 
 from srfield import symexpr as sx
 from srfield import analysis as an
-from srfield.assembler import equation_families, hamiltonian_h0
+from srfield.assembler import equation_families, hamiltonian_h0, omega_h0
 from srfield.corpus import CORPUS_NAMES, corpus_problem
 from srfield.equations import TAG_W1
-from srfield.errors import EvalDomainError, PreconditionError, UsageError
+from srfield.errors import (
+    EvalDomainError,
+    InternalConsistencyError,
+    PreconditionError,
+    UsageError,
+)
+from srfield.extalg import collect
 from srfield.jetmodel import BundleSpec, build_catalog
 from srfield.multiindex import MultiIndex, count_indices
 from srfield.problem import parse_problem
 from srfield.report import REGULARITY_SAMPLES, run_problem
 
-from conftest import CH_L_TEXT, PLATE_L_TEXT, bench_workloads, jet
+from conftest import CH_L_TEXT, PLATE_L_TEXT, bench_workloads, jet, mom
+from forms_reference import _minor_rows
 
 PLATE_PROBLEM_TEXT = "m=2\nn=1\nk=2\nfield q(x[1],x[2]) = 1\nlagrangian = %s\n" % PLATE_L_TEXT
 
@@ -238,14 +246,26 @@ def _exact_det(mat):
 
 def test_minor_rows_match_exact_minors():
     # dyadic entries are exact in floats and in Fractions
+    cat = build_catalog(BundleSpec(2, 1, 2))
+    x1, x2 = cat.base_syms
+    u00, u10, u01 = jet(1, 0, 0), jet(1, 1, 0), jet(1, 0, 1)
+    p1, p2 = mom(1, (0, 0), 1), mom(1, (0, 0), 2)
+    syms = [x1, x2, u00, u10, u01, p1, p2, cat.p]
+    cpos = {s: ix for ix, s in enumerate(syms)}
     rng = random.Random(0)
-    tangent = [[Fraction(rng.randint(-64, 64), 32) for _ in range(5)] for _ in range(7)]
-    terms = [([0, 2, 5], Fraction(3, 2)), ([1, 3, 6], Fraction(-1, 4)), ([0, 1, 4], Fraction(2))]
-    rows = an._minor_rows(np.array(tangent, dtype=float), [idx for idx, _ in terms],
-                          [float(c) for _, c in terms], 2)
+    tangent = [[Fraction(rng.randint(-64, 64), 32) for _ in range(5)] for _ in range(len(syms))]
+    # shaped like Omega_H0: -dp ^ d^2x, dH0 ^ d^2x and -dp^{I,i} ^ du_I ^ d^1x_i; the
+    # last term has its base factor after the other two, p before u
+    terms = [((x1, x2, cat.p), Fraction(-1)), ((x1, x2, u10), Fraction(3, 2)),
+             ((x1, x2, u01), Fraction(-5, 8)), ((x2, u00, p1), Fraction(-1, 4)),
+             ((x1, u00, p2), Fraction(2)), ((p2, u01, x1), Fraction(5, 4))]
+    rows_at = an._laplace_rows([mono for mono, _ in terms], cpos, cat.base_syms, 5)
+    floats = np.array(tangent, dtype=float)
+    rows = rows_at(floats, [float(c) for _, c in terms])
     combos = list(itertools.combinations(range(5), 2))
-    exact = [[sum(c * _exact_det([[tangent[coord][col] for col in (s,) + combo] for coord in idx])
-                  for idx, c in terms) for s in range(5)] for combo in combos]
+    exact = [[sum(c * _exact_det([[tangent[cpos[sym]][col] for col in (s,) + combo]
+                                  for sym in mono])
+                  for mono, c in terms) for s in range(5)] for combo in combos]
     scale = max(abs(v) for row in exact for v in row)
     assert scale > 0
     for r, combo in enumerate(combos):
@@ -258,6 +278,24 @@ def test_minor_rows_match_exact_minors():
     assert rows[combos.index((1, 2)), 0] == -rows[combos.index((0, 2)), 1] == \
         rows[combos.index((0, 1)), 2]
     assert np.sign(rows[combos.index((1, 2)), 0]) == np.sign(float(exact[combos.index((1, 2))][0]))
+    # the order of the two other factors fixes the sign of their term
+    one = an._laplace_rows([(x2, u00, p1)], cpos, cat.base_syms, 5)(floats, [1.0])
+    swapped = an._laplace_rows([(x2, p1, u00)], cpos, cat.base_syms, 5)(floats, [1.0])
+    assert np.abs(one).max() > 0
+    assert np.array_equal(swapped, -one)
+
+
+@pytest.mark.parametrize("mono", ["u[0,0] u[1,0] p", "x[1] x[2] u[0,0] p", "x[1] u[0,0]"])
+def test_laplace_rows_rejects_misshaped_terms(mono):
+    # three other factors, m base factors with two others, m - 1 with one
+    cat = build_catalog(BundleSpec(2, 1, 2))
+    by_name = {s.render(): s for s in cat.coords}
+    word = tuple(by_name[name] for name in mono.split())
+    cpos = {c: ix for ix, c in enumerate(cat.coords)}
+    name = "^".join("d(%s)" % s for s in mono.split())
+    with pytest.raises(InternalConsistencyError, match=re.escape(name)):
+        an._laplace_rows([(cat.base_syms[0], cat.base_syms[1], cat.p), word], cpos,
+                        cat.base_syms, 5)
 
 
 _PLATE_3D = ("1/2*(u[2,0,0]^2 + u[0,2,0]^2 + u[0,0,2]^2 + 2*u[1,1,0]^2"
@@ -295,22 +333,22 @@ def test_kernel_dims_build_once(ch_L, monkeypatch):
 
 
 def test_kernel_determinant_count(monkeypatch):
-    # one determinant per (m+1)-subset of the tangent basis and form term
+    # one stacked determinant per base part of the form: the m-minors of the
+    # base rows for theta and the (m-1)-minors of each d^{m-1}x_i for omega_i
     spec = BundleSpec(3, 1, 2)
     L = sx.parse(_PLATE_3D, build_catalog(spec, fields={"q": (1, 2, 3)}))
     fields = {"q": sx.Const(1)}
     pt = an.on_constraint_point(L, spec, random.Random(0), fields)
-    matrices = []
+    shapes = []
     det = np.linalg.det
 
     def counted(a):
-        matrices.append(np.shape(a)[:-2])
+        shapes.append(np.shape(a))
         return det(a)
     monkeypatch.setattr(np.linalg, "det", counted)
     assert an.omega2_kernel_dim_at(L, spec, pt, fields) == 0
-    assert len(matrices) == 34
-    assert all(shape == (comb(19, 4),) for shape in matrices)
-    assert sum(int(np.prod(shape)) for shape in matrices) == 34 * 3876
+    # 19 tangent directions: C(19, 3) = 969 and C(19, 2) = 171, no 4x4 stack
+    assert sorted(shapes) == [(171, 2, 2)] * 3 + [(969, 3, 3)]
 
 
 def test_kernel_preconditions(ch_L):
@@ -328,8 +366,9 @@ _KERNEL_PROBLEMS.update((pid, parse_problem(text)) for pid, text in bench_worklo
 
 
 def _constraint_jacobians(problem, count=5):
-    """The positions of the constraints' solved coordinates in the catalog, and
-    the constraint Jacobian over all coordinates at `count` on-constraint points."""
+    """The positions of the constraints' solved coordinates in the catalog, the
+    constraint Jacobian over all coordinates at `count` on-constraint points,
+    and the points."""
     spec = problem.bundle
     cat = problem.catalog()
     L = problem.lagrangian(cat)
@@ -341,13 +380,13 @@ def _constraint_jacobians(problem, count=5):
     points = an.on_constraint_points(L, spec, random.Random(0), count, fields)
     mats = [np.array(values_at(pt), dtype=float).reshape(len(residuals), len(coords))
             for pt in points]
-    return [coords.index(s) for s in solved], mats
+    return [coords.index(s) for s in solved], mats, points
 
 
 @pytest.mark.parametrize("pid", list(_KERNEL_PROBLEMS))
 def test_constraint_block_is_unit_lower_triangular(pid):
     # each W1 residual holds its own solved momentum only, and H0 holds p once
-    cols, mats = _constraint_jacobians(_KERNEL_PROBLEMS[pid])
+    cols, mats, _ = _constraint_jacobians(_KERNEL_PROBLEMS[pid])
     for grad in mats:
         block = grad[:, cols]
         assert np.all(np.diag(block) == 1.0), pid
@@ -356,7 +395,7 @@ def test_constraint_block_is_unit_lower_triangular(pid):
 
 @pytest.mark.parametrize("pid", list(_KERNEL_PROBLEMS))
 def test_tangent_basis_is_orthonormal_null_space(pid):
-    cols, mats = _constraint_jacobians(_KERNEL_PROBLEMS[pid])
+    cols, mats, _ = _constraint_jacobians(_KERNEL_PROBLEMS[pid])
     for grad in mats:
         n_res, n_coords = grad.shape
         width = n_coords - n_res
@@ -367,6 +406,28 @@ def test_tangent_basis_is_orthonormal_null_space(pid):
         # the same subspace as the SVD null space of the full-rank Jacobian
         null = np.linalg.svd(grad)[2][n_res:].T
         assert np.abs(tangent @ tangent.T - null @ null.T).max() <= 1e-12, pid
+
+
+@pytest.mark.parametrize("pid", list(_KERNEL_PROBLEMS))
+def test_kernel_rows_match_reference(pid):
+    # the Laplace expansion against one (m+1)-determinant per form term
+    problem = _KERNEL_PROBLEMS[pid]
+    cat = problem.catalog()
+    L = problem.lagrangian(cat)
+    terms = collect(omega_h0(cat, L))
+    cpos = {c: ix for ix, c in enumerate(cat.coords)}
+    cols, mats, points = _constraint_jacobians(problem)
+    values_at = sx.compile_at(list(terms.values()), problem.field_bindings(cat) or None)
+    rows_at = an._laplace_rows(list(terms), cpos, cat.base_syms, len(cat.coords) - len(cols))
+    for grad, point in zip(mats, points):
+        tangent = an._tangent_basis(grad, cols)
+        coefs = values_at(point)
+        rows = rows_at(tangent, coefs)
+        ref = _minor_rows(tangent, [[cpos[s] for s in mono] for mono in terms], coefs,
+                          problem.bundle.m)
+        assert rows.shape == ref.shape, pid
+        assert np.abs(rows - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max()), pid
+        assert an._rank(rows) == an._rank(ref), pid
 
 
 _RESIDUAL_CASES = {

@@ -432,6 +432,17 @@ def test_cli_catalog_budget(tmp_path, capsys):
     assert "(9, 9, 9) has more than the budget of 2000 coordinates" in capsys.readouterr().err
 
 
+def test_cli_kernel_check_scales_to_three_base_dimensions(tmp_path, capsys):
+    # 48 coordinates, 35 tangent directions; one (m+1)-determinant per form
+    # term and 4-subset of the tangent basis took about 7 s on a 2-core VM
+    path = _write(tmp_path, "m3.prob", "m=3\nn=2\nk=2\nlagrangian = u[1,0,0]^2\n")
+    start = time.perf_counter()
+    assert main(["run", path]) == 0
+    elapsed = time.perf_counter() - start
+    assert json.loads(capsys.readouterr().out)["analysis"]["omega2"]["kernel_dims"] == [12] * 5
+    assert elapsed < 4.0, "run took %.2fs" % elapsed
+
+
 def test_cli_catalog_budget_huge_header(tmp_path, capsys):
     # the count's binomials for m = k = 100000 would run for minutes; the
     # parent ended in a RecursionError (exit 4)
