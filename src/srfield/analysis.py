@@ -8,14 +8,14 @@ residuals, each paired with the coordinate it solves: the sample points are
 solved from it, and the kernel check tests it and reads its tangent space off
 as a graph over the free coordinates.  Each check builds and compiles its
 expressions once per problem, the Hessian included, and takes one compiled
-call per point.  The kernel check contracts the form through its components
-on the (m+1)-subsets of the tangent basis, by a Laplace expansion along the
-base rows: one stacked determinant call per base part of the form.
+call per point.  On the constraint set's tangent space, taken as the graph
+over the free coordinates, Omega_H0 is the canonical form: each of its
+components there is one signed entry of the graph, so the kernel check takes
+no determinant and no orthonormalization.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import multiindex as mi
-from .assembler import hamiltonian_h0, momentum_sum, omega_h0, top_partials
+from .assembler import canonical_form, hamiltonian_h0, momentum_sum, top_partials
 from .errors import (
     EvalDomainError,
     InternalConsistencyError,
@@ -33,10 +33,12 @@ from .errors import (
     SelectionError,
     UsageError,
 )
-from .extalg import collect
+from .extalg import sort_word
 from .jetmodel import BundleSpec, CoordCatalog, build_catalog
 from .symexpr import (
     Expr,
+    MOMENTUM,
+    PSCALAR,
     Sym,
     compile_at,
     esub,
@@ -389,17 +391,14 @@ def omega2_kernel_dims(L: Expr, spec: BundleSpec, points: Sequence[Mapping],
                        fields=None) -> list[int]:
     """Kernel dimensions of the restricted premultisymplectic form at on-constraint points.
 
-    The tangent space is the graph over the free coordinates (_tangent_basis),
+    The tangent space T is the graph over the free coordinates (_tangent_basis),
     of a dimension fixed without a rank decision; the kernel is the null space
-    of v -> components of the contracted form restricted to that tangent
-    space.  Omega_H0 splits by its base part: theta ^ d^m x, with
-    theta = -dp + dH0 (whose dx parts drop out), and the sum over i of
-    omega_i ^ d^{m-1}x_i, with omega_i = -sum dp^{I,i} ^ du_I.  Each component on an (m+1)-subset of the
-    tangent basis is a signed sum of theta times m-minors of the base rows
-    and of omega_i times (m-1)-minors (_laplace_rows has the signs).  The
-    constraints, their gradients and the form are built and compiled once,
-    with the index tables of the expansion; each point then takes one
-    compiled call.
+    of v -> components of the contracted form restricted to T.  H0 = 0 is one
+    of the constraints, so dH0 vanishes on T and Omega_H0 restricts to the
+    canonical form there, whose terms have coefficients -1 or 1; each
+    component on T is one signed entry of the graph (_graph_rows).  The
+    constraints and their gradients are built and compiled once, with the
+    index tables of the rows; each point then takes one compiled call.
     """
     if spec.m < 2:
         raise UsageError("kernel check requires base dimension m >= 2")
@@ -412,12 +411,9 @@ def omega2_kernel_dims(L: Expr, spec: BundleSpec, points: Sequence[Mapping],
     grads = [gradient(rexpr, coords) for rexpr in residuals]
     slots = tuple(np.array([(r, cpos[c]) for r, g in enumerate(grads) for c in g],
                            dtype=int).reshape(-1, 2).T)
-    terms = collect(omega_h0(catalog, L))
-    rows_at = _laplace_rows(list(terms), cpos, catalog.base_syms, len(coords) - len(solved))
-
-    values_at = compile_at(residuals + [d for g in grads for d in g.values()]
-                           + list(terms.values()), fields)
-    n_res, n_grad = len(residuals), len(slots[0])
+    _, rows_at = _graph_rows(canonical_form(catalog).terms, cpos, solved)
+    values_at = compile_at(residuals + [d for g in grads for d in g.values()], fields)
+    n_res = len(residuals)
 
     dims = []
     for point in points:
@@ -427,116 +423,75 @@ def omega2_kernel_dims(L: Expr, spec: BundleSpec, points: Sequence[Mapping],
                 raise PreconditionError("point is off the constraint set: |%s| = %.3e"
                                         % (render(normalize(rexpr)), abs(val)))
         grad = np.zeros((n_res, len(coords)))
-        grad[slots] = values[n_res:n_res + n_grad]
+        grad[slots] = values[n_res:]
         tangent = _tangent_basis(grad, solved)
-        rows = rows_at(tangent, values[n_res + n_grad:])
-        dims.append(tangent.shape[1] - _rank(rows))
+        dims.append(tangent.shape[1] - _rank(rows_at(tangent)))
     return dims
 
 
 def _tangent_basis(grad: np.ndarray, solved: Sequence[int]) -> np.ndarray:
-    """Orthonormal basis of the null space of grad, one column per free coordinate.
+    """The null space of grad as the graph over the free coordinates, one column
+    per free coordinate in catalog order.
 
     Row r solves coordinate solved[r] (_constraints), so grad on the solved
-    columns is unit lower-triangular and the null space is the graph
-    T[free] = I, T[solved] = -G_S^-1 G_F; its QR factor is the basis.
+    columns is unit lower-triangular and the graph is T[free] = I,
+    T[solved] = -G_S^-1 G_F.
     """
     grad = _finite(grad)
     free = sorted(set(range(grad.shape[1])) - set(solved))
     graph = np.zeros((grad.shape[1], len(free)))
     graph[free, np.arange(len(free))] = 1.0
     graph[solved] = -np.linalg.solve(grad[:, solved], grad[:, free])
-    return np.linalg.qr(graph)[0]
+    return graph
 
 
-def _laplace_rows(monos: Sequence[tuple[Sym, ...]], cpos: Mapping[Sym, int],
-                 base: Sequence[Sym], dim_t: int):
-    """The contracted form on a tangent space of dimension dim_t, as a function of
-    the tangent basis T (one row per coordinate, positions cpos) and of the
-    coefficients of the monomials at a point.
+def _graph_rows(terms: Mapping[tuple[Sym, ...], Expr], cpos: Mapping[Sym, int],
+                solved: Sequence[int]):
+    """The contracted form on the graph basis T of the tangent space (_tangent_basis):
+    the m-subsets of the basis that its rows are on, and its rows as a function of T.
 
-    Each monomial of Omega_H0 is its base part, dx rows in the monomial's
-    order, wedged with one other factor (the theta part: -dp ^ d^m x and
-    dH0 ^ d^m x) or two (the omega_i part: -dp^{I,i} ^ du_I ^ d^{m-1}x_i).
-    Its coefficient takes the sign of moving the base rows to the front.
-    The determinant is multilinear in its rows, so the monomials that share a
-    base part pull back to one vector theta = sum coef * T[c], or to one skew
-    matrix W = sum coef * (T[o1] (x) T[o2] - T[o2] (x) T[o1]) with o1 before
-    o2 as in the monomial.  The Laplace expansion along the base rows gives
-    the component on the (m+1)-subset S = (s_0 < ... < s_m) of the basis as
-
-        sum_q (-1)^(m-q) theta[s_q] * det(T[base][:, S - s_q])
-        + sum_i sum_{q<r} (-1)^(1+q+r) W_i[s_q, s_r] * det(T[base_i][:, S - {s_q, s_r}]),
-
-    one stacked determinant call per base part.  rows[combo, s] is then the
-    component on sorted((s,) + combo), with the sign of the move of s into
-    place, and 0 when s is in combo.  The index tables are built here, once.
-    A monomial of any other shape raises InternalConsistencyError.
+    T has one row per coordinate (positions cpos); column f belongs to the
+    f-th free coordinate, whose row is the unit vector e_f.  Each term
+    c * d(w_0) ^ ... ^ d(w_m), with c a constant, has one mover, a momentum or
+    p, and m free factors, on the columns F.  Its component on the
+    (m+1)-subset F + {t} of the basis is then the single entry
+    c * sign * T[mover, t], where sign sorts the term's word of columns with
+    the mover's replaced by t; a free mover reaches only its own column.
+    rows[combo, s] is the component on sorted((s,) + combo), with the sign of
+    the move of s into place, so each t gives m + 1 entries: on the row F for
+    s = t, and on the row F + {t} - {s} for each s in F.  Every other row is 0
+    and is left out.  The index tables are built here, once; each T then takes
+    one gather and one bincount.  A term of any other shape raises
+    InternalConsistencyError.
     """
-    m = len(base)
-    on_base = set(base)
-    groups: dict[tuple[int, ...], list] = {}
-    for pos, mono in enumerate(monos):
-        base_rows = tuple(cpos[s] for s in mono if s in on_base)
-        others = [cpos[s] for s in mono if s not in on_base]
-        if len(others) not in (1, 2) or len(base_rows) != m + 1 - len(others):
+    taken = set(solved)
+    column = {ix: f for f, ix in enumerate(ix for ix in range(len(cpos)) if ix not in taken)}
+    dim_t = len(column)
+    combos: dict[tuple[int, ...], int] = {}
+    target, source, sign = [], [], []
+    for word, coef in terms.items():
+        movers = [q for q, s in enumerate(word) if s.kind in (MOMENTUM, PSCALAR)]
+        faces = [column.get(cpos[s]) for s in word]
+        if len(movers) != 1 or None in faces[:movers[0]] + faces[movers[0] + 1:]:
             raise InternalConsistencyError(
-                "kernel check: form term %s is not m or m-1 base factors with one or two others"
-                % "^".join("d(%s)" % s.render() for s in mono))
-        # transpositions that move the base rows to the front
-        moves = sum(1 for ix, s in enumerate(mono) if s in on_base
-                    for t in mono[:ix] if t not in on_base)
-        groups.setdefault(base_rows, []).append((pos, (-1) ** moves, *others))
-    combos = {size: _subsets(dim_t, size) for size in (m - 1, m, m + 1)}
-    subsets = combos[m + 1]
-    # S - s_q among the m-subsets, for every q: the theta gathers and the scatter
-    drop = np.stack([_positions(subsets, [q], combos[m], dim_t) for q in range(m + 1)], axis=1)
-    theta_sign = (-1.0) ** (m - np.arange(m + 1))
-    pairs = list(itertools.combinations(range(m + 1), 2))
-    drop2 = np.stack([_positions(subsets, list(qr), combos[m - 1], dim_t) for qr in pairs],
-                     axis=1)
-    skew_sign = np.array([(-1.0) ** (1 + q + r) for q, r in pairs])
-    firsts, seconds = subsets[:, [q for q, _ in pairs]], subsets[:, [r for _, r in pairs]]
-    plans = []
-    for base_rows, group in groups.items():
-        pos, sign, *others = (np.array(col) for col in zip(*group))
-        plans.append((np.array(base_rows), combos[len(base_rows)], pos, sign, others))
+                "kernel check: form term %s is not one momentum factor with free factors"
+                % "^".join("d(%s)" % s.render() for s in word))
+        q = movers[0]
+        mover = cpos[word[q]]
+        for t in range(dim_t) if faces[q] is None else (faces[q],):
+            moved = sort_word(tuple(faces[:q]) + (t,) + tuple(faces[q + 1:]))
+            if moved is None:  # t is a column of F
+                continue
+            subset, parity = moved
+            for place, s in enumerate(subset):
+                row = combos.setdefault(subset[:place] + subset[place + 1:], len(combos))
+                target.append(row * dim_t + s)
+                source.append(mover * dim_t + t)
+                sign.append(float(coef.q) * parity * (-1) ** place)
+    target, source, sign = np.array(target, dtype=int), np.array(source, dtype=int), np.array(sign)
+    size = len(combos) * dim_t
 
-    def rows_at(tangent: np.ndarray, coefs) -> np.ndarray:
-        coefs = np.asarray(coefs, dtype=float)
-        comp = np.zeros(len(subsets))
-        # det goes through log|U_ii|, which divides by zero on an exactly singular
-        # block, whose determinant is correctly 0; an overflow or NaN reaches
-        # _rank, which names it
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for base_rows, columns, pos, sign, others in plans:
-                minors = np.linalg.det(np.moveaxis(tangent[base_rows][:, columns], 0, 1))
-                weights = sign * coefs[pos]
-                if len(others) == 1:
-                    theta = weights @ tangent[others[0]]
-                    comp += (theta[subsets] * minors[drop]) @ theta_sign
-                else:
-                    skew = (weights[:, None] * tangent[others[0]]).T @ tangent[others[1]]
-                    skew -= skew.T
-                    comp += (skew[firsts, seconds] * minors[drop2]) @ skew_sign
-        out = np.zeros((len(combos[m]), dim_t))
-        for q in range(m + 1):
-            out[drop[:, q], subsets[:, q]] = comp if q % 2 == 0 else -comp
-        return out
+    def rows_at(tangent: np.ndarray) -> np.ndarray:
+        return np.bincount(target, sign * tangent.ravel()[source], size).reshape(-1, dim_t)
 
-    return rows_at
-
-
-def _subsets(dim_t: int, size: int) -> np.ndarray:
-    """The size-subsets of range(dim_t) in lexicographic order, one per row."""
-    return np.array(list(itertools.combinations(range(dim_t), size)), dtype=int).reshape(-1, size)
-
-
-def _positions(subsets: np.ndarray, cols: Sequence[int], smaller: np.ndarray,
-               dim_t: int) -> np.ndarray:
-    """For each row of subsets, the position of the row with the columns cols
-    taken out among smaller, the subsets of that size in lexicographic order."""
-    rest = np.delete(subsets, cols, axis=1)
-    # lexicographic order is the order of the base-dim_t keys
-    place = dim_t ** np.arange(rest.shape[1] - 1, -1, -1)
-    return np.searchsorted(smaller @ place, rest @ place)
+    return list(combos), rows_at

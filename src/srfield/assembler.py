@@ -81,20 +81,26 @@ def hamiltonian_h0(catalog: CoordCatalog, L: Expr) -> Expr:
     return esub(pairing_phi(catalog), L)
 
 
-def omega_h0(catalog: CoordCatalog, L: Expr) -> Form:
-    """Premultisymplectic (m+1)-form: canonical form plus dH0 wedge volume.
+def canonical_form(catalog: CoordCatalog) -> Form:
+    """Canonical multisymplectic (m+1)-form, every coefficient -1 or 1.
 
-    Built in one form: -dp ^ d^m x, then -dp^{I,i} ^ du_I ^ d^{m-1}x_i for
-    each momentum, then dH0 ^ d^m x term by term from the gradient of H0.
+    -dp ^ d^m x, then -dp^{I,i} ^ du_I ^ d^{m-1}x_i for each momentum.
     """
-    _check_l_on_jets(catalog, L)
-    base = tuple(catalog.base_syms)
     omega = Form(catalog, catalog.m + 1)
-    omega.add_word((catalog.p,) + base, Const(-1))
+    omega.add_word((catalog.p,) + tuple(catalog.base_syms), Const(-1))
     faces = {i: dm1x(catalog, i).terms for i in range(1, catalog.m + 1)}
     for s in catalog.mom_syms:
         for face, coef in faces[s.i].items():
             omega.add_word((s, jet_sym(s.alpha, s.index)) + face, eneg(coef))
+    return omega
+
+
+def omega_h0(catalog: CoordCatalog, L: Expr) -> Form:
+    """Premultisymplectic (m+1)-form: the canonical form plus dH0 ^ d^m x, the
+    latter term by term from the gradient of H0."""
+    _check_l_on_jets(catalog, L)
+    base = tuple(catalog.base_syms)
+    omega = canonical_form(catalog)
     for c, dh in gradient(hamiltonian_h0(catalog, L), catalog.coords).items():
         omega.add_word((c,) + base, dh)
     return omega
@@ -182,14 +188,15 @@ def check_collapse(catalog: CoordCatalog, L: Expr) -> EquationSet:
 
 
 @lru_cache(maxsize=None)
-def _signature(spec: BundleSpec) -> tuple[Expr, ...]:
+def _signature(spec: BundleSpec) -> tuple[tuple[Expr, ...], tuple[dict, dict]]:
     """The signature's record, built once: the collapse check on sum_J g_J u_J with opaque
-    constants g_J, then P_j = h_j^0(pairing - p), normalized, for the default assignment."""
+    constants g_J, then P_j = h_j^0(pairing - p), normalized, for the default assignment,
+    and that assignment, which stays inside this module."""
     catalog = build_catalog(spec)
     check_collapse(catalog, eadd(*[emul(Atom(field_sym("dL/d" + u.render(), mi.zero(spec.m), ())),
                                         Atom(u)) for u in catalog.jet_syms]))
-    return tuple(_pairing_images(catalog, _reduced_lifts(
-        catalog, *default_projector_assignments(catalog))))
+    defaults = default_projector_assignments(catalog)
+    return tuple(_pairing_images(catalog, _reduced_lifts(catalog, *defaults))), defaults
 
 
 def dynamical_equations(catalog: CoordCatalog, L: Expr) -> EquationSet:
@@ -308,8 +315,8 @@ def c_coefficients(catalog: CoordCatalog, L: Expr,
     top order; P_j then comes from the signature's record.
     """
     _check_l_on_jets(catalog, L)
-    images = _signature(catalog.spec)
-    if (dict(a_assign), dict(b_assign)) == default_projector_assignments(catalog):
+    images, defaults = _signature(catalog.spec)
+    if (dict(a_assign), dict(b_assign)) == defaults:
         grad = gradient(L, catalog.base_syms + tuple(u for u in catalog.jet_syms
                                                      if sum(u.index) < catalog.k))
         parts = [_default_lift(catalog, j, grad) for j in range(1, catalog.m + 1)]

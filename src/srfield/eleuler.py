@@ -46,7 +46,7 @@ from .symexpr import (
 )
 
 # largest move of either oracle side from n to 2n-1 nodes per axis, relative to 1 + |refined|
-RICHARDSON_TOL = 1e-4
+REFINEMENT_TOL = 1e-4
 # step of the complex-step action derivative, which has no cancellation to scale it against
 COMPLEX_STEP = 1e-20
 
@@ -249,7 +249,7 @@ def gateaux_oracle(L: Expr, spec: BundleSpec, s: SectionFn, psi: SectionFn,
     (lhs_c, rhs_c), (lhs, rhs) = sides(grid), sides(2 * grid - 1)
     for coarse, refined, side in ((lhs_c, lhs, "action derivative"),
                                   (rhs_c, rhs, "EL pairing")):
-        if abs(refined - coarse) > RICHARDSON_TOL * (1.0 + abs(refined)):
+        if abs(refined - coarse) > REFINEMENT_TOL * (1.0 + abs(refined)):
             raise QuadratureError(
                 "grid too coarse for the %s: refinement moved %.3e" % (side, abs(refined - coarse)))
     return lhs, rhs

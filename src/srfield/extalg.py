@@ -27,8 +27,9 @@ from .symexpr import (
 )
 
 
-def _sort_mono(syms: tuple[Sym, ...]) -> Optional[tuple[tuple[Sym, ...], int]]:
-    """Sort a wedge word into canonical order; None when a differential repeats."""
+def sort_word(syms: tuple) -> Optional[tuple[tuple, int]]:
+    """Sort a wedge word into canonical order, with the sign of the permutation;
+    None when a differential repeats.  Any totally ordered items will do."""
     lst = list(syms)
     sign = 1
     for i in range(1, len(lst)):
@@ -71,7 +72,7 @@ class Form:
 
     def add_word(self, word: tuple[Sym, ...], coef: Expr) -> None:
         """Accumulate coef * d(word[0]) wedge ... with canonical re-sorting."""
-        sorted_ = _sort_mono(word)
+        sorted_ = sort_word(word)
         if sorted_ is None:
             return
         mono, sign = sorted_

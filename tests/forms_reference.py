@@ -3,9 +3,10 @@
 The engine builds Omega_H0 term by term in place and writes d^{m-1}x_i in
 closed form; the tests build them again from these definitions (wedge
 products, the exterior derivative and the interior product with a vector
-field) and compare the two.  The kernel check's contraction rows come from a
-Laplace expansion along the base rows; `_minor_rows` computes them with one
-(m+1)-determinant per form term and (m+1)-subset, as the reference.
+field) and compare the two.  The kernel check reads each contraction row of
+the canonical form off the graph basis of the tangent space as signed entries;
+`_minor_rows` computes every row from all of Omega_H0's terms, with one
+(m+1)-determinant per term and (m+1)-subset, as the reference.
 """
 
 import itertools

@@ -12,7 +12,8 @@ import pytest
 
 from srfield import symexpr as sx
 from srfield import analysis as an
-from srfield.assembler import equation_families, hamiltonian_h0, omega_h0
+from srfield import assembler
+from srfield.assembler import canonical_form, equation_families, hamiltonian_h0, omega_h0
 from srfield.corpus import CORPUS_NAMES, corpus_problem
 from srfield.equations import TAG_W1
 from srfield.errors import (
@@ -245,57 +246,67 @@ def _exact_det(mat):
 
 
 def test_minor_rows_match_exact_minors():
-    # dyadic entries are exact in floats and in Fractions
     cat = build_catalog(BundleSpec(2, 1, 2))
     x1, x2 = cat.base_syms
     u00, u10, u01 = jet(1, 0, 0), jet(1, 1, 0), jet(1, 0, 1)
     p1, p2 = mom(1, (0, 0), 1), mom(1, (0, 0), 2)
     syms = [x1, x2, u00, u10, u01, p1, p2, cat.p]
     cpos = {s: ix for ix, s in enumerate(syms)}
+    solved = [cpos[p1], cpos[cat.p]]
+    free = [r for r in range(len(syms)) if r not in solved]
+    # a graph basis: unit rows on the free coordinates, dyadic entries, exact
+    # in floats and in Fractions, on the solved ones
     rng = random.Random(0)
-    tangent = [[Fraction(rng.randint(-64, 64), 32) for _ in range(5)] for _ in range(len(syms))]
-    # shaped like Omega_H0: -dp ^ d^2x, dH0 ^ d^2x and -dp^{I,i} ^ du_I ^ d^1x_i; the
-    # last term has its base factor after the other two, p before u
-    terms = [((x1, x2, cat.p), Fraction(-1)), ((x1, x2, u10), Fraction(3, 2)),
-             ((x1, x2, u01), Fraction(-5, 8)), ((x2, u00, p1), Fraction(-1, 4)),
-             ((x1, u00, p2), Fraction(2)), ((p2, u01, x1), Fraction(5, 4))]
-    rows_at = an._laplace_rows([mono for mono, _ in terms], cpos, cat.base_syms, 5)
+    tangent = [[Fraction(rng.randint(-64, 64), 32) for _ in range(6)] if r in solved
+               else [Fraction(int(c == free.index(r))) for c in range(6)]
+               for r in range(len(syms))]
+    # shaped like the canonical form, with the mover first, between and last,
+    # a free mover p2 and a coefficient other than -1 or 1
+    terms = {(x1, x2, cat.p): sx.Const(-1), (p1, u00, x2): sx.Const(-1),
+             (u00, x1, p2): sx.Const(1), (u10, p1, x1): sx.Const(Fraction(3, 2))}
+    combos, rows_at = an._graph_rows(terms, cpos, solved)
     floats = np.array(tangent, dtype=float)
-    rows = rows_at(floats, [float(c) for _, c in terms])
-    combos = list(itertools.combinations(range(5), 2))
-    exact = [[sum(c * _exact_det([[tangent[cpos[sym]][col] for col in (s,) + combo]
-                                  for sym in mono])
-                  for mono, c in terms) for s in range(5)] for combo in combos]
-    scale = max(abs(v) for row in exact for v in row)
+    rows = rows_at(floats)
+    assert rows.shape == (len(combos), 6)
+    exact = {combo: [sum(c.q * _exact_det([[tangent[cpos[sym]][col] for col in (s,) + combo]
+                                           for sym in word])
+                         for word, c in terms.items()) for s in range(6)]
+             for combo in itertools.combinations(range(6), 2)}
+    scale = max(abs(v) for row in exact.values() for v in row)
     assert scale > 0
-    for r, combo in enumerate(combos):
-        for s in range(5):
+    assert len(set(combos)) == len(combos)
+    for combo, row in zip(combos, rows):
+        for s in range(6):
+            assert abs(row[s] - float(exact[combo][s])) <= 1e-12 * float(scale)
             if s in combo:
-                assert rows[r, s] == 0.0
-            else:
-                assert abs(rows[r, s] - float(exact[r][s])) <= 1e-12 * float(scale)
+                assert row[s] == 0.0
+    # every row left out is 0
+    assert all(v == 0 for combo, row in exact.items() if combo not in combos for v in row)
     # moving s past one more basis vector of the (m+1)-subset flips the sign
-    assert rows[combos.index((1, 2)), 0] == -rows[combos.index((0, 2)), 1] == \
-        rows[combos.index((0, 1)), 2]
-    assert np.sign(rows[combos.index((1, 2)), 0]) == np.sign(float(exact[combos.index((1, 2))][0]))
-    # the order of the two other factors fixes the sign of their term
-    one = an._laplace_rows([(x2, u00, p1)], cpos, cat.base_syms, 5)(floats, [1.0])
-    swapped = an._laplace_rows([(x2, p1, u00)], cpos, cat.base_syms, 5)(floats, [1.0])
-    assert np.abs(one).max() > 0
-    assert np.array_equal(swapped, -one)
+    at = {combo: r for r, combo in enumerate(combos)}
+    assert rows[at[(1, 2)], 0] == -rows[at[(0, 2)], 1] == rows[at[(0, 1)], 2] != 0
+    # the order of the factors fixes the sign of their term
+    one = an._graph_rows({(x2, u00, p1): sx.Const(1)}, cpos, solved)
+    swapped = an._graph_rows({(x2, p1, u00): sx.Const(1)}, cpos, solved)
+    assert one[0] == swapped[0]
+    assert np.abs(one[1](floats)).max() > 0
+    assert np.array_equal(swapped[1](floats), -one[1](floats))
 
 
-@pytest.mark.parametrize("mono", ["u[0,0] u[1,0] p", "x[1] x[2] u[0,0] p", "x[1] u[0,0]"])
-def test_laplace_rows_rejects_misshaped_terms(mono):
-    # three other factors, m base factors with two others, m - 1 with one
+@pytest.mark.parametrize("mono,solved", [("x[1] x[2] u[0,0]", ""),
+                                         ("x[1] p[0,0;1] p", ""),
+                                         ("x[2] u[0,0] p[0,0;1]", "u[0,0]")],
+                         ids=["no-mover", "two-movers", "solved-non-mover"])
+def test_graph_rows_rejects_misshaped_terms(mono, solved):
     cat = build_catalog(BundleSpec(2, 1, 2))
     by_name = {s.render(): s for s in cat.coords}
     word = tuple(by_name[name] for name in mono.split())
     cpos = {c: ix for ix, c in enumerate(cat.coords)}
+    solved = [cpos[by_name[name]] for name in solved.split()] + [cpos[cat.p]]
     name = "^".join("d(%s)" % s for s in mono.split())
     with pytest.raises(InternalConsistencyError, match=re.escape(name)):
-        an._laplace_rows([(cat.base_syms[0], cat.base_syms[1], cat.p), word], cpos,
-                        cat.base_syms, 5)
+        an._graph_rows({(cat.base_syms[0], cat.base_syms[1], cat.p): sx.Const(-1),
+                        word: sx.Const(1)}, cpos, solved)
 
 
 _PLATE_3D = ("1/2*(u[2,0,0]^2 + u[0,2,0]^2 + u[0,0,2]^2 + 2*u[1,1,0]^2"
@@ -322,33 +333,31 @@ def test_kernel_dims_build_once(ch_L, monkeypatch):
     spec = BundleSpec(2, 1, 2)
     rng = random.Random(5)
     pts = [an.on_constraint_point(ch_L, spec, rng) for _ in range(5)]
-    calls = {"top_partials": 0, "omega_h0": 0}
-    for name in calls:
-        def counted(*args, _name=name, _orig=getattr(an, name)):
+    calls = {"top_partials": 0, "canonical_form": 0, "omega_h0": 0}
+    for module, name in ((an, "top_partials"), (an, "canonical_form"), (assembler, "omega_h0")):
+        def counted(*args, _name=name, _orig=getattr(module, name)):
             calls[_name] += 1
             return _orig(*args)
-        monkeypatch.setattr(an, name, counted)
+        monkeypatch.setattr(module, name, counted)
     assert len(an.omega2_kernel_dims(ch_L, spec, pts)) == 5
-    assert calls == {"top_partials": 1, "omega_h0": 1}
+    # Omega_H0 restricts to the canonical form on the tangent space
+    assert calls == {"top_partials": 1, "canonical_form": 1, "omega_h0": 0}
 
 
 def test_kernel_determinant_count(monkeypatch):
-    # one stacked determinant per base part of the form: the m-minors of the
-    # base rows for theta and the (m-1)-minors of each d^{m-1}x_i for omega_i
+    # each component of the form on the graph basis is one signed graph entry
     spec = BundleSpec(3, 1, 2)
     L = sx.parse(_PLATE_3D, build_catalog(spec, fields={"q": (1, 2, 3)}))
     fields = {"q": sx.Const(1)}
     pt = an.on_constraint_point(L, spec, random.Random(0), fields)
-    shapes = []
-    det = np.linalg.det
-
-    def counted(a):
-        shapes.append(np.shape(a))
-        return det(a)
-    monkeypatch.setattr(np.linalg, "det", counted)
+    calls = []
+    for name in ("det", "qr"):
+        def counted(*args, _name=name, _orig=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
     assert an.omega2_kernel_dim_at(L, spec, pt, fields) == 0
-    # 19 tangent directions: C(19, 3) = 969 and C(19, 2) = 171, no 4x4 stack
-    assert sorted(shapes) == [(171, 2, 2)] * 3 + [(969, 3, 3)]
+    assert calls == []
 
 
 def test_kernel_preconditions(ch_L):
@@ -401,33 +410,62 @@ def test_tangent_basis_is_orthonormal_null_space(pid):
         width = n_coords - n_res
         tangent = an._tangent_basis(grad, cols)
         assert tangent.shape == (n_coords, width)
+        # the graph over the free coordinates
+        free = [c for c in range(n_coords) if c not in cols]
+        assert np.array_equal(tangent[free], np.eye(width)), pid
         assert np.abs(grad @ tangent).max() <= 1e-12 * max(np.abs(grad).max(), 1.0), pid
-        assert np.abs(tangent.T @ tangent - np.eye(width)).max() <= 1e-12, pid
         # the same subspace as the SVD null space of the full-rank Jacobian
         null = np.linalg.svd(grad)[2][n_res:].T
-        assert np.abs(tangent @ tangent.T - null @ null.T).max() <= 1e-12, pid
+        basis = np.linalg.qr(tangent)[0]
+        assert np.abs(basis @ basis.T - null @ null.T).max() <= 1e-12, pid
 
 
 @pytest.mark.parametrize("pid", list(_KERNEL_PROBLEMS))
 def test_kernel_rows_match_reference(pid):
-    # the Laplace expansion against one (m+1)-determinant per form term
+    # the graph entries against one (m+1)-determinant per term of Omega_H0,
+    # dH0 ^ d^m x included, on the same graph basis
     problem = _KERNEL_PROBLEMS[pid]
+    m = problem.bundle.m
     cat = problem.catalog()
     L = problem.lagrangian(cat)
     terms = collect(omega_h0(cat, L))
     cpos = {c: ix for ix, c in enumerate(cat.coords)}
     cols, mats, points = _constraint_jacobians(problem)
     values_at = sx.compile_at(list(terms.values()), problem.field_bindings(cat) or None)
-    rows_at = an._laplace_rows(list(terms), cpos, cat.base_syms, len(cat.coords) - len(cols))
+    combos, rows_at = an._graph_rows(canonical_form(cat).terms, cpos, cols)
+    # the reference has a row for every m-subset of the basis, in lexicographic order
+    order = {c: r for r, c in enumerate(itertools.combinations(range(len(cpos) - len(cols)), m))}
+    at = [order[c] for c in combos]
     for grad, point in zip(mats, points):
         tangent = an._tangent_basis(grad, cols)
-        coefs = values_at(point)
-        rows = rows_at(tangent, coefs)
-        ref = _minor_rows(tangent, [[cpos[s] for s in mono] for mono in terms], coefs,
-                          problem.bundle.m)
-        assert rows.shape == ref.shape, pid
-        assert np.abs(rows - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max()), pid
+        rows = rows_at(tangent)
+        ref = _minor_rows(tangent, [[cpos[s] for s in mono] for mono in terms], values_at(point), m)
+        bound = 1e-12 * max(1.0, np.abs(ref).max())
+        assert rows.shape == (len(at), ref.shape[1]), pid
+        assert np.abs(rows - ref[at]).max() <= bound, pid
+        assert np.abs(np.delete(ref, at, axis=0)).max(initial=0.0) <= bound, pid
         assert an._rank(rows) == an._rank(ref), pid
+
+
+_CORANK_PROBLEMS = {pid: (_KERNEL_PROBLEMS[pid], corank) for pid, corank in (
+    ("plate", 0), ("camassa-holm", 2), ("first-as-second", 3),
+    ("ladder-213", 0), ("ladder-222", 0), ("ladder-312", 0))}
+_CORANK_PROBLEMS["one-term-322"] = (parse_problem("m=3\nn=2\nk=2\nlagrangian = u[1,0,0]^2\n"), 12)
+
+
+@pytest.mark.parametrize("pid", list(_CORANK_PROBLEMS))
+def test_kernel_dim_is_hessian_corank(pid):
+    # the kernel dimension is the corank of the top-order Hessian, not only zero
+    # exactly where it has full rank; k = 1 has exceptions and is left out
+    problem, corank = _CORANK_PROBLEMS[pid]
+    cat = problem.catalog()
+    L = problem.lagrangian(cat)
+    fields = problem.field_bindings(cat) or None
+    points = an.on_constraint_points(L, problem.bundle, random.Random(0), 5, fields)
+    hess = an.highest_hessian(L, problem.bundle)
+    coranks = [hess.size() - an._rank(h) for h in an.hessian_at(hess, points, fields)]
+    assert coranks == [corank] * 5
+    assert an.omega2_kernel_dims(L, problem.bundle, points, fields) == coranks
 
 
 _RESIDUAL_CASES = {

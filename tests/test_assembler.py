@@ -520,6 +520,21 @@ def test_warm_equation_stages_skip_h0_and_the_families(monkeypatch, plate_catalo
     assert requested and {s.kind for s in requested} == {sx.BASE, sx.JET}
 
 
+def test_warm_c_coefficients_compare_with_the_record(monkeypatch, plate_catalog, plate_L):
+    # the default maps are kept in the signature's record, not built again per call
+    a_map, b_map = default_projector_assignments(plate_catalog)
+    fresh = default_projector_assignments(plate_catalog)
+    want = [sx.render(c) for c in c_coefficients(plate_catalog, plate_L, a_map, b_map)]
+    # the maps a caller was given are its own to edit
+    a_map[sx.aux_c(1)] = sx.Const(0)
+    b_map.clear()
+
+    def refuse(*args):
+        raise AssertionError("default maps built again on a signature with a record")
+    monkeypatch.setattr(asm, "default_projector_assignments", refuse)
+    assert [sx.render(c) for c in c_coefficients(plate_catalog, plate_L, *fresh)] == want
+
+
 @pytest.mark.parametrize("unknown", [sx.aux_a(1, MultiIndex((2, 0)), 1),
                                      sx.aux_b(MultiIndex((0, 0)), 1, 1, 2),
                                      sx.aux_c(1)])

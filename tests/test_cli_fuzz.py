@@ -127,9 +127,7 @@ def test_fuzz_el(rng):
     run_cli("el", problem_text(rng, 3))
 
 
-# a full run at m = 3 spends minutes on kernel determinants when n and k
-# are large too, so the run examples keep their headers at 2 or below
 @settings(FUZZ, max_examples=50)
 @given(st.randoms(use_true_random=True))
 def test_fuzz_run(rng):
-    run_cli("run", problem_text(rng, 2))
+    run_cli("run", problem_text(rng, 3))
