@@ -40,13 +40,13 @@ from .symexpr import (
     MOMENTUM,
     PSCALAR,
     Sym,
+    ZERO,
     compile_at,
     esub,
     gradient,
     jet_sym,
     mom_sym,
     normalize,
-    partial,
     render,
 )
 
@@ -77,14 +77,16 @@ class HessianMatrix:
 
 
 def highest_hessian(L: Expr, spec: BundleSpec) -> HessianMatrix:
+    """The top-order Hessian: one gradient along the top-order jets per row."""
     labels = [(alpha, K)
               for alpha in range(1, spec.n + 1)
               for K in mi.enumerate_indices(spec.m, spec.k)]
+    tops = [jet_sym(alpha, K) for alpha, K in labels]
+    first = gradient(L, tops)
     entries = []
-    for alpha, K in labels:
-        row_base = partial(L, jet_sym(alpha, K))
-        entries.append([normalize(partial(row_base, jet_sym(beta, J)))
-                        for beta, J in labels])
+    for u in tops:
+        row = gradient(first.get(u, ZERO), tops)
+        entries.append([normalize(row.get(v, ZERO)) for v in tops])
     return HessianMatrix(labels, entries)
 
 
@@ -225,7 +227,9 @@ def prop31_select(spec: BundleSpec) -> SelectionMatrix:
     singleton, its unique column (i, j, I) is selected; otherwise a column
     with i != j (smallest such i).  For each middle row J: column (m, m, J)
     when J(1) = k-1, else (1, 1, J).  Raises SelectionError if no admissible
-    column exists for some row.
+    column exists for some row.  The square matrix is the selected columns of
+    b_system_matrix, the tangency rows first and then the middle rows, each in
+    their order there, so the certificate is taken on the counted system.
     """
     m, k = spec.m, spec.k
     if m < 2 or k < 2:
@@ -255,26 +259,12 @@ def prop31_select(spec: BundleSpec) -> SelectionMatrix:
         selected.append(col)
     if len(set(selected)) != len(selected):
         raise SelectionError("selection produced duplicate columns")
-
-    rows = []
-    matrix = []
-    col_pos = {c: ix for ix, c in enumerate(selected)}
-    for j in range(1, m + 1):
-        for K in mi.enumerate_indices(m, k):
-            rows.append(("tangency", j, K))
-            row = [0] * len(selected)
-            for I, i in mi.decompositions(K):
-                if (i, j, I) in col_pos:
-                    row[col_pos[(i, j, I)]] = 1
-            matrix.append(row)
-    for J in mi.enumerate_indices(m, k - 1):
-        rows.append(("middle", J))
-        row = [0] * len(selected)
-        for jj in range(1, m + 1):
-            if (jj, jj, J) in col_pos:
-                row[col_pos[(jj, jj, J)]] = 1
-        matrix.append(row)
-    return SelectionMatrix(rows, selected, matrix, trace, line6)
+    rows, cols, full = b_system_matrix(spec)
+    col_pos = {c: ix for ix, c in enumerate(cols)}
+    picked = [col_pos[c] for c in selected]
+    order = sorted(range(len(rows)), key=lambda r: rows[r][0] != "tangency")
+    return SelectionMatrix([rows[r] for r in order], selected,
+                           [[full[r][c] for c in picked] for r in order], trace, line6)
 
 
 def prop31_verify(sel: SelectionMatrix) -> bool:

@@ -8,8 +8,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 golden mismatch, 2 parse error (including a number
 literal longer than 600 digits and a malformed coordinate name in a point
-line), 3 precondition or usage error (including a section or variation on a
-jet coordinate, an unreadable file, a power whose exponent exceeds 32 in
+line), 3 precondition or usage error (including a section or variation on
+anything but the base variables, such as a jet coordinate or a field, raised
+when the file is read, an unreadable file, a power whose exponent exceeds 32 in
 absolute value once nested powers fold, an expanded product with more than
 10,000 terms, a catalog of more than 2,000 coordinates, and a constant with
 more than 600 digits, folded by the parser or computed, or one beyond the

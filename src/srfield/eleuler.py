@@ -4,9 +4,11 @@ independent first-variation (Gateaux) numeric oracle.
 The oracle compares a complex-step derivative of the action under a
 compactly supported variation against the quadrature of the Euler-Lagrange
 expression times the variation, both on the same tensor-product
-Gauss-Legendre grid, checked against a grid of 2n-1 nodes per axis.  Each
-grid is evaluated as numpy arrays by compiled expressions and summed with
-numpy.
+Gauss-Legendre grid, checked against a grid of 2n-1 nodes per axis.  L and
+the Euler-Lagrange components are compiled over the base variables and the
+jets they read; a section reaches them only as its compiled jets, taken as
+unexpanded trees from one table of x-derivatives per component.  Each grid
+is evaluated as numpy arrays and summed with numpy.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import multiindex as mi
 from .errors import QuadratureError, UsageError
-from .jetmodel import BundleSpec, SectionFn, prolong
+from .jetmodel import BundleSpec, SectionFn, section_jets
 from .symexpr import (
     Atom,
     Const,
@@ -28,6 +30,7 @@ from .symexpr import (
     ONE,
     Sym,
     base_sym,
+    bind_values,
     compile_expr,
     directional,
     eadd,
@@ -35,13 +38,11 @@ from .symexpr import (
     eneg,
     epow,
     esub,
-    evaluate,
     free_syms,
     gradient,
     jet_order,
     jet_sym,
     normalize,
-    substitute,
     substitute_fields,
 )
 
@@ -112,9 +113,13 @@ def euler_lagrange(L: Expr, spec: BundleSpec) -> ELSystem:
 
 def residual_on_section(el: ELSystem, s: SectionFn, point: Mapping,
                         fields: Optional[Mapping[str, Expr]] = None) -> list[float]:
-    """Numeric Euler-Lagrange residuals of a section at a base point."""
-    subs = prolong(s, 2 * el.spec.k, el.spec)
-    return evaluate([substitute(comp, subs) for comp in el.components], point, fields)
+    """Numeric Euler-Lagrange residuals of a section at a base point (read as by
+    :func:`symexpr.evaluate`, every base variable given): the components are
+    compiled over x and the jets they read, and the section enters as its jets."""
+    el_at, jets = _compiled_over_jets(el.components, el.spec, fields)
+    sj = section_jets(s, el.spec, jets)
+    x = bind_values(point, _base(el.spec))
+    return list(el_at(x + list(compile_expr([sj[u] for u in jets], _base(el.spec))(x))))
 
 
 # ---------------------------------------------------------------------------
@@ -175,13 +180,12 @@ def action_value(L: Expr, spec: BundleSpec, s: SectionFn, grid: int,
     A non-finite value raises QuadratureError.
     """
     box = default_box(spec) if box is None else box
-    L_eff = substitute_fields(L, fields) if fields else L
-    lfn, jets = _compiled_lagrangian(L_eff, spec)
-    sprol = prolong(s, spec.k, spec)
+    lfn, jets = _compiled_over_jets([L], spec, fields)
+    sj = section_jets(s, spec, jets)
     points, weights = _grid(box, grid)
     with np.errstate(over="ignore", invalid="ignore"):
-        svals = compile_expr([sprol[u] for u in jets], _base(spec))(points)
-        return _finite(np.sum(weights * lfn(points + list(svals))), "action", grid)
+        svals = compile_expr([sj[u] for u in jets], _base(spec))(points)
+        return _finite(np.sum(weights * lfn(points + list(svals))[0]), "action", grid)
 
 
 def _finite(value, side: str, n_points: int) -> float:
@@ -194,10 +198,14 @@ def _base(spec: BundleSpec) -> list[Sym]:
     return [base_sym(i) for i in range(1, spec.m + 1)]
 
 
-def _compiled_lagrangian(L_eff: Expr, spec: BundleSpec):
-    """L compiled over the base variables and its jets, and those jets in order."""
-    jets = sorted(s for s in free_syms(L_eff) if s.kind == JET)
-    return compile_expr(L_eff, _base(spec) + jets), jets
+def _compiled_over_jets(exprs: Sequence[Expr], spec: BundleSpec,
+                        fields: Optional[Mapping[str, Expr]]):
+    """exprs with fields bound, compiled together over the base variables and the
+    jets they read, and those jets in order."""
+    if fields:
+        exprs = [substitute_fields(e, fields) for e in exprs]
+    jets = sorted(s for s in set().union(*map(free_syms, exprs)) if s.kind == JET)
+    return compile_expr(exprs, _base(spec) + jets), jets
 
 
 def gateaux_oracle(L: Expr, spec: BundleSpec, s: SectionFn, psi: SectionFn,
@@ -208,42 +216,36 @@ def gateaux_oracle(L: Expr, spec: BundleSpec, s: SectionFn, psi: SectionFn,
     psi supplies the free polynomial part of the variation; the boundary bump
     is multiplied in here, so the vanishing conditions hold by construction.
     The action derivative is the complex step Im S[s + i eps psi] / eps, which
-    has no subtractive cancellation.  Both sides are summed over `grid`
-    Gauss-Legendre nodes per axis and must agree with their values on 2*grid-1
-    nodes (QuadratureError otherwise); the refined values are returned.  A
-    non-finite side on either grid raises QuadratureError.  L, the
-    prolongations and the EL integrand are compiled once and evaluated on both
-    grids.
+    has no subtractive cancellation; the pairing is sum_a EL_a (bump psi)_a.
+    Both sides are summed over `grid` Gauss-Legendre nodes per axis and must
+    agree with their values on 2*grid-1 nodes (QuadratureError otherwise);
+    the refined values are returned.  A non-finite side on either grid raises
+    QuadratureError.  L and the EL components are compiled over x and the jets
+    they read, and fed one compiled table per pair, evaluated on both grids:
+    the jets of s that L and EL read, those of bump psi that L reads, and bump psi.
     """
     box = default_box(spec) if box is None else box
-    L_eff = substitute_fields(L, fields) if fields else L
     bump = bump_polynomial(spec, box)
     psi_eff = SectionFn([emul(bump, c) for c in psi.components])
 
-    sprol = prolong(s, 2 * spec.k, spec)
-    pprol = prolong(psi_eff, spec.k, spec)
-
-    el = euler_lagrange(L, spec)
-    integrand_parts = []
-    for alpha in range(1, spec.n + 1):
-        comp = substitute_fields(el[alpha - 1], fields) if fields else el[alpha - 1]
-        comp_on_s = substitute(comp, sprol)
-        integrand_parts.append(emul(comp_on_s, psi_eff[alpha - 1]))
-    el_integrand = eadd(*integrand_parts)
-
-    lfn, jets = _compiled_lagrangian(L_eff, spec)
-    jets_at = compile_expr([sprol[u] for u in jets] + [pprol[u] for u in jets], _base(spec))
-    pairing_at = compile_expr(el_integrand, _base(spec))
+    lfn, l_jets = _compiled_over_jets([L], spec, fields)
+    el_at, el_jets = _compiled_over_jets(euler_lagrange(L, spec).components, spec, fields)
+    s_jets = sorted(set(l_jets) | set(el_jets))
+    sj, pj = section_jets(s, spec, s_jets), section_jets(psi_eff, spec, l_jets)
+    table_at = compile_expr([sj[u] for u in s_jets] + [pj[u] for u in l_jets]
+                            + list(psi_eff.components), _base(spec))
 
     def sides(n_points: int) -> tuple[float, float]:
         points, weights = _grid(box, n_points)
         with np.errstate(over="ignore", invalid="ignore"):
-            # the pairing first, so that its grid is freed before the jets are made
-            rhs = _finite(np.sum(weights * pairing_at(points)), "EL pairing", n_points)
-            jet_values = jets_at(points)
-            stepped = [sv + 1j * eps * pv
-                       for sv, pv in zip(jet_values[:len(jets)], jet_values[len(jets):])]
-            lhs = np.sum(weights * np.imag(lfn(points + stepped))) / eps
+            table = table_at(points)
+            on_s = dict(zip(s_jets, table))
+            varied = table[len(s_jets):]
+            stepped = [on_s[u] + 1j * eps * pv for u, pv in zip(l_jets, varied)]
+            lhs = np.sum(weights * np.imag(lfn(points + stepped)[0])) / eps
+            el_values = el_at(points + [on_s[u] for u in el_jets])
+            pairing = sum(e * v for e, v in zip(el_values, varied[len(l_jets):]))
+            rhs = _finite(np.sum(weights * pairing), "EL pairing", n_points)
         return _finite(lhs, "action derivative", n_points), rhs
 
     (lhs_c, rhs_c), (lhs, rhs) = sides(grid), sides(2 * grid - 1)

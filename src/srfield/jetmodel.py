@@ -10,18 +10,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from . import multiindex as mi
 from .errors import UsageError
 from .symexpr import (
     _MAX_COORDS,
     Atom,
+    BASE,
     Expr,
-    JET,
-    MOMENTUM,
     Sym,
     as_expr,
+    base_derivatives,
     base_sym,
     eadd,
     emul,
@@ -30,7 +30,6 @@ from .symexpr import (
     jet_sym,
     mom_sym,
     p_sym,
-    partial,
 )
 
 
@@ -138,9 +137,9 @@ class SectionFn:
     def __init__(self, components: Sequence[Expr]):
         self.components = tuple(as_expr(c) for c in components)
         for c in self.components:
-            bad = [s for s in free_syms(c) if s.kind in (JET, MOMENTUM)]
+            bad = sorted(s for s in free_syms(c) if s.kind != BASE)
             if bad:
-                raise UsageError("section component references non-base coordinate %s"
+                raise UsageError("section component references %s, which is not a base variable"
                                  % bad[0].render())
 
     def __len__(self):
@@ -150,26 +149,26 @@ class SectionFn:
         return self.components[ix]
 
 
-def prolong(s: SectionFn, order: int, spec: BundleSpec) -> dict[Sym, Expr]:
-    """Jet coordinates of the prolonged section as expressions in the base variables.
+def section_jets(s: SectionFn, spec: BundleSpec, jets: Iterable[Sym]) -> dict[Sym, Expr]:
+    """The given jet coordinates of the prolonged section, u^a_J -> D^J s^a, and no others.
 
-    Entries are u^a_J -> d^J s^a for all |J| <= order, computed by repeated
-    symbolic base-variable differentiation along a fixed path.
+    Each component's derivatives come from one :func:`symexpr.base_derivatives`
+    table, so jets asked for together share their lower-order trees.
     """
     if len(s) != spec.n:
         raise UsageError("section has %d components, fiber dimension is %d" % (len(s), spec.n))
+    tables = [base_derivatives(c, spec.m) for c in s.components]
+    return {u: tables[u.alpha - 1](u.index) for u in jets}
+
+
+def prolong(s: SectionFn, order: int, spec: BundleSpec) -> dict[Sym, Expr]:
+    """Jet coordinates of the prolonged section as expressions in the base variables.
+
+    Entries are u^a_J -> D^J s^a for all |J| <= order, taken from
+    :func:`section_jets`, so each is a chain of partials along a fixed path.
+    """
     if order > 2 * spec.k:
         raise UsageError("prolongation order %d exceeds 2k = %d" % (order, 2 * spec.k))
-    out: dict[Sym, Expr] = {}
-    values: dict[tuple[int, mi.MultiIndex], Expr] = {}
-    for alpha in range(1, spec.n + 1):
-        values[(alpha, mi.zero(spec.m))] = s[alpha - 1]
-    for l in range(1, order + 1):
-        for J in mi.enumerate_indices(spec.m, l):
-            i = next(ix + 1 for ix, c in enumerate(J) if c > 0)
-            lower = J.sub_checked(mi.unit(i, spec.m))
-            for alpha in range(1, spec.n + 1):
-                values[(alpha, J)] = partial(values[(alpha, lower)], base_sym(i))
-    for (alpha, J), expr in values.items():
-        out[jet_sym(alpha, J)] = expr
-    return out
+    return section_jets(s, spec, [jet_sym(alpha, J)
+                                  for J in mi.enumerate_up_to(spec.m, order)
+                                  for alpha in range(1, spec.n + 1)])

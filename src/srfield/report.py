@@ -50,6 +50,19 @@ def _quantize(x: float, denom: int = 10 ** 6) -> Fraction:
     return Fraction(round(x * denom), denom)
 
 
+def _random_polynomial(spec: BundleSpec, rng: random.Random, draws) -> SectionFn:
+    """Per fiber index, the sum over (J, low, high) in draws, in that order, of a
+    quantized draw from [low, high] times the monomial x^J."""
+    comps = []
+    for _ in range(spec.n):
+        terms = []
+        for J, low, high in draws:
+            x_J = [Atom(base_sym(i)) for i, c in enumerate(J, start=1) for _ in range(c)]
+            terms.append(emul(Const(_quantize(rng.uniform(low, high))), *x_J))
+        comps.append(eadd(*terms))
+    return SectionFn(comps)
+
+
 def random_section(spec: BundleSpec, rng: random.Random) -> SectionFn:
     """Random polynomial section with a dominant positive slope along x[1].
 
@@ -57,38 +70,14 @@ def random_section(spec: BundleSpec, rng: random.Random) -> SectionFn:
     [-1/50, 1/50], which keeps u_{1_1} safely positive on the unit box
     (needed by Lagrangians with inverse-jet factors).
     """
-    comps = []
-    for _ in range(spec.n):
-        terms = [emul(Const(_quantize(rng.uniform(1.0, 2.0))), Atom(base_sym(1)))]
-        for J in mi.enumerate_up_to(spec.m, 3):
-            if J.order == 0:
-                continue
-            coef = _quantize(rng.uniform(-0.02, 0.02))
-            if coef == 0:
-                continue
-            factors: list[Expr] = [Const(coef)]
-            for ix, c in enumerate(J, start=1):
-                for _ in range(c):
-                    factors.append(Atom(base_sym(ix)))
-            terms.append(emul(*factors))
-        comps.append(eadd(*terms))
-    return SectionFn(comps)
+    rest = mi.enumerate_up_to(spec.m, 3)[1:]
+    return _random_polynomial(spec, rng, [(mi.unit(1, spec.m), 1.0, 2.0)]
+                              + [(J, -0.02, 0.02) for J in rest])
 
 
 def random_variation(spec: BundleSpec, rng: random.Random) -> SectionFn:
-    comps = []
-    for _ in range(spec.n):
-        terms = [Const(_quantize(rng.uniform(-1.0, 1.0)))]
-        for J in mi.enumerate_up_to(spec.m, 2):
-            if J.order == 0:
-                continue
-            factors: list[Expr] = [Const(_quantize(rng.uniform(-1.0, 1.0)))]
-            for ix, c in enumerate(J, start=1):
-                for _ in range(c):
-                    factors.append(Atom(base_sym(ix)))
-            terms.append(emul(*factors))
-        comps.append(eadd(*terms))
-    return SectionFn(comps)
+    """Random polynomial of degree <= 2 per fiber index, coefficients in [-1, 1]."""
+    return _random_polynomial(spec, rng, [(J, -1.0, 1.0) for J in mi.enumerate_up_to(spec.m, 2)])
 
 
 def default_grid(spec: BundleSpec) -> int:

@@ -432,25 +432,29 @@ def substitute(e: Expr, mapping: Mapping[Sym, Expr]) -> Expr:
     raise UsageError("cannot substitute into %r" % (e,))
 
 
+def base_derivatives(e: Expr, m: int) -> Callable[[MultiIndex], Expr]:
+    """J -> D^J e over the base variables x^1..x^m, memoized: each entry is one
+    partial along the first direction i of J of the entry at J - 1_i."""
+    table = {zero(m): e}
+
+    def at(J: MultiIndex) -> Expr:
+        if J not in table:
+            i = next(ix + 1 for ix, c in enumerate(J) if c > 0)
+            table[J] = partial(at(J.sub_checked(unit(i, m))), base_sym(i))
+        return table[J]
+
+    return at
+
+
 def substitute_fields(e: Expr, fields: Mapping[str, Expr]) -> Expr:
     """Replace field atoms by the matching derivative of the bound expression."""
-    cache: dict[tuple[str, MultiIndex], Expr] = {}
-
-    def deriv(name: str, index: MultiIndex) -> Expr:
-        key = (name, index)
-        if key not in cache:
-            if sum(index) == 0:
-                cache[key] = fields[name]
-            else:
-                i = next(ix + 1 for ix, c in enumerate(index) if c > 0)
-                lower = index.sub_checked(unit(i, len(index)))
-                cache[key] = partial(deriv(name, lower), base_sym(i))
-        return cache[key]
-
+    tables: dict[str, Callable] = {}
     mapping = {}
     for s in free_syms(e):
         if s.kind == FIELD and s.name in fields:
-            mapping[s] = deriv(s.name, s.index)
+            if s.name not in tables:
+                tables[s.name] = base_derivatives(fields[s.name], len(s.index))
+            mapping[s] = tables[s.name](s.index)
     return substitute(e, mapping)
 
 

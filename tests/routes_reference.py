@@ -1,0 +1,114 @@
+"""The engine's earlier routes to the same objects, kept as references.
+
+The engine takes every x-derivative of a section or a bound field from one
+memoized table (`symexpr.base_derivatives`), evaluates L and the
+Euler-Lagrange components on compiled jets, and reads the selection matrix
+off `analysis.b_system_matrix`.  These functions build the same objects the
+way the engine once did: an eager loop over every multi-index, the
+Euler-Lagrange components with the prolonged section substituted in and
+multiplied by the variation as one compiled integrand, and the selection rows
+built from the selected columns.  The tests compare the two routes.
+"""
+
+import numpy as np
+
+from srfield import eleuler as el
+from srfield import multiindex as mi
+from srfield.analysis import SelectionMatrix
+from srfield.jetmodel import BundleSpec, SectionFn
+from srfield.symexpr import (
+    FIELD,
+    JET,
+    Expr,
+    Sym,
+    base_sym,
+    compile_expr,
+    eadd,
+    emul,
+    free_syms,
+    jet_sym,
+    partial,
+    substitute,
+)
+
+
+def eager_prolong(s: SectionFn, order: int, spec: BundleSpec) -> dict[Sym, Expr]:
+    """u^a_J -> D^J s^a for every |J| <= order, level by level, each entry one
+    partial along the first direction of J from the entry at J - 1_i."""
+    values = {(alpha, mi.zero(spec.m)): s[alpha - 1] for alpha in range(1, spec.n + 1)}
+    for l in range(1, order + 1):
+        for J in mi.enumerate_indices(spec.m, l):
+            i = next(ix + 1 for ix, c in enumerate(J) if c > 0)
+            lower = J.sub_checked(mi.unit(i, spec.m))
+            for alpha in range(1, spec.n + 1):
+                values[(alpha, J)] = partial(values[(alpha, lower)], base_sym(i))
+    return {jet_sym(alpha, J): e for (alpha, J), e in values.items()}
+
+
+def eager_substitute_fields(e: Expr, fields) -> Expr:
+    """Field atoms replaced by the derivative of their bound value, by a private recursion."""
+    cache = {}
+
+    def deriv(name, index):
+        if (name, index) not in cache:
+            if sum(index) == 0:
+                cache[(name, index)] = fields[name]
+            else:
+                i = next(ix + 1 for ix, c in enumerate(index) if c > 0)
+                lower = index.sub_checked(mi.unit(i, len(index)))
+                cache[(name, index)] = partial(deriv(name, lower), base_sym(i))
+        return cache[(name, index)]
+
+    return substitute(e, {s: deriv(s.name, s.index) for s in free_syms(e)
+                          if s.kind == FIELD and s.name in fields})
+
+
+def substituted_oracle(L: Expr, spec: BundleSpec, s: SectionFn, psi: SectionFn,
+                       grid: int, eps: float, fields=None) -> tuple[float, float]:
+    """(action derivative, EL pairing) on the refined grid, the pairing taken as
+    the one compiled integrand sum_a EL_a[prolong(s, 2k)] * (bump psi)_a."""
+    box = el.default_box(spec)
+    L_eff = eager_substitute_fields(L, fields) if fields else L
+    psi_eff = SectionFn([emul(el.bump_polynomial(spec, box), c) for c in psi.components])
+    sprol = eager_prolong(s, 2 * spec.k, spec)
+    pprol = eager_prolong(psi_eff, spec.k, spec)
+    parts = []
+    for comp, p in zip(el.euler_lagrange(L, spec).components, psi_eff.components):
+        comp = eager_substitute_fields(comp, fields) if fields else comp
+        parts.append(emul(substitute(comp, sprol), p))
+    base = [base_sym(i) for i in range(1, spec.m + 1)]
+    jets = sorted(u for u in free_syms(L_eff) if u.kind == JET)
+    lfn = compile_expr(L_eff, base + jets)
+    jets_at = compile_expr([sprol[u] for u in jets] + [pprol[u] for u in jets], base)
+    pairing_at = compile_expr(eadd(*parts), base)
+    points, weights = el._grid(box, 2 * grid - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = float(np.sum(weights * pairing_at(points)))
+        values = jets_at(points)
+        stepped = [sv + 1j * eps * pv for sv, pv in zip(values[:len(jets)], values[len(jets):])]
+        lhs = float(np.sum(weights * np.imag(lfn(points + stepped))) / eps)
+    return lhs, rhs
+
+
+def built_selection_rows(spec: BundleSpec, sel: SelectionMatrix) -> SelectionMatrix:
+    """sel with its square matrix built row by row from the selected columns:
+    the tangency rows (j, K), then the middle rows J."""
+    m, k = spec.m, spec.k
+    col_pos = {c: ix for ix, c in enumerate(sel.col_labels)}
+    rows, matrix = [], []
+    for j in range(1, m + 1):
+        for K in mi.enumerate_indices(m, k):
+            rows.append(("tangency", j, K))
+            row = [0] * len(col_pos)
+            for I, i in mi.decompositions(K):
+                if (i, j, I) in col_pos:
+                    row[col_pos[(i, j, I)]] = 1
+            matrix.append(row)
+    for J in mi.enumerate_indices(m, k - 1):
+        rows.append(("middle", J))
+        row = [0] * len(col_pos)
+        for jj in range(1, m + 1):
+            if (jj, jj, J) in col_pos:
+                row[col_pos[(jj, jj, J)]] = 1
+        matrix.append(row)
+    return SelectionMatrix(rows, list(sel.col_labels), matrix, list(sel.trace), set(sel.line6_cols))

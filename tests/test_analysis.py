@@ -30,6 +30,7 @@ from srfield.report import REGULARITY_SAMPLES, run_problem
 
 from conftest import CH_L_TEXT, PLATE_L_TEXT, bench_workloads, jet, mom
 from forms_reference import _minor_rows
+from routes_reference import built_selection_rows
 
 PLATE_PROBLEM_TEXT = "m=2\nn=1\nk=2\nfield q(x[1],x[2]) = 1\nlagrangian = %s\n" % PLATE_L_TEXT
 
@@ -58,6 +59,17 @@ def test_hessian_symmetry(ch_L):
     for r in range(n):
         for c in range(n):
             assert sx.equivalent(h.entries[r][c], h.entries[c][r])
+
+
+@pytest.mark.parametrize("pid", ["plate", "camassa-holm", "ladder-213", "ladder-222", "ladder-312"])
+def test_hessian_rows_match_per_entry_partials(pid):
+    problem = (corpus_problem(pid) if pid in CORPUS_NAMES
+               else parse_problem(dict(bench_workloads().LADDER)[pid]))
+    L, spec = problem.lagrangian(), problem.bundle
+    hess = an.highest_hessian(L, spec)
+    tops = [sx.jet_sym(alpha, K) for alpha, K in hess.labels]
+    assert hess.entries == [[sx.normalize(sx.partial(sx.partial(L, u), v)) for v in tops]
+                            for u in tops]
 
 
 def test_regularity_plate(plate_L):
@@ -157,6 +169,24 @@ def test_prop31_singleton_rows_forced():
 def test_prop31_all_desk_scale(m, k):
     sel = an.prop31_select(BundleSpec(m, 1, k))
     assert an.prop31_verify(sel)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_prop31_matrix_is_b_system_columns(m, k):
+    """The certificate's matrix is the selected columns of the counted B-system,
+    tangency rows first, and equals the one built row by row from the selection."""
+    spec = BundleSpec(m, 1, k)
+    sel = an.prop31_select(spec)
+    rows, cols, full = an.b_system_matrix(spec)
+    order = ([r for r, label in enumerate(rows) if label[0] == "tangency"]
+             + [r for r, label in enumerate(rows) if label[0] == "middle"])
+    picked = [cols.index(c) for c in sel.col_labels]
+    assert sel.row_labels == [rows[r] for r in order]
+    assert sel.matrix == [[full[r][c] for c in picked] for r in order]
+    ref = built_selection_rows(spec, sel)
+    assert (sel.row_labels, sel.matrix) == (ref.row_labels, ref.matrix)
+    assert an.prop31_verify_detailed(sel) == an.prop31_verify_detailed(ref)
 
 
 def test_prop31_out_of_hypothesis():

@@ -1,6 +1,7 @@
 """Total derivatives, the Euler-Lagrange operator, residuals, and the numeric oracle."""
 
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -14,9 +15,10 @@ from srfield.errors import QuadratureError, UsageError
 from srfield.jetmodel import BundleSpec, SectionFn, build_catalog
 from srfield.multiindex import MultiIndex
 from srfield.problem import parse_problem
-from srfield.report import ORACLE_PAIRS, run_problem
+from srfield.report import ORACLE_PAIRS, _rng, random_section, random_variation, run_problem
 
 from conftest import bench_workloads, jet, random_poly
+from routes_reference import substituted_oracle
 
 
 def test_total_derivative_basics():
@@ -256,6 +258,56 @@ def test_oracle_on_corpus_and_ladder():
         assert len(pairs) == ORACLE_PAIRS
         for entry in pairs:
             assert entry["rel_err"] <= 1e-11, (problem.lagrangian_text, entry)
+
+
+def _oracle_pairs(problem, seed):
+    """The (section, variation) pairs a report's oracle stage draws at this seed."""
+    catalog = problem.catalog()
+    pairs = list(zip(problem.section_fns(catalog), problem.variation_fns(catalog)))
+    rng = _rng(seed, "oracle")
+    while len(pairs) < ORACLE_PAIRS:
+        pairs.append((random_section(problem.bundle, rng), random_variation(problem.bundle, rng)))
+    return pairs
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_oracle_matches_substituted_reference(seed):
+    """The action derivative is bitwise the reference's; the pairing on compiled
+    jets moves only by rounding against the substituted EL integrand."""
+    problems = [corpus_problem(name) for name in CORPUS_NAMES]
+    problems += [parse_problem(text) for _, text in bench_workloads().LADDER]
+    checked = 0
+    for problem in problems:
+        L, bindings = problem.lagrangian(), problem.field_bindings() or None
+        for s, psi in _oracle_pairs(problem, seed):
+            lhs, rhs = el.gateaux_oracle(L, problem.bundle, s, psi, 9, el.COMPLEX_STEP,
+                                         fields=bindings)
+            ref_lhs, ref_rhs = substituted_oracle(L, problem.bundle, s, psi, 9, el.COMPLEX_STEP,
+                                                  fields=bindings)
+            assert lhs == ref_lhs, problem.lagrangian_text
+            assert abs(rhs - ref_rhs) <= 1e-15 * abs(ref_rhs), (problem.lagrangian_text, rhs, ref_rhs)
+            checked += 1
+    assert checked == 3 * len(problems)
+
+
+@pytest.mark.parametrize("pid", ["ladder-213", "ladder-222"])
+def test_oracle_substitutes_nothing_without_fields(pid, monkeypatch):
+    """With no field to bind, the oracle reaches the section only through compiled jets."""
+    calls = []
+    real = sx.substitute
+
+    def counting(e, mapping):
+        calls.append(len(mapping))
+        return real(e, mapping)
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("srfield")
+                and getattr(module, "substitute", None) is real):
+            monkeypatch.setattr(module, "substitute", counting)
+    problem = parse_problem(dict(bench_workloads().LADDER)[pid])
+    s, psi = _oracle_pairs(problem, 0)[0]
+    el.gateaux_oracle(problem.lagrangian(), problem.bundle, s, psi, 9, el.COMPLEX_STEP)
+    assert calls == []
 
 
 def test_gateaux_plate_random(plate_L):

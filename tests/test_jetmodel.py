@@ -2,10 +2,12 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
 from srfield import symexpr as sx
+from srfield.eleuler import bump_polynomial, default_box
 from srfield.errors import UsageError
 from srfield.jetmodel import (
     BundleSpec,
@@ -15,10 +17,13 @@ from srfield.jetmodel import (
     dim_jet,
     pairing_phi,
     prolong,
+    section_jets,
 )
 from srfield.multiindex import MultiIndex, enumerate_up_to
+from srfield.report import random_section, random_variation
 
 from conftest import jet, mom
+from routes_reference import eager_prolong
 
 
 def test_dim_jet_examples():
@@ -170,9 +175,41 @@ def test_prolong_commutes_with_differentiation():
             assert sx.equivalent(lhs, rhs)
 
 
+@pytest.mark.parametrize("signature", [(1, 1, 3), (2, 2, 2), (3, 1, 2)])
+def test_prolong_matches_eager_reference(signature):
+    """The same trees as the eager level-by-level loop, for sections and bumped variations."""
+    spec = BundleSpec(*signature)
+    rng = random.Random(3)
+    bump = bump_polynomial(spec, default_box(spec))
+    for _ in range(2):
+        s = random_section(spec, rng)
+        psi = SectionFn([sx.emul(bump, c) for c in random_variation(spec, rng).components])
+        for section in (s, psi):
+            assert prolong(section, 2 * spec.k, spec) == eager_prolong(section, 2 * spec.k, spec)
+
+
+def test_section_jets_returns_only_the_jets_asked_for():
+    spec = BundleSpec(2, 2, 2)
+    cat = build_catalog(spec)
+    s = SectionFn([sx.parse("x[1]^2*x[2]", cat), sx.parse("x[2]^3", cat)])
+    asked = [sx.jet_sym(2, MultiIndex((0, 3))), sx.jet_sym(1, MultiIndex((1, 0)))]
+    jets = section_jets(s, spec, asked)
+    assert list(jets) == asked
+    assert [sx.render(sx.normalize(jets[u])) for u in asked] == ["6", "2*x[1]*x[2]"]
+
+
 def test_prolong_rejects_momenta():
     with pytest.raises(UsageError):
         SectionFn([sx.Atom(mom(1, (0, 0), 1))])
+
+
+def test_section_accepts_base_variables_only():
+    cat = build_catalog(BundleSpec(2, 1, 2), fields={"q": (1, 2)})
+    x1 = sx.Atom(sx.base_sym(1))
+    for other in (cat.field_atom("q"), sx.Atom(cat.p), sx.Atom(jet(1, 0, 0))):
+        with pytest.raises(UsageError, match="references %s, which is not a base variable"
+                           % re.escape(other.sym.render())):
+            SectionFn([sx.emul(other, x1)])
 
 
 def test_pairing_matches_pullback_numerically():

@@ -249,6 +249,17 @@ def test_cli_exit_usage_error(tmp_path, capsys):
     assert main(["run", path]) == 3
 
 
+@pytest.mark.parametrize("command", ["run", "el", "analyze"])
+@pytest.mark.parametrize("lines", ["section@1 = q*x[1]\nvariation@1 = 1\n",
+                                   "section@1 = x[1]\nvariation@1 = q\n"])
+def test_cli_field_in_section_or_variation(tmp_path, capsys, command, lines):
+    """A section or variation on a field stops every subcommand at parse."""
+    path = _write(tmp_path, "field.prob", PLATE_PROBLEM + lines)
+    assert main([command, path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "references q, which is not a base variable" in err
+
+
 def test_cli_missing_file(tmp_path, capsys):
     assert main(["run", "/nonexistent/problem.prob"]) == 3
     assert main(["run", str(tmp_path)]) == 3  # a directory, not a file

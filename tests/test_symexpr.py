@@ -12,9 +12,11 @@ from srfield import symexpr as sx
 from srfield.assembler import hamiltonian_h0
 from srfield.errors import EvalDomainError, NormalizationError, ParseError, UsageError
 from srfield.jetmodel import BundleSpec, build_catalog
-from srfield.multiindex import MultiIndex
+from srfield.multiindex import MultiIndex, enumerate_up_to
+from srfield.report import random_section
 
 from conftest import CH_L_TEXT, PLATE_L_TEXT, PLATE_SPEC, bench_problems, jet, random_poly, random_rational
+from routes_reference import eager_substitute_fields
 
 
 def test_parse_plate(plate_catalog, plate_L):
@@ -319,6 +321,26 @@ def test_evaluate_with_field_binding(plate_catalog, plate_L):
     cat = plate_catalog
     val = sx.evaluate(plate_L, point, fields={"q": sx.parse("x[1] + x[2]", cat)})
     assert val == pytest.approx(-2.0)  # -q*u = -(1.0)*2.0
+
+
+@pytest.mark.parametrize("signature", [(1, 1, 3), (2, 2, 2), (3, 1, 2)])
+def test_substitute_fields_matches_eager_reference(signature):
+    """Bound field derivatives up to order 2k are the trees of the private recursion."""
+    spec = BundleSpec(*signature)
+    deps = tuple(range(1, spec.m + 1))
+    value = random_section(spec, random.Random(4))[0]
+    e = sx.eadd(*[sx.emul(sx.Atom(sx.field_sym("q", J, deps)), sx.Atom(sx.jet_sym(1, J)))
+                  for J in enumerate_up_to(spec.m, 2 * spec.k)])
+    assert sx.substitute_fields(e, {"q": value}) == eager_substitute_fields(e, {"q": value})
+
+
+def test_base_derivatives_memoize_one_path():
+    cat = build_catalog(BundleSpec(2, 1, 2))
+    at = sx.base_derivatives(sx.parse("x[1]^3*x[2]^2", cat), 2)
+    J = MultiIndex((2, 1))
+    assert at(J) is at(J)
+    assert at(J) == sx.partial(at(MultiIndex((1, 1))), sx.base_sym(1))
+    assert sx.render(sx.normalize(at(J))) == "12*x[1]*x[2]"
 
 
 def test_equivalent_basics():
