@@ -12,10 +12,10 @@ form is written term by term into one form, its dH0 part from the gradient of
 the dynamical function H0.  Both sides of the check are linear in the
 partials dL/du_J, and dL/dx^i drops out, so it runs once per signature on
 sum_J g_J u_J with opaque constants g_J, and the signature's record also
-holds P_j = h_j^0(pairing - p), the Lagrangian-free half of the scalar-momentum
-coefficients C_j = h_j^0(L) - P_j.  The lifts reach L through its partials
-along x and u alone (symexpr.gradient), for C_j and for the tangency
-conditions, which apply them to both sides of W1.
+holds pairing - p and P_j = h_j^0(pairing - p), the Lagrangian-free halves
+of W2, p = L - (pairing - p), and of C_j = h_j^0(L) - P_j.  The lifts reach
+L through its partials along x and u alone (symexpr.gradient), for C_j and
+for the tangency conditions, which apply them to both sides of W1.
 """
 
 from __future__ import annotations
@@ -188,15 +188,18 @@ def check_collapse(catalog: CoordCatalog, L: Expr) -> EquationSet:
 
 
 @lru_cache(maxsize=None)
-def _signature(spec: BundleSpec) -> tuple[tuple[Expr, ...], tuple[dict, dict]]:
+def _signature(spec: BundleSpec) -> tuple[Expr, tuple[Expr, ...], tuple[dict, dict]]:
     """The signature's record, built once: the collapse check on sum_J g_J u_J with opaque
-    constants g_J, then P_j = h_j^0(pairing - p), normalized, for the default assignment,
-    and that assignment, which stays inside this module."""
+    constants g_J, then pairing - p and P_j = h_j^0(pairing - p), normalized, for the
+    default assignment, and that assignment, which stays inside this module.  W2 and
+    C_j are both X(L) - X(pairing - p), X the identity for W2 and h_j^0 for C_j."""
     catalog = build_catalog(spec)
     check_collapse(catalog, eadd(*[emul(Atom(field_sym("dL/d" + u.render(), mi.zero(spec.m), ())),
                                         Atom(u)) for u in catalog.jet_syms]))
+    pairing = normalize(esub(pairing_phi(catalog), Atom(catalog.p)))
     defaults = default_projector_assignments(catalog)
-    return tuple(_pairing_images(catalog, _reduced_lifts(catalog, *defaults))), defaults
+    lifts = _reduced_lifts(catalog, *defaults)
+    return pairing, tuple(_pairing_images(catalog, lifts, pairing)), defaults
 
 
 def dynamical_equations(catalog: CoordCatalog, L: Expr) -> EquationSet:
@@ -206,9 +209,10 @@ def dynamical_equations(catalog: CoordCatalog, L: Expr) -> EquationSet:
 
 
 def w2_constraint(catalog: CoordCatalog, L: Expr) -> EquationSet:
-    """The single equation fixing the scalar momentum: dynamical function equal to zero."""
-    rhs = esub(Atom(catalog.p), hamiltonian_h0(catalog, L))
-    return EquationSet([Equation(Atom(catalog.p), normalize(rhs), TAG_W2, "H0=0")])
+    """H0 = 0, fixing the scalar momentum: p = L - (pairing - p), from the signature's record."""
+    _check_l_on_jets(catalog, L)
+    pairing = _signature(catalog.spec)[0]
+    return EquationSet([Equation(Atom(catalog.p), normalize(esub(L, pairing)), TAG_W2, "H0=0")])
 
 
 def momentum_sum(u: Sym) -> Expr:
@@ -295,10 +299,10 @@ def _reduced_lifts(catalog: CoordCatalog, a_assign: Mapping[Sym, Expr],
     return lifts
 
 
-def _pairing_images(catalog: CoordCatalog, lifts: Mapping[int, Mapping[Sym, Expr]]) -> list[Expr]:
+def _pairing_images(catalog: CoordCatalog, lifts: Mapping[int, Mapping[Sym, Expr]],
+                    pairing: Expr) -> list[Expr]:
     """P_j: each lift applied to the pairing without p, normalized."""
-    grad = gradient(pairing_phi(catalog), catalog.coords)
-    del grad[catalog.p]
+    grad = gradient(pairing, catalog.coords)
     return [normalize(directional(h, grad)) for h in lifts.values()]
 
 
@@ -315,14 +319,14 @@ def c_coefficients(catalog: CoordCatalog, L: Expr,
     top order; P_j then comes from the signature's record.
     """
     _check_l_on_jets(catalog, L)
-    images, defaults = _signature(catalog.spec)
+    pairing, images, defaults = _signature(catalog.spec)
     if (dict(a_assign), dict(b_assign)) == defaults:
         grad = gradient(L, catalog.base_syms + tuple(u for u in catalog.jet_syms
                                                      if sum(u.index) < catalog.k))
         parts = [_default_lift(catalog, j, grad) for j in range(1, catalog.m + 1)]
     else:
         lifts = _reduced_lifts(catalog, a_assign, b_assign)
-        images = _pairing_images(catalog, lifts)
+        images = _pairing_images(catalog, lifts, pairing)
         grad = gradient(L, catalog.base_syms + catalog.jet_syms)
         parts = [directional(h, grad) for h in lifts.values()]
     return [normalize(esub(part, image)) for part, image in zip(parts, images)]

@@ -31,10 +31,8 @@ from .corpus import (
 )
 from .errors import (
     EngineError,
-    EvalDomainError,
     InternalConsistencyError,
     ParseError,
-    PreconditionError,
     UsageError,
 )
 from .problem import load_problem
@@ -125,16 +123,10 @@ def main(argv=None) -> int:
     except ParseError as exc:
         sys.stderr.write("parse error: %s\n" % exc)
         return EXIT_PARSE
-    except (UsageError, PreconditionError, EvalDomainError) as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return EXIT_PRECONDITION
     except InternalConsistencyError as exc:
         sys.stderr.write("internal consistency error: %s\n" % exc)
         return EXIT_INTERNAL
-    except OSError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return EXIT_PRECONDITION
-    except EngineError as exc:
+    except (OSError, EngineError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_PRECONDITION
     except Exception as exc:

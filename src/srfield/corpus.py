@@ -156,17 +156,17 @@ def projectability_replay(problem: ProblemFile) -> dict:
     }
 
 
-def run_corpus(name: str, seed: int = CORPUS_SEED) -> dict:
+def run_corpus(name: str) -> dict:
     problem = corpus_problem(name)
     if name == "first-as-second":
         problem1 = parse_problem(CORPUS_PROBLEMS[name].replace("k=2", "k=1"))
         report = {
-            "first_order": run_problem(problem1, seed),
-            "second_order": run_problem(problem, seed),
+            "first_order": run_problem(problem1, CORPUS_SEED),
+            "second_order": run_problem(problem, CORPUS_SEED),
             "replay": projectability_replay(problem),
         }
         return _round_floats(report)
-    return run_problem(problem, seed)
+    return run_problem(problem, CORPUS_SEED)
 
 
 def golden_path(name: str) -> Path:

@@ -4,16 +4,15 @@ independent first-variation (Gateaux) numeric oracle.
 The oracle compares a complex-step derivative of the action under a
 compactly supported variation against the quadrature of the Euler-Lagrange
 expression times the variation, both on the same tensor-product
-Gauss-Legendre grid, checked against a grid of 2n-1 nodes per axis.  L and
-the Euler-Lagrange components are compiled over the base variables and the
-jets they read; a section reaches them only as its compiled jets, taken as
-unexpanded trees from one table of x-derivatives per component.  Each grid
-is evaluated as numpy arrays and summed with numpy.
+Gauss-Legendre grid on [0, 1]^m, checked against a grid of 2n-1 nodes per
+axis.  L and the Euler-Lagrange components are compiled over the base
+variables and the jets they read; a section reaches them only as its
+compiled jets, taken as unexpanded trees from one table of x-derivatives per
+component.  Each grid is evaluated as numpy arrays and summed with numpy.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Mapping, Optional, Sequence
 
@@ -24,7 +23,6 @@ from .errors import QuadratureError, UsageError
 from .jetmodel import BundleSpec, SectionFn, section_jets
 from .symexpr import (
     Atom,
-    Const,
     Expr,
     JET,
     ONE,
@@ -113,13 +111,9 @@ def euler_lagrange(L: Expr, spec: BundleSpec) -> ELSystem:
 
 def residual_on_section(el: ELSystem, s: SectionFn, point: Mapping,
                         fields: Optional[Mapping[str, Expr]] = None) -> list[float]:
-    """Numeric Euler-Lagrange residuals of a section at a base point (read as by
-    :func:`symexpr.evaluate`, every base variable given): the components are
-    compiled over x and the jets they read, and the section enters as its jets."""
-    el_at, jets = _compiled_over_jets(el.components, el.spec, fields)
-    sj = section_jets(s, el.spec, jets)
-    x = bind_values(point, _base(el.spec))
-    return list(el_at(x + list(compile_expr([sj[u] for u in jets], _base(el.spec))(x))))
+    """Numeric Euler-Lagrange residuals of a section at a base point, read as by
+    :func:`symexpr.evaluate` with every base variable given."""
+    return list(_on_section(el.components, el.spec, s, bind_values(point, _base(el.spec)), fields))
 
 
 # ---------------------------------------------------------------------------
@@ -142,30 +136,20 @@ def _gauss_legendre(n_points: int):
     return nodes, weights
 
 
-def _grid(box, n_points: int):
-    """Per-axis meshgrid of n Gauss-Legendre nodes in the box and the outer product of the weights."""
+def _grid(m: int, n_points: int):
+    """Meshgrid of n Gauss-Legendre nodes per axis of [0, 1]^m and the weights' outer product."""
     nodes, weights = _gauss_legendre(n_points)
-    centers = [(float(a) + float(b)) / 2.0 for a, b in box]
-    halves = [(float(b) - float(a)) / 2.0 for a, b in box]
-    points = list(np.meshgrid(*[c + h * nodes for c, h in zip(centers, halves)], indexing="ij"))
-    return points, reduce(np.multiply.outer, [h * weights for h in halves])
+    points = list(np.meshgrid(*[0.5 + 0.5 * nodes] * m, indexing="ij"))
+    return points, reduce(np.multiply.outer, [0.5 * weights] * m)
 
 
-def bump_polynomial(spec: BundleSpec, box) -> Expr:
-    """Product over axes of ((x_i - a_i)(b_i - x_i))^k; flattens to order k-1 at the boundary."""
+def bump_polynomial(spec: BundleSpec) -> Expr:
+    """Product over axes of (x_i (1 - x_i))^k; flattens to order k-1 on the boundary of [0, 1]^m."""
     factors = []
-    for i, (a, b) in enumerate(box, start=1):
+    for i in range(1, spec.m + 1):
         x = Atom(base_sym(i))
-        factors.append(epow(emul(esub(x, _as_const(a)), esub(_as_const(b), x)), spec.k))
+        factors.append(epow(emul(x, esub(ONE, x)), spec.k))
     return emul(*factors)
-
-
-def _as_const(x) -> Expr:
-    return Const(Fraction(x).limit_denominator(10 ** 9))
-
-
-def default_box(spec: BundleSpec):
-    return tuple((0, 1) for _ in range(spec.m))
 
 
 def default_eps(action: float) -> float:
@@ -174,18 +158,15 @@ def default_eps(action: float) -> float:
 
 
 def action_value(L: Expr, spec: BundleSpec, s: SectionFn, grid: int,
-                 box=None, fields: Optional[Mapping[str, Expr]] = None) -> float:
-    """The action of s: L on its prolongation, summed over `grid` Gauss-Legendre nodes per axis.
+                 fields: Optional[Mapping[str, Expr]] = None) -> float:
+    """The action of s on [0, 1]^m, summed over `grid` Gauss-Legendre nodes per axis.
 
     A non-finite value raises QuadratureError.
     """
-    box = default_box(spec) if box is None else box
-    lfn, jets = _compiled_over_jets([L], spec, fields)
-    sj = section_jets(s, spec, jets)
-    points, weights = _grid(box, grid)
+    points, weights = _grid(spec.m, grid)
     with np.errstate(over="ignore", invalid="ignore"):
-        svals = compile_expr([sj[u] for u in jets], _base(spec))(points)
-        return _finite(np.sum(weights * lfn(points + list(svals))[0]), "action", grid)
+        values = _on_section([L], spec, s, points, fields)[0]
+        return _finite(np.sum(weights * values), "action", grid)
 
 
 def _finite(value, side: str, n_points: int) -> float:
@@ -208,8 +189,17 @@ def _compiled_over_jets(exprs: Sequence[Expr], spec: BundleSpec,
     return compile_expr(exprs, _base(spec) + jets), jets
 
 
+def _on_section(exprs: Sequence[Expr], spec: BundleSpec, s: SectionFn, x: list,
+                fields: Optional[Mapping[str, Expr]]):
+    """exprs at base values x (floats or equally shaped arrays), compiled over x and the
+    jets they read, on the section s, which enters as its compiled jets."""
+    fn, jets = _compiled_over_jets(exprs, spec, fields)
+    sj = section_jets(s, spec, jets)
+    return fn(x + list(compile_expr([sj[u] for u in jets], _base(spec))(x)))
+
+
 def gateaux_oracle(L: Expr, spec: BundleSpec, s: SectionFn, psi: SectionFn,
-                   grid: int, eps: float, box=None,
+                   grid: int, eps: float,
                    fields: Optional[Mapping[str, Expr]] = None) -> tuple[float, float]:
     """Numeric (action derivative, integrated EL pairing) for a compact variation.
 
@@ -217,15 +207,14 @@ def gateaux_oracle(L: Expr, spec: BundleSpec, s: SectionFn, psi: SectionFn,
     is multiplied in here, so the vanishing conditions hold by construction.
     The action derivative is the complex step Im S[s + i eps psi] / eps, which
     has no subtractive cancellation; the pairing is sum_a EL_a (bump psi)_a.
-    Both sides are summed over `grid` Gauss-Legendre nodes per axis and must
-    agree with their values on 2*grid-1 nodes (QuadratureError otherwise);
+    Both sides are summed over `grid` Gauss-Legendre nodes per axis of [0, 1]^m
+    and must agree with their values on 2*grid-1 nodes (QuadratureError otherwise);
     the refined values are returned.  A non-finite side on either grid raises
     QuadratureError.  L and the EL components are compiled over x and the jets
     they read, and fed one compiled table per pair, evaluated on both grids:
     the jets of s that L and EL read, those of bump psi that L reads, and bump psi.
     """
-    box = default_box(spec) if box is None else box
-    bump = bump_polynomial(spec, box)
+    bump = bump_polynomial(spec)
     psi_eff = SectionFn([emul(bump, c) for c in psi.components])
 
     lfn, l_jets = _compiled_over_jets([L], spec, fields)
@@ -236,7 +225,7 @@ def gateaux_oracle(L: Expr, spec: BundleSpec, s: SectionFn, psi: SectionFn,
                             + list(psi_eff.components), _base(spec))
 
     def sides(n_points: int) -> tuple[float, float]:
-        points, weights = _grid(box, n_points)
+        points, weights = _grid(spec.m, n_points)
         with np.errstate(over="ignore", invalid="ignore"):
             table = table_at(points)
             on_s = dict(zip(s_jets, table))

@@ -36,18 +36,18 @@ def _rng(seed: int, stage: str) -> random.Random:
     return random.Random("%d:%s" % (seed, stage))
 
 
-def _round_floats(obj, digits: int = 12):
+def _round_floats(obj):
     if isinstance(obj, float):
-        return float("%.*g" % (digits, obj))
+        return float("%.12g" % obj)
     if isinstance(obj, dict):
-        return {k: _round_floats(v, digits) for k, v in obj.items()}
+        return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_round_floats(v, digits) for v in obj]
+        return [_round_floats(v) for v in obj]
     return obj
 
 
-def _quantize(x: float, denom: int = 10 ** 6) -> Fraction:
-    return Fraction(round(x * denom), denom)
+def _quantize(x: float) -> Fraction:
+    return Fraction(round(x * 10 ** 6), 10 ** 6)
 
 
 def _random_polynomial(spec: BundleSpec, rng: random.Random, draws) -> SectionFn:
@@ -159,8 +159,6 @@ def _analysis_section(problem: ProblemFile, catalog: CoordCatalog, L: Expr,
     for row in hess.entries:
         for e in row:
             hess_syms |= free_syms(e)
-    unbound = sorted(s.name for s in hess_syms
-                     if s.kind == FIELD and s.name not in bindings)
 
     rng = _rng(seed, "regularity")
     points, shown = [], []

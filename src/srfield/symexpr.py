@@ -870,15 +870,15 @@ def _npow(b, n: int, node: Expr):
     return b ** n
 
 
-def compile_expr(e, syms: Sequence[Sym]) -> Callable:
-    """Compile one expression, or a sequence of them, to a callable f(v).
+def compile_expr(exprs: Sequence[Expr], syms: Sequence[Sym]) -> Callable:
+    """Compile a sequence of expressions to a callable f(v).
 
     v holds the values of syms in order: floats, or equally shaped numpy
-    arrays evaluated elementwise.  f returns one value, or a tuple for a
-    sequence of expressions.  Expressions must be free of field atoms (bind
-    fields first); symbols not listed raise at compile time.  A constant
-    beyond the float range raises EvalDomainError here, and a zero base under
-    a negative power when f is called.
+    arrays evaluated elementwise.  f returns the tuple of the expressions'
+    values.  Expressions must be free of field atoms (bind fields first);
+    symbols not listed raise at compile time.  A constant beyond the float
+    range raises EvalDomainError here, and a zero base under a negative power
+    when f is called.
     """
     pos = {s: ix for ix, s in enumerate(syms)}
     lines: list[str] = []
@@ -930,28 +930,25 @@ def compile_expr(e, syms: Sequence[Sym]) -> Callable:
             raise UsageError("cannot compile %r" % (x,))
         return hoist(out[0]) if out[1] >= _MAX_DEPTH else out
 
-    single = isinstance(e, Expr)
     results = []
-    for x in [e] if single else e:
+    for x in exprs:
         results.append(emit(x)[0])
-    ret = results[0] if single else "(%s,)" % ",".join(results) if results else "()"
+    ret = "(%s,)" % ",".join(results) if results else "()"
     src = "def f(v):\n" + "".join("    %s\n" % ln for ln in lines) + "    return %s\n" % ret
     namespace = {"__builtins__": {}, "_npow": _npow, "_P": poles}
     exec(src, namespace)
     return namespace["f"]
 
 
-def evaluate(e, point: Mapping, fields: Optional[Mapping[str, Expr]] = None):
+def evaluate(e: Expr, point: Mapping, fields: Optional[Mapping[str, Expr]] = None):
     """IEEE double value of e at the given assignment, through :func:`compile_expr`.
 
     point maps symbols (or their rendered names) to floats or equally shaped
     numpy arrays; fields optionally binds external field names to expressions
-    in the base variables.  A sequence of expressions is compiled together and
-    gives a list of values.  A missing value or a zero base under a negative
+    in the base variables.  A missing value or a zero base under a negative
     power raises EvalDomainError.
     """
-    out = compile_at([e] if isinstance(e, Expr) else list(e), fields)(point)
-    return out[0] if isinstance(e, Expr) else list(out)
+    return compile_at([e], fields)(point)[0]
 
 
 def compile_at(exprs: Sequence[Expr], fields: Optional[Mapping[str, Expr]] = None) -> Callable:

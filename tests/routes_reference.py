@@ -67,9 +67,8 @@ def substituted_oracle(L: Expr, spec: BundleSpec, s: SectionFn, psi: SectionFn,
                        grid: int, eps: float, fields=None) -> tuple[float, float]:
     """(action derivative, EL pairing) on the refined grid, the pairing taken as
     the one compiled integrand sum_a EL_a[prolong(s, 2k)] * (bump psi)_a."""
-    box = el.default_box(spec)
     L_eff = eager_substitute_fields(L, fields) if fields else L
-    psi_eff = SectionFn([emul(el.bump_polynomial(spec, box), c) for c in psi.components])
+    psi_eff = SectionFn([emul(el.bump_polynomial(spec), c) for c in psi.components])
     sprol = eager_prolong(s, 2 * spec.k, spec)
     pprol = eager_prolong(psi_eff, spec.k, spec)
     parts = []
@@ -78,15 +77,15 @@ def substituted_oracle(L: Expr, spec: BundleSpec, s: SectionFn, psi: SectionFn,
         parts.append(emul(substitute(comp, sprol), p))
     base = [base_sym(i) for i in range(1, spec.m + 1)]
     jets = sorted(u for u in free_syms(L_eff) if u.kind == JET)
-    lfn = compile_expr(L_eff, base + jets)
+    lfn = compile_expr([L_eff], base + jets)
     jets_at = compile_expr([sprol[u] for u in jets] + [pprol[u] for u in jets], base)
-    pairing_at = compile_expr(eadd(*parts), base)
-    points, weights = el._grid(box, 2 * grid - 1)
+    pairing_at = compile_expr([eadd(*parts)], base)
+    points, weights = el._grid(spec.m, 2 * grid - 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        rhs = float(np.sum(weights * pairing_at(points)))
+        rhs = float(np.sum(weights * pairing_at(points)[0]))
         values = jets_at(points)
         stepped = [sv + 1j * eps * pv for sv, pv in zip(values[:len(jets)], values[len(jets):])]
-        lhs = float(np.sum(weights * np.imag(lfn(points + stepped))) / eps)
+        lhs = float(np.sum(weights * np.imag(lfn(points + stepped)[0])) / eps)
     return lhs, rhs
 
 

@@ -501,7 +501,8 @@ def test_signature_record_is_built_once(monkeypatch, plate_catalog, plate_L, ch_
 def test_warm_equation_stages_skip_h0_and_the_families(monkeypatch, plate_catalog, plate_L):
     a_map, b_map = default_projector_assignments(plate_catalog)
     want = ([sx.render(c) for c in c_coefficients(plate_catalog, plate_L, a_map, b_map)],
-            [e.record() for e in tangency_equations(plate_catalog, plate_L)])
+            [e.record() for e in tangency_equations(plate_catalog, plate_L)],
+            [e.record() for e in w2_constraint(plate_catalog, plate_L)])
 
     def refuse(*args):
         raise AssertionError("recomputed on a signature with a record")
@@ -514,7 +515,8 @@ def test_warm_equation_stages_skip_h0_and_the_families(monkeypatch, plate_catalo
         return _real(e, syms)
     monkeypatch.setattr(asm, "gradient", gradient)
     got = ([sx.render(c) for c in c_coefficients(plate_catalog, plate_L, a_map, b_map)],
-           [e.record() for e in tangency_equations(plate_catalog, plate_L)])
+           [e.record() for e in tangency_equations(plate_catalog, plate_L)],
+           [e.record() for e in w2_constraint(plate_catalog, plate_L)])
     assert got == want
     # every partial taken is along x or u, none along a momentum or p
     assert requested and {s.kind for s in requested} == {sx.BASE, sx.JET}
@@ -545,6 +547,8 @@ def test_lagrangian_with_projector_unknown_is_rejected(plate_catalog, plate_L, u
         dynamical_equations(plate_catalog, L)
     with pytest.raises(UsageError, match="projector unknowns"):
         c_coefficients(plate_catalog, L, a_map, b_map)
+    with pytest.raises(UsageError, match="projector unknowns"):
+        w2_constraint(plate_catalog, L)
 
 
 def test_w2_plate(plate_catalog, plate_L):

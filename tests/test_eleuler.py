@@ -169,25 +169,26 @@ def test_gateaux_hand_case():
 
 
 def test_action_value_asymmetric_box():
-    """Nine nodes integrate cubics exactly; the box [0,1] x [0,2] pins each grid axis to its interval."""
+    """Nine nodes integrate cubics exactly on the unit square, the oracle's only region."""
     spec = BundleSpec(2, 1, 1)
     cat = build_catalog(spec)
     L = sx.parse("u[0,0]*x[2] + u[1,0]^3", cat)
     s = SectionFn([sx.parse("x[1]*x[2]", cat)])
-    # integral of x1*x2^2 + x2^3 over the box: 4/3 + 4 (swapped axes give 2/3 + 1/4)
-    assert el.action_value(L, spec, s, 9, box=((0, 1), (0, 2))) == pytest.approx(16 / 3, abs=1e-12)
+    # integral of x1*x2^2 + x2^3 over [0,1]^2: 1/6 + 1/4
+    assert el.action_value(L, spec, s, 9) == pytest.approx(5 / 12, abs=1e-12)
     # a constant integrand compiles to a scalar, which broadcasts over the weights
-    assert el.action_value(sx.Const(3), spec, s, 9, box=((0, 1), (0, 2))) == pytest.approx(6.0)
+    assert el.action_value(sx.Const(3), spec, s, 9) == pytest.approx(3.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 9, 17])
 def test_gauss_legendre_degree_on_asymmetric_box(n):
-    """n nodes per axis integrate degree 2n-1 on each axis exactly and miss degree 2n."""
-    (x1, x2), weights = el._grid(((0, 1), (0, 2)), n)
+    """n nodes per axis of the unit square integrate degree 2n-1 on each axis exactly
+    and miss degree 2n."""
+    (x1, x2), weights = el._grid(2, n)
     d = 2 * n - 1
-    # integral of x1^d * x2^d over [0,1] x [0,2]
+    # integral of x1^d * x2^d over [0,1]^2
     assert float(np.sum(weights * x1 ** d * x2 ** d)) == pytest.approx(
-        2.0 ** (d + 1) / (d + 1) ** 2, rel=1e-14, abs=0)
+        1.0 / (d + 1) ** 2, rel=1e-14, abs=0)
 
     def legendre_n(t):
         prev, cur = np.ones_like(t), t
@@ -195,10 +196,10 @@ def test_gauss_legendre_degree_on_asymmetric_box(n):
             prev, cur = cur, ((2 * k + 1) * t * cur - k * prev) / (k + 1)
         return cur
 
-    # P_n^2 on each axis has degree 2n and integral (b - a) / (2n + 1); the nodes
+    # P_n^2 on each axis has degree 2n and integral 1 / (2n + 1); the nodes
     # are the roots of P_n, so the rule gives zero
-    squared = (legendre_n(2 * x1 - 1) * legendre_n(x2 - 1)) ** 2
-    assert abs(float(np.sum(weights * squared))) < 1e-12 * 2 / (2 * n + 1) ** 2
+    squared = (legendre_n(2 * x1 - 1) * legendre_n(2 * x2 - 1)) ** 2
+    assert abs(float(np.sum(weights * squared))) < 1e-12 / (2 * n + 1) ** 2
 
 
 def _poly_mul(a, b):
@@ -333,7 +334,7 @@ def test_gateaux_zero_variation():
 
 def test_bump_vanishes_to_order_k_minus_1():
     spec = BundleSpec(2, 1, 2)
-    bump = el.bump_polynomial(spec, el.default_box(spec))
+    bump = el.bump_polynomial(spec)
     # all first derivatives vanish on the boundary for k = 2
     for i in (1, 2):
         d = sx.partial(bump, sx.base_sym(i))

@@ -1,7 +1,8 @@
 """Source hygiene: every name a module of the package imports is used in that
-module, every function, class and public method it defines is used somewhere,
-every process-wide memo is keyed by a signature or a size, and every engine
-name the benchmark scripts use exists and binds its call."""
+module, every local a function of the package assigns is read, every
+function, class and public method it defines is used somewhere, every
+process-wide memo is keyed by a signature or a size, and every engine name
+the benchmark scripts use exists and binds its call."""
 
 import ast
 import importlib
@@ -40,6 +41,37 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_locals(source: str) -> list[str]:
+    """Names a function assigns and never reads, nested functions' reads included;
+    names starting with _ are exempt."""
+    out = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored: dict[str, int] = {}
+        read = set()
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                stored.setdefault(node.id, node.lineno)
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+        out.extend("%s: %s (line %d)" % (fn.name, name, line)
+                   for name, line in sorted(stored.items(), key=lambda kv: kv[1])
+                   if name not in read and not name.startswith("_"))
+    return out
+
+
+def test_unread_locals_are_found():
+    source = ("def f(a):\n    x = a\n    y, _z = a\n    for i in a: pass\n    w = 1\n"
+              "    def g():\n        return w\n    return g\n")
+    assert unread_locals(source) == ["f: x (line 2)", "f: y (line 3)", "f: i (line 4)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unread_locals(path):
+    assert unread_locals(path.read_text()) == []
 
 
 def definitions(source: str) -> list[tuple[str, int]]:

@@ -7,7 +7,7 @@ import re
 import pytest
 
 from srfield import symexpr as sx
-from srfield.eleuler import bump_polynomial, default_box
+from srfield.eleuler import bump_polynomial
 from srfield.errors import UsageError
 from srfield.jetmodel import (
     BundleSpec,
@@ -180,7 +180,7 @@ def test_prolong_matches_eager_reference(signature):
     """The same trees as the eager level-by-level loop, for sections and bumped variations."""
     spec = BundleSpec(*signature)
     rng = random.Random(3)
-    bump = bump_polynomial(spec, default_box(spec))
+    bump = bump_polynomial(spec)
     for _ in range(2):
         s = random_section(spec, rng)
         psi = SectionFn([sx.emul(bump, c) for c in random_variation(spec, rng).components])

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from srfield import errors
 from srfield.cli import main
 from srfield.corpus import (
     CORPUS_NAMES,
@@ -510,6 +511,39 @@ def test_cli_unexpected_exception_exits_4(tmp_path, capsys, monkeypatch):
     assert main(["el", path]) == 4
     err = capsys.readouterr().err
     assert err == "internal error: ZeroDivisionError: boom second line\n"
+
+
+ENGINE_ERRORS = {
+    errors.ParseError: (2, "parse error: boom"),
+    errors.UsageError: (3, "error: boom"),
+    errors.PreconditionError: (3, "error: boom"),
+    errors.NormalizationError: (3, "error: boom"),
+    errors.EvalDomainError: (3, "error: boom"),
+    errors.SelectionError: (3, "error: boom"),
+    errors.QuadratureError: (3, "error: boom"),
+    errors.InternalConsistencyError: (4, "internal consistency error: boom"),
+}
+
+
+def test_cli_exit_table_covers_every_engine_error():
+    assert set(ENGINE_ERRORS) == set(errors.EngineError.__subclasses__())
+
+
+@pytest.mark.parametrize("exc,code,prefix", [
+    (cls, code, prefix) for cls, (code, prefix) in ENGINE_ERRORS.items()] + [
+    (OSError, 3, "error: boom"),
+    (RuntimeError, 4, "internal error: RuntimeError: boom")],
+    ids=lambda v: v.__name__ if isinstance(v, type) else None)
+def test_cli_exit_code_per_exception(tmp_path, capsys, monkeypatch, exc, code, prefix):
+    import srfield.cli
+
+    def broken(problem, seed=0, stages=None):
+        raise exc("boom")
+
+    monkeypatch.setattr(srfield.cli, "run_problem", broken)
+    path = _write(tmp_path, "mech.prob", MECH_PROBLEM)
+    assert main(["run", path]) == code
+    assert capsys.readouterr().err == prefix + "\n"
 
 
 def test_cli_corpus_all(capsys):
