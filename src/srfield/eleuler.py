@@ -5,10 +5,12 @@ The oracle compares a complex-step derivative of the action under a
 compactly supported variation against the quadrature of the Euler-Lagrange
 expression times the variation, both on the same tensor-product
 Gauss-Legendre grid on [0, 1]^m, checked against a grid of 2n-1 nodes per
-axis.  L and the Euler-Lagrange components are compiled over the base
-variables and the jets they read; a section reaches them only as its
-compiled jets, taken as unexpanded trees from one table of x-derivatives per
-component.  Each grid is evaluated as numpy arrays and summed with numpy.
+axis, with nodes polished by Newton steps on P_n.  L and the Euler-Lagrange
+components are compiled once per problem over the base variables and the
+jets they read.  A section reaches them as its jets, all read off one
+truncated Taylor expansion (:class:`Taylor`) per grid point, with no
+derivative tree to build or compile.  Each grid is evaluated as numpy arrays
+and summed with numpy.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import multiindex as mi
 from .errors import QuadratureError, UsageError
-from .jetmodel import BundleSpec, SectionFn, section_jets
+from .jetmodel import BundleSpec, SectionFn
 from .symexpr import (
     Atom,
     Expr,
@@ -41,6 +43,7 @@ from .symexpr import (
     jet_order,
     jet_sym,
     normalize,
+    render,
     substitute_fields,
 )
 
@@ -48,6 +51,8 @@ from .symexpr import (
 REFINEMENT_TOL = 1e-4
 # step of the complex-step action derivative, which has no cancellation to scale it against
 COMPLEX_STEP = 1e-20
+# points per slab of a grid's first axis, evaluated at a time to bound the Taylor tables' memory
+SLAB_POINTS = 1024
 
 
 def total_derivative(e: Expr, i: int, max_order: int) -> Expr:
@@ -90,7 +95,6 @@ class ELSystem:
         return self.components[ix]
 
     def records(self) -> list[str]:
-        from .symexpr import render
         return [render(c) for c in self.components]
 
 
@@ -117,21 +121,132 @@ def residual_on_section(el: ELSystem, s: SectionFn, point: Mapping,
 
 
 # ---------------------------------------------------------------------------
+# Taylor jets
+
+
+@lru_cache(maxsize=None)
+def _taylor_index(m: int, order: int):
+    """Over mi.enumerate_up_to(m, order): each index's position, the count up to each
+    order, each index's order, and per I the positions of I + J for J up to order - |I|."""
+    indices = mi.enumerate_up_to(m, order)
+    pos = {J: ix for ix, J in enumerate(indices)}
+    sizes = [len(mi.enumerate_up_to(m, l)) for l in range(order + 1)]
+    return pos, sizes, [I.order for I in indices], [
+        np.array([pos[I.add(J)] for J in indices[:sizes[order - I.order]]]) for I in indices]
+
+
+class Taylor:
+    """Truncated Taylor expansions at a set of points: rows[r] is the coefficient of the
+    r-th multi-index of mi.enumerate_up_to(m, order), kept up to the value's own degree.
+    Compiled code uses only +, * and ** by a nonzero integer, so a compiled section called
+    on Taylor base variables gives all its jets at once: u_J = rows[J] * J!."""
+
+    __array_ufunc__ = None  # numpy operands defer to the reflected operators
+
+    def __init__(self, rows, degree: int, m: int, order: int):
+        self.rows, self.degree, self.m, self.order = rows, degree, m, order
+
+    @property
+    def value(self):
+        return self.rows[0]
+
+    def __add__(self, other):
+        if not isinstance(other, Taylor):
+            other = Taylor(np.reshape(other, (1,) + np.shape(other)), 0, self.m, self.order)
+        low, high = (other, self) if other.degree <= self.degree else (self, other)
+        rows = high.rows.copy()
+        rows[:len(low.rows)] += low.rows
+        return Taylor(rows, high.degree, self.m, self.order)
+
+    def __mul__(self, other):
+        if not isinstance(other, Taylor):
+            return Taylor(self.rows * other, self.degree, self.m, self.order)
+        low, high = (self, other) if self.degree <= other.degree else (other, self)
+        _, sizes, orders, shifts = _taylor_index(self.m, self.order)
+        degree = min(low.degree + high.degree, self.order)
+        rows = np.empty((sizes[degree],) + high.rows.shape[1:])
+        # the constant row shifts nothing; a row of zeros, common in monomials, adds nothing
+        np.multiply(low.rows[0], high.rows, out=rows[:len(high.rows)])
+        rows[len(high.rows):] = 0.0
+        for r in range(1, len(low.rows)):
+            if low.rows[r].any():
+                take = sizes[min(high.degree, degree - orders[r])]
+                rows[shifts[r][:take]] += low.rows[r] * high.rows[:take]
+        return Taylor(rows, degree, self.m, self.order)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __pow__(self, n: int):
+        base = self
+        if n < 0:  # 1/b = sum_j g^j / b_0 with g = 1 - b/b_0, which has no constant term
+            g = self * (-1.0 / self.value)
+            g.rows[0] = 0.0
+            base = 1.0
+            for _ in range(self.order):
+                base = g * base + 1.0
+            base, n = base * (1.0 / self.value), -n
+        out = base
+        for _ in range(n - 1):
+            out = out * base
+        return out
+
+
+def _variables(x: list, order: int) -> list:
+    """The base variables as Taylor values to the given order at the points x."""
+    out = []
+    for i, xi in enumerate(x, start=1):
+        rows = np.zeros((len(x) + 1,) + np.shape(xi))
+        rows[0], rows[i] = xi, 1.0
+        out.append(Taylor(rows if order else rows[:1], min(order, 1), len(x), order))
+    return out
+
+
+def _jets(values: Sequence, jets: Sequence[Sym]) -> list:
+    """The jets u^a_J = rows[J] * J! of fiber components given as Taylor values or constants."""
+    out = []
+    for u in jets:
+        t = values[u.alpha - 1]
+        rows = t.rows if isinstance(t, Taylor) else [t]
+        r = _taylor_index(len(u.index), u.index.order)[0][u.index]
+        out.append(rows[r] * u.index.factorial() if r < len(rows) else 0.0)
+    return out
+
+
+def _order(jets: Sequence[Sym]) -> int:
+    return max((u.index.order for u in jets), default=0)
+
+
+def _taylor_at(s: SectionFn, spec: BundleSpec, order: int):
+    """s compiled once: a function from base values x to its Taylor values there."""
+    if len(s) != spec.n:
+        raise UsageError("section has %d components, fiber dimension is %d" % (len(s), spec.n))
+    at = compile_expr(s.components, _base(spec))
+    return lambda x: at(_variables(x, order))
+
+
+# ---------------------------------------------------------------------------
 # Quadrature
 
 
 @lru_cache(maxsize=None)
 def _gauss_legendre(n_points: int):
-    """Gauss-Legendre nodes and weights on [-1, 1] (Golub-Welsch), read-only.
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only.
 
     The nodes are the eigenvalues of the Jacobi matrix of the Legendre
-    recurrence and the weights 2 v_0^2 from its unit eigenvectors; n nodes
-    integrate polynomials up to degree 2n-1 exactly.
+    recurrence (Golub-Welsch), polished by three Newton steps on P_n, and the
+    weights are 2 / ((1 - x^2) P_n'(x)^2); n nodes integrate polynomials up to
+    degree 2n-1 exactly.
     """
     k = np.arange(1, n_points)
     off = k / np.sqrt(4.0 * k * k - 1.0)
-    nodes, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    weights = 2.0 * vecs[0] ** 2
+    nodes = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    for step in range(4):
+        prev, cur = np.ones_like(nodes), nodes
+        for j in range(1, n_points):
+            prev, cur = cur, ((2 * j + 1) * nodes * cur - j * prev) / (j + 1)
+        slope = n_points * (nodes * cur - prev) / (nodes * nodes - 1.0)  # P_n'
+        nodes = nodes - cur / slope if step < 3 else nodes
+    weights = 2.0 / ((1.0 - nodes * nodes) * slope * slope)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
@@ -192,10 +307,55 @@ def _compiled_over_jets(exprs: Sequence[Expr], spec: BundleSpec,
 def _on_section(exprs: Sequence[Expr], spec: BundleSpec, s: SectionFn, x: list,
                 fields: Optional[Mapping[str, Expr]]):
     """exprs at base values x (floats or equally shaped arrays), compiled over x and the
-    jets they read, on the section s, which enters as its compiled jets."""
+    jets they read, on the section s, which enters as its Taylor jets."""
     fn, jets = _compiled_over_jets(exprs, spec, fields)
-    sj = section_jets(s, spec, jets)
-    return fn(x + list(compile_expr([sj[u] for u in jets], _base(spec))(x)))
+    return fn(x + _jets(_taylor_at(s, spec, _order(jets))(x), jets))
+
+
+def oracle_for(L: Expr, spec: BundleSpec, el: ELSystem, grid: int,
+               fields: Optional[Mapping[str, Expr]] = None):
+    """The per-problem part of :func:`gateaux_oracle`: L and the components of el
+    compiled once, and the bump's Taylor values on both grids.  Returns the
+    per-pair part, a function of (s, psi, eps) to (lhs, rhs)."""
+    lfn, l_jets = _compiled_over_jets([L], spec, fields)
+    el_at, el_jets = _compiled_over_jets(el.components, spec, fields)
+    s_jets = sorted(set(l_jets) | set(el_jets))
+    p_order = _order(l_jets)
+    bump_at = compile_expr([bump_polynomial(spec)], _base(spec))
+    grids = []
+    for n_points in (grid, 2 * grid - 1):
+        points, weights = _grid(spec.m, n_points)
+        step = max(1, SLAB_POINTS // n_points ** (spec.m - 1))
+        slabs = []
+        for lo in range(0, n_points, step):
+            x = [xi[lo:lo + step] for xi in points]
+            slabs.append((x, weights[lo:lo + step], bump_at(_variables(x, p_order))[0]))
+        grids.append((n_points, slabs))
+
+    def sides(s_at, psi_at, eps: float, n_points: int, slabs):
+        lhs = rhs = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for x, weights, bump in slabs:
+                on_s = dict(zip(s_jets, _jets(s_at(x), s_jets)))
+                varied = [bump * p for p in psi_at(x)]
+                stepped = [on_s[u] + 1j * eps * pv for u, pv in zip(l_jets, _jets(varied, l_jets))]
+                lhs += np.sum(weights * np.imag(lfn(x + stepped)[0]))
+                el_values = el_at(x + [on_s[u] for u in el_jets])
+                rhs += np.sum(weights * sum(e * v.value for e, v in zip(el_values, varied)))
+        rhs = _finite(rhs, "EL pairing", n_points)
+        return _finite(lhs / eps, "action derivative", n_points), rhs
+
+    def pair(s: SectionFn, psi: SectionFn, eps: float) -> tuple[float, float]:
+        s_at, psi_at = _taylor_at(s, spec, _order(s_jets)), _taylor_at(psi, spec, p_order)
+        (lhs_c, rhs_c), (lhs, rhs) = (sides(s_at, psi_at, eps, *g) for g in grids)
+        for coarse, refined, side in ((lhs_c, lhs, "action derivative"),
+                                      (rhs_c, rhs, "EL pairing")):
+            if abs(refined - coarse) > REFINEMENT_TOL * (1.0 + abs(refined)):
+                raise QuadratureError("grid too coarse for the %s: refinement moved %.3e"
+                                      % (side, abs(refined - coarse)))
+        return lhs, rhs
+
+    return pair
 
 
 def gateaux_oracle(L: Expr, spec: BundleSpec, s: SectionFn, psi: SectionFn,
@@ -204,46 +364,16 @@ def gateaux_oracle(L: Expr, spec: BundleSpec, s: SectionFn, psi: SectionFn,
     """Numeric (action derivative, integrated EL pairing) for a compact variation.
 
     psi supplies the free polynomial part of the variation; the boundary bump
-    is multiplied in here, so the vanishing conditions hold by construction.
-    The action derivative is the complex step Im S[s + i eps psi] / eps, which
-    has no subtractive cancellation; the pairing is sum_a EL_a (bump psi)_a.
-    Both sides are summed over `grid` Gauss-Legendre nodes per axis of [0, 1]^m
-    and must agree with their values on 2*grid-1 nodes (QuadratureError otherwise);
-    the refined values are returned.  A non-finite side on either grid raises
-    QuadratureError.  L and the EL components are compiled over x and the jets
-    they read, and fed one compiled table per pair, evaluated on both grids:
-    the jets of s that L and EL read, those of bump psi that L reads, and bump psi.
+    is multiplied in here, as a product of Taylor values, so the vanishing
+    conditions hold by construction.  The action derivative is the complex
+    step Im S[s + i eps psi] / eps, which has no subtractive cancellation; the
+    pairing is sum_a EL_a (bump psi)_a.  Both sides are summed over `grid`
+    Gauss-Legendre nodes per axis of [0, 1]^m and must agree with their values
+    on 2*grid-1 nodes (QuadratureError otherwise); the refined values are
+    returned.  A non-finite side on either grid raises QuadratureError.  This
+    is :func:`oracle_for` on the derived EL, applied to one pair.
     """
-    bump = bump_polynomial(spec)
-    psi_eff = SectionFn([emul(bump, c) for c in psi.components])
-
-    lfn, l_jets = _compiled_over_jets([L], spec, fields)
-    el_at, el_jets = _compiled_over_jets(euler_lagrange(L, spec).components, spec, fields)
-    s_jets = sorted(set(l_jets) | set(el_jets))
-    sj, pj = section_jets(s, spec, s_jets), section_jets(psi_eff, spec, l_jets)
-    table_at = compile_expr([sj[u] for u in s_jets] + [pj[u] for u in l_jets]
-                            + list(psi_eff.components), _base(spec))
-
-    def sides(n_points: int) -> tuple[float, float]:
-        points, weights = _grid(spec.m, n_points)
-        with np.errstate(over="ignore", invalid="ignore"):
-            table = table_at(points)
-            on_s = dict(zip(s_jets, table))
-            varied = table[len(s_jets):]
-            stepped = [on_s[u] + 1j * eps * pv for u, pv in zip(l_jets, varied)]
-            lhs = np.sum(weights * np.imag(lfn(points + stepped)[0])) / eps
-            el_values = el_at(points + [on_s[u] for u in el_jets])
-            pairing = sum(e * v for e, v in zip(el_values, varied[len(l_jets):]))
-            rhs = _finite(np.sum(weights * pairing), "EL pairing", n_points)
-        return _finite(lhs, "action derivative", n_points), rhs
-
-    (lhs_c, rhs_c), (lhs, rhs) = sides(grid), sides(2 * grid - 1)
-    for coarse, refined, side in ((lhs_c, lhs, "action derivative"),
-                                  (rhs_c, rhs, "EL pairing")):
-        if abs(refined - coarse) > REFINEMENT_TOL * (1.0 + abs(refined)):
-            raise QuadratureError(
-                "grid too coarse for the %s: refinement moved %.3e" % (side, abs(refined - coarse)))
-    return lhs, rhs
+    return oracle_for(L, spec, euler_lagrange(L, spec), grid, fields)(s, psi, eps)
 
 
 def relative_gap(lhs: float, rhs: float) -> float:

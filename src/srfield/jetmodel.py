@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from . import multiindex as mi
 from .errors import UsageError
@@ -149,26 +149,17 @@ class SectionFn:
         return self.components[ix]
 
 
-def section_jets(s: SectionFn, spec: BundleSpec, jets: Iterable[Sym]) -> dict[Sym, Expr]:
-    """The given jet coordinates of the prolonged section, u^a_J -> D^J s^a, and no others.
-
-    Each component's derivatives come from one :func:`symexpr.base_derivatives`
-    table, so jets asked for together share their lower-order trees.
-    """
-    if len(s) != spec.n:
-        raise UsageError("section has %d components, fiber dimension is %d" % (len(s), spec.n))
-    tables = [base_derivatives(c, spec.m) for c in s.components]
-    return {u: tables[u.alpha - 1](u.index) for u in jets}
-
-
 def prolong(s: SectionFn, order: int, spec: BundleSpec) -> dict[Sym, Expr]:
     """Jet coordinates of the prolonged section as expressions in the base variables.
 
-    Entries are u^a_J -> D^J s^a for all |J| <= order, taken from
-    :func:`section_jets`, so each is a chain of partials along a fixed path.
+    Entries are u^a_J -> D^J s^a for all |J| <= order, taken from one
+    :func:`symexpr.base_derivatives` table per component, so each is a chain
+    of partials along a fixed path.
     """
     if order > 2 * spec.k:
         raise UsageError("prolongation order %d exceeds 2k = %d" % (order, 2 * spec.k))
-    return section_jets(s, spec, [jet_sym(alpha, J)
-                                  for J in mi.enumerate_up_to(spec.m, order)
-                                  for alpha in range(1, spec.n + 1)])
+    if len(s) != spec.n:
+        raise UsageError("section has %d components, fiber dimension is %d" % (len(s), spec.n))
+    tables = [base_derivatives(c, spec.m) for c in s.components]
+    return {jet_sym(alpha, J): tables[alpha - 1](J)
+            for J in mi.enumerate_up_to(spec.m, order) for alpha in range(1, spec.n + 1)}

@@ -15,13 +15,11 @@ from .jetmodel import BundleSpec, CoordCatalog, SectionFn
 from .problem import ProblemFile
 from .symexpr import (
     Atom,
-    Const,
     Expr,
     FIELD,
     aux_c,
     base_sym,
-    eadd,
-    emul,
+    canonical_polynomial,
     free_syms,
     normalize,
     render,
@@ -51,15 +49,16 @@ def _quantize(x: float) -> Fraction:
 
 
 def _random_polynomial(spec: BundleSpec, rng: random.Random, draws) -> SectionFn:
-    """Per fiber index, the sum over (J, low, high) in draws, in that order, of a
-    quantized draw from [low, high] times the monomial x^J."""
+    """Per fiber index, the sum over (J, low, high) in draws of a quantized draw from
+    [low, high], drawn in that order, times the monomial x^J.  Each component is
+    built in normalize's canonical form, so rendering it normalizes nothing."""
     comps = []
     for _ in range(spec.n):
-        terms = []
+        coeffs: dict = {}
         for J, low, high in draws:
-            x_J = [Atom(base_sym(i)) for i, c in enumerate(J, start=1) for _ in range(c)]
-            terms.append(emul(Const(_quantize(rng.uniform(low, high))), *x_J))
-        comps.append(eadd(*terms))
+            mono = tuple((base_sym(i), c) for i, c in enumerate(J, start=1) if c)
+            coeffs[mono] = coeffs.get(mono, 0) + _quantize(rng.uniform(low, high))
+        comps.append(canonical_polynomial(coeffs))
     return SectionFn(comps)
 
 
@@ -138,12 +137,13 @@ def run_problem(problem: ProblemFile, seed: int = 0,
     if "analysis" in stages:
         report["analysis"] = _analysis_section(problem, catalog, L, bindings, seed)
 
+    # derived once: the el stage reports it and the oracle checks it
+    el = eleuler.euler_lagrange(L, spec) if "el" in stages or "oracle" in stages else None
     if "el" in stages:
-        el = eleuler.euler_lagrange(L, spec)
         report["euler_lagrange"] = el.records()
 
     if "oracle" in stages:
-        report["oracle"] = _oracle_section(problem, catalog, L, bindings, seed)
+        report["oracle"] = _oracle_section(problem, catalog, L, el, bindings, seed)
 
     return _round_floats(report)
 
@@ -208,7 +208,7 @@ def _analysis_section(problem: ProblemFile, catalog: CoordCatalog, L: Expr,
 
 
 def _oracle_section(problem: ProblemFile, catalog: CoordCatalog, L: Expr,
-                    bindings, seed: int) -> list[dict]:
+                    el: eleuler.ELSystem, bindings, seed: int) -> list[dict]:
     spec = problem.bundle
     if any(s.kind == FIELD and s.name not in bindings for s in free_syms(L)):
         return [{"skipped": "Lagrangian has unbound external fields"}]
@@ -219,6 +219,7 @@ def _oracle_section(problem: ProblemFile, catalog: CoordCatalog, L: Expr,
     while len(pairs) < ORACLE_PAIRS:
         pairs.append((random_section(spec, rng), random_variation(spec, rng)))
     grid = default_grid(spec)
+    oracle = eleuler.oracle_for(L, spec, el, grid, bindings or None)
     out = []
     for s, psi in pairs:
         entry: dict = {
@@ -228,8 +229,7 @@ def _oracle_section(problem: ProblemFile, catalog: CoordCatalog, L: Expr,
             "seed": seed,
         }
         try:
-            lhs, rhs = eleuler.gateaux_oracle(L, spec, s, psi, grid, eleuler.COMPLEX_STEP,
-                                              fields=bindings or None)
+            lhs, rhs = oracle(s, psi, eleuler.COMPLEX_STEP)
             entry.update({
                 "eps": eleuler.COMPLEX_STEP,
                 "lhs": lhs,

@@ -842,6 +842,14 @@ def normalize(e: Expr) -> Expr:
     return out
 
 
+def canonical_polynomial(coeffs: Mapping[tuple, Fraction]) -> Expr:
+    """What normalize gives for the sum of c * monomial over coeffs, built directly;
+    a monomial is a tuple of (Sym, positive exponent) pairs in symbol order."""
+    out = _poly_to_expr({mono: _coef(c) for mono, c in coeffs.items() if c})
+    out._canon = True
+    return out
+
+
 def is_zero(e: Expr) -> bool:
     nf = normalize(e)
     return isinstance(nf, Const) and nf.q == 0
@@ -864,8 +872,9 @@ _MAX_DEPTH = 50
 
 
 def _npow(b, n: int, node: Expr):
-    """b ** n for a negative n, refusing a zero base anywhere in b."""
-    if not np.all(b):
+    """b ** n for a negative n, refusing a zero base anywhere in b; a Taylor
+    value (eleuler.Taylor) is refused on a zero constant term."""
+    if not np.all(getattr(b, "value", b)):
         raise EvalDomainError("division by zero in %s" % render(node))
     return b ** n
 

@@ -1,12 +1,16 @@
 """Source hygiene: every name a module of the package imports is used in that
 module, every local a function of the package assigns is read, every
 function, class and public method it defines is used somewhere, every
-process-wide memo is keyed by a signature or a size, and every engine name
-the benchmark scripts use exists and binds its call."""
+process-wide memo is keyed by a signature or a size, every engine name the
+benchmark scripts use exists and binds its call, and importing the package
+loads no third-party package but numpy."""
 
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -140,7 +144,8 @@ def test_memos_are_keyed_by_signature_or_size():
     # every input; one keyed by a signature (m, n, k) or an int stays bounded
     # by the signatures and sizes in use
     memos = {name: keys for path in MODULES for name, keys in memo_keys(path.read_text())}
-    assert memos == {"_gauss_legendre": ["int"], "_signature": ["BundleSpec"]}
+    assert memos == {"_gauss_legendre": ["int"], "_signature": ["BundleSpec"],
+                     "_taylor_index": ["int", "int"]}
 
 
 def engine_uses(source: str) -> list[tuple]:
@@ -210,3 +215,15 @@ def test_benchmark_uses_bind(script):
     source = (ROOT / "perfbench" / script).read_text()
     assert len(engine_uses(source)) >= 5
     assert broken_uses(source) == []
+
+
+def test_import_loads_no_third_party_package_but_numpy():
+    # a fresh interpreter's import is the benchmark's set-up time; a new
+    # third-party import would add its load to every run
+    code = ("import sys\nbefore = set(sys.modules)\nimport srfield\n"
+            "print(sorted({name.split('.')[0] for name in set(sys.modules) - before}"
+            " - set(sys.stdlib_module_names)))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert ast.literal_eval(out) == ["numpy", "srfield"]

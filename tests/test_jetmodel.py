@@ -17,7 +17,6 @@ from srfield.jetmodel import (
     dim_jet,
     pairing_phi,
     prolong,
-    section_jets,
 )
 from srfield.multiindex import MultiIndex, enumerate_up_to
 from srfield.report import random_section, random_variation
@@ -188,14 +187,16 @@ def test_prolong_matches_eager_reference(signature):
             assert prolong(section, 2 * spec.k, spec) == eager_prolong(section, 2 * spec.k, spec)
 
 
-def test_section_jets_returns_only_the_jets_asked_for():
+def test_prolong_per_component():
     spec = BundleSpec(2, 2, 2)
     cat = build_catalog(spec)
     s = SectionFn([sx.parse("x[1]^2*x[2]", cat), sx.parse("x[2]^3", cat)])
+    pr = prolong(s, 3, spec)
+    assert len(pr) == 2 * 10
     asked = [sx.jet_sym(2, MultiIndex((0, 3))), sx.jet_sym(1, MultiIndex((1, 0)))]
-    jets = section_jets(s, spec, asked)
-    assert list(jets) == asked
-    assert [sx.render(sx.normalize(jets[u])) for u in asked] == ["6", "2*x[1]*x[2]"]
+    assert [sx.render(sx.normalize(pr[u])) for u in asked] == ["6", "2*x[1]*x[2]"]
+    with pytest.raises(UsageError, match="section has 1 components, fiber dimension is 2"):
+        prolong(SectionFn([sx.parse("x[2]^3", cat)]), 1, spec)
 
 
 def test_prolong_rejects_momenta():

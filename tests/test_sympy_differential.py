@@ -6,9 +6,11 @@ import pytest
 
 from srfield import eleuler as el
 from srfield import symexpr as sx
-from srfield.jetmodel import BundleSpec, build_catalog
+from srfield.jetmodel import BundleSpec, SectionFn, build_catalog
+from srfield.problem import parse_problem
+from srfield.report import _rng, random_section, random_variation
 
-from conftest import random_poly, random_rational
+from conftest import CH_L_TEXT, bench_workloads, random_poly, random_rational
 
 sympy = pytest.importorskip("sympy")
 from sympy.calculus.euler import euler_equations  # noqa: E402
@@ -122,3 +124,56 @@ def test_euler_lagrange_matches_sympy(m, n, k, seed):
         # u^2/2, which adds u to the Euler-Lagrange expression of u.
         (eq,) = euler_equations(big + u ** 2 / 2, [u], xs)
         assert same(eq.lhs - eq.rhs - u, to_sympy(comp, atom)), (m, n, k, seed)
+
+
+def exact_first_variation(L, spec, s, psi):
+    """d/dt S[s + t bump psi] at t = 0 over [0, 1]^m, with the bump prod (x_i (1 - x_i))^k,
+    as the integral of sum_J dL/du_J (s) D^J (bump psi), differentiated and
+    integrated exactly by sympy."""
+    xs = sympy.symbols("x1:%d" % (spec.m + 1))
+    bump = sympy.Mul(*[(x * (1 - x)) ** spec.k for x in xs])
+    on_base = lambda sym: xs[sym.i - 1]
+    section = [sympy.Poly(to_sympy(c, on_base), *xs) for c in s.components]
+    varied = [sympy.Poly(bump * to_sympy(p, on_base), *xs) for p in psi.components]
+
+    def jet(polys, u):
+        args = [(x, c) for x, c in zip(xs, u.index) if c]
+        return (polys[u.alpha - 1].diff(*args) if args else polys[u.alpha - 1]).as_expr()
+
+    jets = {u: sympy.Symbol(u.render()) for u in sx.free_syms(L) if u.kind == sx.JET}
+    big = to_sympy(L, lambda sym: jets[sym] if sym in jets else on_base(sym))
+    on_s = {U: jet(section, u) for u, U in jets.items()}
+    integrand = sympy.Add(*[sympy.diff(big, U).subs(on_s) * jet(varied, u)
+                            for u, U in jets.items()])
+    if integrand.is_polynomial(*xs):
+        return sum(c / sympy.prod([e + 1 for e in exps])
+                   for exps, c in sympy.Poly(integrand, *xs).terms())
+    return sympy.integrate(integrand, *[(x, 0, 1) for x in xs])
+
+
+def _ladder_213_second_pair():
+    problem = parse_problem(dict(bench_workloads().LADDER)["ladder-213"])
+    rng = _rng(0, "oracle")
+    pairs = [(random_section(problem.bundle, rng), random_variation(problem.bundle, rng))
+             for _ in range(3)]
+    return problem.lagrangian(), problem.bundle, pairs[1]
+
+
+def _camassa_holm_pair():
+    spec = BundleSpec(2, 1, 2)
+    cat = build_catalog(spec)
+    # u[1,0] = 1 + x[2]/2 stays away from zero on the unit square
+    return (sx.parse(CH_L_TEXT, cat), spec,
+            (SectionFn([sx.parse("x[1] + x[1]*x[2]/2 + x[2]^2/3", cat)]),
+             SectionFn([sx.parse("1 + x[1] - x[2]/2", cat)])))
+
+
+@pytest.mark.parametrize("case", [_ladder_213_second_pair, _camassa_holm_pair],
+                         ids=["ladder-213", "camassa-holm"])
+def test_oracle_sides_match_the_exact_first_variation(case):
+    """Both oracle sides lie within 5e-13 relative of the exact first variation."""
+    L, spec, (s, psi) = case()
+    exact = float(exact_first_variation(L, spec, s, psi).evalf(30))
+    lhs, rhs = el.gateaux_oracle(L, spec, s, psi, 9, el.COMPLEX_STEP)
+    assert abs(lhs - exact) <= 5e-13 * abs(exact), (lhs, exact)
+    assert abs(rhs - exact) <= 5e-13 * abs(exact), (rhs, exact)
