@@ -12,16 +12,22 @@ form is written term by term into one form, its dH0 part from the gradient of
 the dynamical function H0.  Both sides of the check are linear in the
 partials dL/du_J, and dL/dx^i drops out, so it runs once per signature on
 sum_J g_J u_J with opaque constants g_J, and the signature's record also
-holds pairing - p and P_j = h_j^0(pairing - p), the Lagrangian-free halves
-of W2, p = L - (pairing - p), and of C_j = h_j^0(L) - P_j.  The lifts reach
-L through its partials along x and u alone (symexpr.gradient), for C_j and
-for the tangency conditions, which apply them to both sides of W1.
+holds the default assignment's maps and, as polynomials, pairing - p and
+P_j = h_j^0(pairing - p), the Lagrangian-free halves of W2,
+p = L - (pairing - p), and of C_j = h_j^0(L) - P_j.
+
+Every side is built in canonical form from L's partials table
+(symexpr.Partials), which one report shares: the trace, middle and W1 sides
+are partials reduced once, the tangency sides are the default lift h_j, with
+the top-order A's, applied to the top-order partials and reduced once, and
+h_j^0(L) is reduced once to n'/d'.  W2 = (n - pairing d)/d and
+C_j = (n' - P_j d')/d' then take no gcd, since gcd(n - P d, d) = gcd(n, d) = 1.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Mapping
+from typing import Mapping, Optional
 
 from . import multiindex as mi
 from .equations import (
@@ -42,24 +48,31 @@ from .symexpr import (
     Atom,
     BASE,
     Const,
+    Derivation,
     Expr,
     JET,
     MOMENTUM,
     PSCALAR,
+    Partials,
     Sym,
     aux_a,
     aux_b,
     aux_c,
+    canonical_polynomial,
+    canonical_quotient,
     directional,
     eadd,
     emul,
     eneg,
     esub,
+    expand,
     field_sym,
     free_syms,
     gradient,
+    horizontal,
     is_zero,
     jet_sym,
+    minus_polynomial,
     mom_sym,
     normalize,
     render,
@@ -125,16 +138,18 @@ def projector_template(catalog: CoordCatalog) -> dict[int, dict[Sym, Expr]]:
     return lifts
 
 
-def equation_families(catalog: CoordCatalog, L: Expr) -> dict[Sym, Equation]:
+def equation_families(catalog: CoordCatalog, L: Expr,
+                      table: Optional[Partials] = None) -> dict[Sym, Equation]:
     """The closed-form equation on each d(c) of the collapsed dynamical form.
 
     Its residual is the coefficient of d(c) wedge d^m x, negated on momenta.
     Momenta carry the holonomy conditions on the A's; a jet of order 0 the
     trace relation, of order 1..k-1 the middle momentum relation and of
     order k the top-order constraint W1.  Grouped by family in that order.
+    Every side is built in canonical form, the partials from L's table.
     """
     _check_l_on_jets(catalog, L)
-    dl = gradient(L, catalog.jet_syms)
+    table = Partials(L) if table is None else table
     m, k = catalog.m, catalog.k
     out: dict[Sym, Equation] = {}
     for s in catalog.mom_syms:
@@ -144,14 +159,21 @@ def equation_families(catalog: CoordCatalog, L: Expr) -> dict[Sym, Equation]:
         for alpha in range(1, catalog.n + 1):
             for J in (J for l in orders for J in mi.enumerate_indices(m, l)):
                 u = jet_sym(alpha, J)
-                d = dl.get(u, Const(0))
-                moms = momentum_sum(u)
-                bs = eadd(*[Atom(aux_b(J, i, alpha, i)) for i in range(1, m + 1)])
-                lhs, rhs, tag = ((bs, d, TAG_B_TRACE) if sum(J) == 0 else
-                                 (moms, esub(d, bs), TAG_B_MIDDLE) if sum(J) < k else
-                                 (moms, d, TAG_W1))
+                d = table.reduce(table.of(u))
+                bs = _linear(aux_b(J, i, alpha, i) for i in range(1, m + 1))
+                moms = canonical_polynomial(_linear(mom_sym(alpha, I, i)
+                                                    for I, i in mi.decompositions(J)))
+                lhs, rhs, tag = ((canonical_polynomial(bs), canonical_quotient(*d), TAG_B_TRACE)
+                                 if sum(J) == 0 else
+                                 (moms, minus_polynomial(*d, bs), TAG_B_MIDDLE) if sum(J) < k else
+                                 (moms, canonical_quotient(*d), TAG_W1))
                 out[u] = Equation(lhs, rhs, tag, "d(%s)" % u.render())
     return out
+
+
+def _linear(syms) -> dict:
+    """The sum of syms as a polynomial."""
+    return {((s, 1),): 1 for s in syms}
 
 
 def check_collapse(catalog: CoordCatalog, L: Expr) -> EquationSet:
@@ -188,31 +210,36 @@ def check_collapse(catalog: CoordCatalog, L: Expr) -> EquationSet:
 
 
 @lru_cache(maxsize=None)
-def _signature(spec: BundleSpec) -> tuple[Expr, tuple[Expr, ...], tuple[dict, dict]]:
+def _signature(spec: BundleSpec) -> tuple[dict, tuple[dict, ...], tuple[dict, dict]]:
     """The signature's record, built once: the collapse check on sum_J g_J u_J with opaque
-    constants g_J, then pairing - p and P_j = h_j^0(pairing - p), normalized, for the
-    default assignment, and that assignment, which stays inside this module.  W2 and
-    C_j are both X(L) - X(pairing - p), X the identity for W2 and h_j^0 for C_j."""
+    constants g_J, then pairing - p and P_j = h_j^0(pairing - p) as polynomials, for the
+    default assignment, and that assignment's maps.  W2 and C_j are both
+    X(L) - X(pairing - p), X the identity for W2 and h_j^0 for C_j."""
     catalog = build_catalog(spec)
     check_collapse(catalog, eadd(*[emul(Atom(field_sym("dL/d" + u.render(), mi.zero(spec.m), ())),
                                         Atom(u)) for u in catalog.jet_syms]))
     pairing = normalize(esub(pairing_phi(catalog), Atom(catalog.p)))
-    defaults = default_projector_assignments(catalog)
+    defaults = _default_maps(catalog)
     lifts = _reduced_lifts(catalog, *defaults)
-    return pairing, tuple(_pairing_images(catalog, lifts, pairing)), defaults
+    return (expand(pairing)[0], tuple(expand(image)[0] for image in
+                                      _pairing_images(catalog, lifts, pairing)), defaults)
 
 
-def dynamical_equations(catalog: CoordCatalog, L: Expr) -> EquationSet:
+def dynamical_equations(catalog: CoordCatalog, L: Expr,
+                        table: Optional[Partials] = None) -> EquationSet:
     """The four equation families of L, into which i_h Omega_H0 = (m-1) Omega_H0 collapses."""
     _signature(catalog.spec)
-    return EquationSet(equation_families(catalog, L).values())
+    return EquationSet(equation_families(catalog, L, table).values())
 
 
-def w2_constraint(catalog: CoordCatalog, L: Expr) -> EquationSet:
+def w2_constraint(catalog: CoordCatalog, L: Expr,
+                  table: Optional[Partials] = None) -> EquationSet:
     """H0 = 0, fixing the scalar momentum: p = L - (pairing - p), from the signature's record."""
     _check_l_on_jets(catalog, L)
     pairing = _signature(catalog.spec)[0]
-    return EquationSet([Equation(Atom(catalog.p), normalize(esub(L, pairing)), TAG_W2, "H0=0")])
+    table = Partials(L) if table is None else table
+    return EquationSet([Equation(Atom(catalog.p), minus_polynomial(table.num, table.den, pairing),
+                                 TAG_W2, "H0=0")])
 
 
 def momentum_sum(u: Sym) -> Expr:
@@ -231,21 +258,26 @@ def top_partials(catalog: CoordCatalog, L: Expr) -> dict[Sym, Expr]:
     return {u: dl.get(u, Const(0)) for u in tops}
 
 
-def tangency_equations(catalog: CoordCatalog, L: Expr) -> EquationSet:
+def tangency_equations(catalog: CoordCatalog, L: Expr,
+                       table: Optional[Partials] = None) -> EquationSet:
     """Conditions keeping the projector tangent to the top-order constraint set.
 
     Each lift h_j, with the default assignment, is applied to both sides of
     every W1 equation: the momentum sum goes to sum B^{I,i}_{a,j}, and
-    dL/du_K to the lift of its partials along x and u.
+    dL/du_K, from L's table, to its image under h_j.
     """
-    syms = catalog.base_syms + catalog.jet_syms
+    _check_l_on_jets(catalog, L)
+    table = Partials(L) if table is None else table
+    lifts = [_lift(catalog, j, True) for j in range(1, catalog.m + 1)]
     out = EquationSet()
-    for u, d in top_partials(catalog, L).items():
-        grad = gradient(d, syms)
-        for j in range(1, catalog.m + 1):
-            lhs = eadd(*[Atom(aux_b(I, i, u.alpha, j)) for I, i in mi.decompositions(u.index)])
-            out.add(Equation(lhs, normalize(_default_lift(catalog, j, grad)), TAG_TANGENCY,
-                             "d/dx[%d] of W1(%s)" % (j, u.render())))
+    for u in catalog.jet_syms:
+        if sum(u.index) == catalog.k:
+            d = table.of(u)
+            for j, h in enumerate(lifts, start=1):
+                lhs = _linear(aux_b(I, i, u.alpha, j) for I, i in mi.decompositions(u.index))
+                out.add(Equation(canonical_polynomial(lhs),
+                                 canonical_quotient(*table.reduce(table.derive(d, h))),
+                                 TAG_TANGENCY, "d/dx[%d] of W1(%s)" % (j, u.render())))
     return out
 
 
@@ -256,20 +288,27 @@ def _default_a(catalog: CoordCatalog, u: Sym, j: int) -> Expr:
     return Atom(aux_a(u.alpha, u.index, j))
 
 
-def _default_lift(catalog: CoordCatalog, j: int, grad: Mapping[Sym, Expr]) -> Expr:
-    """h_j with the default assignment applied to a function of x and u, given its partials."""
-    return eadd(*[d if s.kind == BASE else emul(_default_a(catalog, s, j), d)
-                  for s, d in grad.items() if s.kind != BASE or s.i == j])
+def _lift(catalog: CoordCatalog, j: int, top: bool) -> Derivation:
+    """h_j with the default assignment, as a derivation on functions of x and u;
+    h_j^0, 0 on the top-order jets, when top is False."""
+    return horizontal(j, lambda u: ((_default_a(catalog, u, j).sym, 1),)
+                      if top or sum(u.index) < catalog.k else None)
 
 
-def default_projector_assignments(catalog: CoordCatalog) -> tuple[dict[Sym, Expr], dict[Sym, Expr]]:
-    """Assignments (A, B): holonomy values for the determined A's, symbols elsewhere."""
+def _default_maps(catalog: CoordCatalog) -> tuple[dict[Sym, Expr], dict[Sym, Expr]]:
     js = range(1, catalog.m + 1)
     a_map = {aux_a(u.alpha, u.index, j): _default_a(catalog, u, j)
              for u in catalog.jet_syms for j in js}
     b_map = {b: Atom(b) for s in catalog.mom_syms
              for b in (aux_b(s.index, s.i, s.alpha, j) for j in js)}
     return a_map, b_map
+
+
+def default_projector_assignments(catalog: CoordCatalog) -> tuple[dict[Sym, Expr], dict[Sym, Expr]]:
+    """Assignments (A, B): holonomy values for the determined A's, symbols elsewhere;
+    fresh copies of the maps in the signature's record."""
+    a_map, b_map = _signature(catalog.spec)[2]
+    return dict(a_map), dict(b_map)
 
 
 def _reduced_lifts(catalog: CoordCatalog, a_assign: Mapping[Sym, Expr],
@@ -306,27 +345,28 @@ def _pairing_images(catalog: CoordCatalog, lifts: Mapping[int, Mapping[Sym, Expr
     return [normalize(directional(h, grad)) for h in lifts.values()]
 
 
-def c_coefficients(catalog: CoordCatalog, L: Expr,
-                   a_assign: Mapping[Sym, Expr], b_assign: Mapping[Sym, Expr]) -> list[Expr]:
+def c_coefficients(catalog: CoordCatalog, L: Expr, a_assign: Mapping[Sym, Expr],
+                   b_assign: Mapping[Sym, Expr], table: Optional[Partials] = None) -> list[Expr]:
     """Scalar-momentum coefficients C_j, free of top-order A symbols.
 
     C_j is minus h_j applied to the dynamical function H0 without its scalar
     momentum p (h_j[p] is the unknown C_j itself), with the given values for
     every A and B unknown of h_j and each top-order A_{K,j} on u_K set to 0
     (_reduced_lifts): C_j = h_j^0(L) - P_j with P_j = h_j^0(pairing - p).
-    h_j^0 acts on L through its partials along x and u alone, and under the
-    default assignment, which is 0 on the top-order jets, through those below
-    top order; P_j then comes from the signature's record.
+    Under the default assignment, which is 0 on the top-order jets, h_j^0 acts
+    on L's table, and with n'/d' = h_j^0(L) reduced once, C_j = (n' - P_j d')/d'
+    with P_j from the signature's record; other assignments take the lifts
+    through the gradient of L along x and u.
     """
     _check_l_on_jets(catalog, L)
     pairing, images, defaults = _signature(catalog.spec)
     if (dict(a_assign), dict(b_assign)) == defaults:
-        grad = gradient(L, catalog.base_syms + tuple(u for u in catalog.jet_syms
-                                                     if sum(u.index) < catalog.k))
-        parts = [_default_lift(catalog, j, grad) for j in range(1, catalog.m + 1)]
-    else:
-        lifts = _reduced_lifts(catalog, a_assign, b_assign)
-        images = _pairing_images(catalog, lifts, pairing)
-        grad = gradient(L, catalog.base_syms + catalog.jet_syms)
-        parts = [directional(h, grad) for h in lifts.values()]
-    return [normalize(esub(part, image)) for part, image in zip(parts, images)]
+        table = Partials(L) if table is None else table
+        return [minus_polynomial(*table.reduce(table.derive(table.lagrangian(),
+                                                            _lift(catalog, j, False))), image)
+                for j, image in enumerate(images, start=1)]
+    lifts = _reduced_lifts(catalog, a_assign, b_assign)
+    grad = gradient(L, catalog.base_syms + catalog.jet_syms)
+    return [normalize(esub(directional(h, grad), image))
+            for h, image in zip(lifts.values(),
+                                _pairing_images(catalog, lifts, canonical_polynomial(pairing)))]

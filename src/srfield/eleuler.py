@@ -28,21 +28,21 @@ from .symexpr import (
     Expr,
     JET,
     ONE,
+    Partials,
     Sym,
     base_sym,
     bind_values,
+    canonical_quotient,
     compile_expr,
     directional,
-    eadd,
     emul,
-    eneg,
     epow,
     esub,
     free_syms,
     gradient,
+    horizontal,
     jet_order,
     jet_sym,
-    normalize,
     render,
     substitute_fields,
 )
@@ -98,18 +98,29 @@ class ELSystem:
         return [render(c) for c in self.components]
 
 
-def euler_lagrange(L: Expr, spec: BundleSpec) -> ELSystem:
-    """Per fiber index: sum over |J| <= k of (-1)^|J| D^J (dL/du^a_J), normalized."""
+def euler_lagrange(L: Expr, spec: BundleSpec, table: Optional[Partials] = None) -> ELSystem:
+    """Per fiber index: sum over |J| <= k of (-1)^|J| D^J (dL/du^a_J), normalized.
+
+    The partials come from L's table; each D^J is taken on them as expanded
+    polynomials over powers of the table's base, and each sum is reduced once.
+    """
     if jet_order(L) > spec.k:
         raise UsageError("Lagrangian order exceeds the signature's jet order")
+    table = Partials(L) if table is None else table
+    totals = [horizontal(i, lambda u, i=i: ((jet_sym(u.alpha, u.index.bump(i)), 1),))
+              for i in range(1, spec.m + 1)]
     comps = []
     for alpha in range(1, spec.n + 1):
-        jets = [jet_sym(alpha, J) for J in mi.enumerate_up_to(spec.m, spec.k)]
-        parts = []
-        for u, dl in gradient(L, jets).items():
-            term = iterated_total_derivative(dl, u.index)
-            parts.append(term if u.index.order % 2 == 0 else eneg(term))
-        comps.append(normalize(eadd(*parts)))
+        terms = []
+        for J in mi.enumerate_up_to(spec.m, spec.k):
+            term = table.of(jet_sym(alpha, J))
+            if not term[0]:
+                continue
+            for d, times in zip(totals, J):
+                for _ in range(times):
+                    term = table.derive(term, d)
+            terms.append((-1 if J.order % 2 else 1, term))
+        comps.append(canonical_quotient(*table.reduce(table.total(terms))))
     return ELSystem(spec, comps)
 
 

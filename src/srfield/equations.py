@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .symexpr import Expr, normalize, render
+from .symexpr import Expr, render
 
 TAG_A = "A"
 TAG_B_TRACE = "B_TRACE"
@@ -18,6 +18,8 @@ TAG_C = "C"
 
 @dataclass(frozen=True)
 class Equation:
+    """lhs = rhs, both sides in normalize's canonical form, which record renders."""
+
     lhs: Expr
     rhs: Expr
     tag: str
@@ -30,8 +32,8 @@ class Equation:
     def record(self) -> dict:
         return {
             "tag": self.tag,
-            "lhs": render(normalize(self.lhs)),
-            "rhs": render(normalize(self.rhs)),
+            "lhs": render(self.lhs),
+            "rhs": render(self.rhs),
             "provenance": self.provenance,
         }
 

@@ -17,6 +17,7 @@ from .symexpr import (
     Atom,
     Expr,
     FIELD,
+    Partials,
     aux_c,
     base_sym,
     canonical_polynomial,
@@ -100,6 +101,8 @@ def run_problem(problem: ProblemFile, seed: int = 0,
     catalog = problem.catalog()
     L = problem.lagrangian(catalog)
     bindings = problem.field_bindings(catalog)
+    # L expanded once: the header, the equations and EL all read this table
+    table = Partials(L)
     all_stages = {"equations", "analysis", "el", "oracle"}
     stages = all_stages if stages is None else stages
 
@@ -108,7 +111,7 @@ def run_problem(problem: ProblemFile, seed: int = 0,
             "m": spec.m,
             "n": spec.n,
             "k": spec.k,
-            "lagrangian": render(normalize(L)),
+            "lagrangian": render(table.expr()),
             "fields": {
                 name: {"depends": list(deps),
                        "value": None if text is None else text}
@@ -124,11 +127,11 @@ def run_problem(problem: ProblemFile, seed: int = 0,
             "k=1 or m=1: further constraint steps beyond the scalar-momentum level may be required")
 
     if "equations" in stages:
-        eqs = assembler.dynamical_equations(catalog, L)
-        eqs.extend(assembler.w2_constraint(catalog, L))
-        eqs.extend(assembler.tangency_equations(catalog, L))
+        eqs = assembler.dynamical_equations(catalog, L, table)
+        eqs.extend(assembler.w2_constraint(catalog, L, table))
+        eqs.extend(assembler.tangency_equations(catalog, L, table))
         a_map, b_map = assembler.default_projector_assignments(catalog)
-        cs = assembler.c_coefficients(catalog, L, a_map, b_map)
+        cs = assembler.c_coefficients(catalog, L, a_map, b_map, table)
         for j, cexpr in enumerate(cs, start=1):
             eqs.add(Equation(Atom(aux_c(j)), cexpr, TAG_C, "d/dx[%d] of H0" % j))
         report["equations"] = {tag: [e.record() for e in eqs.by_tag(tag)]
@@ -138,7 +141,7 @@ def run_problem(problem: ProblemFile, seed: int = 0,
         report["analysis"] = _analysis_section(problem, catalog, L, bindings, seed)
 
     # derived once: the el stage reports it and the oracle checks it
-    el = eleuler.euler_lagrange(L, spec) if "el" in stages or "oracle" in stages else None
+    el = eleuler.euler_lagrange(L, spec, table) if "el" in stages or "oracle" in stages else None
     if "el" in stages:
         report["euler_lagrange"] = el.records()
 

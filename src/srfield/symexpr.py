@@ -8,12 +8,19 @@ expressions are equivalent exactly when their difference normalizes to zero.
 External scalar fields are opaque atoms carrying their declared base-variable
 dependence; their formal derivatives stay symbolic.
 
+A Lagrangian's partials table (:class:`Partials`) expands L once into its
+canonical pair n/d and keeps every partial, and every derivation of one, as
+an expanded numerator over a power of the squarefree part of d, so a side
+built from it is gcd-reduced once, when it is output; a canonical pair minus
+a polynomial (:func:`minus_polynomial`) needs no gcd at all.
+
 Everything here is immutable and reentrant; there is no interning table or
 other shared mutable state.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 from itertools import chain
 from typing import Callable, Mapping, Optional, Sequence
@@ -603,16 +610,28 @@ def _p_monic(p: dict) -> dict:
     return _p_scale(p, 1 / Fraction(lc)) if lc != 1 else dict(p)
 
 
+def _lex_rank(mono: tuple) -> tuple:
+    """_lex_key with each symbol replaced by its sort key, so tuples compare it directly."""
+    return tuple((s._k, e) for s, e in reversed(mono))
+
+
 def _p_divexact(a: dict, b: dict) -> dict:
-    """Exact quotient a / b; raises NormalizationError when b does not divide a."""
+    """Exact quotient a / b; raises NormalizationError when b does not divide a.
+
+    The remainder's monomials wait in a list sorted by the term order, so
+    each step takes the leading one off its end instead of searching for it.
+    """
     if _p_is_one(b):
         return dict(a)
     lb = max(b, key=_lex_key)
     cb = b[lb]
     q: dict = {}
     r = dict(a)
-    while r:
-        lr = max(r, key=_lex_key)
+    queue = sorted((_lex_rank(m), m) for m in r)
+    while queue:
+        lr = queue.pop()[1]
+        if lr not in r:  # cancelled after it was queued
+            continue
         mono = _mono_div(lr, lb)
         if mono is None:
             raise NormalizationError("inexact polynomial division")
@@ -622,8 +641,29 @@ def _p_divexact(a: dict, b: dict) -> dict:
         else:
             qc = _coef(Fraction(rc) / cb)
         q[mono] = qc
-        _p_add_into(r, {_mono_mul(m, mono): c for m, c in b.items()}, -qc)
+        for m, c in b.items():
+            key = _mono_mul(m, mono)
+            if key in r:
+                new = r[key] - c * qc
+                if new:
+                    r[key] = _coef(new)
+                else:
+                    del r[key]
+            else:
+                r[key] = _coef(-c * qc)
+                insort(queue, (_lex_rank(key), key))
     return q
+
+
+def _p_coefficients(p: dict, syms: set) -> list[dict]:
+    """The coefficients of p as a polynomial in syms (p itself when syms is empty)."""
+    if not syms:
+        return [p]
+    out: dict = {}
+    for mono, c in p.items():
+        outer = tuple(pair for pair in mono if pair[0] in syms)
+        out.setdefault(outer, {})[tuple(pair for pair in mono if pair[0] not in syms)] = c
+    return list(out.values())
 
 
 def _p_gcd(a: dict, b: dict) -> dict:
@@ -634,7 +674,9 @@ def _p_gcd(a: dict, b: dict) -> dict:
     Primitive remainder sequence in the main variable, the largest symbol
     present (the last pair of some monomial).  A polynomial is split into a
     dict degree -> coefficient polynomial in the smaller symbols, whose
-    contents recurse into this gcd.
+    contents recurse into this gcd.  A common factor lies in the symbols both
+    operands have, so an operand with symbols the other lacks is first split
+    into its coefficients in those symbols, all in one pass.
     """
     if not a:
         return _p_monic(b)
@@ -642,6 +684,15 @@ def _p_gcd(a: dict, b: dict) -> dict:
         return _p_monic(a)
     if _p_is_const(a) or _p_is_const(b):
         return _p_one()
+    sa = {s for mono in a for s, _ in mono}
+    sb = {s for mono in b for s, _ in mono}
+    if sa != sb:
+        g: dict = {}
+        for coeff in chain(_p_coefficients(a, sa - sb), _p_coefficients(b, sb - sa)):
+            g = _p_gcd(g, coeff)
+            if _p_is_const(g):
+                return _p_one()
+        return g
     main = max(mono[-1][0] for mono in chain(a, b) if mono)
 
     def to_univ(p: dict) -> dict:
@@ -754,6 +805,24 @@ def _rat_reduce(num: dict, den: dict) -> tuple[dict, dict]:
     return num, den
 
 
+def _p_squarefree(p: dict) -> tuple[dict, int]:
+    """The squarefree part b of p and the least e with p dividing b^e.
+
+    g = gcd(p, every partial of p) holds each factor f^k of p as f^(k-1), so
+    b = p / g, and e - 1 is the number of times gcd(g, b) divides out of g.
+    """
+    g = p
+    for dp in _p_gradient(p).values():
+        g = _p_gcd(g, dp)
+        if _p_is_const(g):
+            return p, 1
+    base, e = _p_divexact(p, g), 1
+    while not _p_is_const(g):
+        g = _p_divexact(g, _p_gcd(g, base))
+        e += 1
+    return base, e
+
+
 def _to_rat(e: Expr) -> tuple[dict, dict]:
     if isinstance(e, Const):
         return ({_P_ONE_KEY: _coef(e.q)} if e.q else {}), _p_one()
@@ -848,6 +917,183 @@ def canonical_polynomial(coeffs: Mapping[tuple, Fraction]) -> Expr:
     out = _poly_to_expr({mono: _coef(c) for mono, c in coeffs.items() if c})
     out._canon = True
     return out
+
+
+def canonical_quotient(num: dict, den: dict) -> Expr:
+    """The tree normalize gives for num / den, a pair already in canonical form."""
+    out = _rat_to_expr(num, den)
+    out._canon = True
+    return out
+
+
+def minus_polynomial(num: dict, den: dict, poly: dict) -> Expr:
+    """num / den - poly, canonical for a canonical pair: no gcd is taken, since
+    gcd(num - poly * den, den) = gcd(num, den) = 1."""
+    out = dict(num)
+    _p_add_into(out, _p_mul(poly, den), -1)
+    return canonical_quotient(out, den if out else _p_one())
+
+
+def expand(e: Expr) -> tuple[dict, dict]:
+    """e as a canonical pair (numerator, denominator) of monomial dicts."""
+    return _rat_reduce(*_to_rat(e))
+
+
+# ---------------------------------------------------------------------------
+# The partials table: one Lagrangian expanded once
+#
+# L = n/d in canonical form, b the squarefree part of d and e the least power
+# with d dividing b^e, so L = n'/b^e with n' = n b^e/d.  Every partial dL/ds is
+# an entry (N, r), read as N / b^r: N = dn'/ds and r = e when b is free of s,
+# else N = b dn'/ds - e n' db/ds and r = e + 1; on a polynomial L (d = 1) every
+# r is 0.  A derivation D whose components are single monomials maps N / b^r
+# to (b DN - r N Db) / b^(r+1), or DN / b^r when Db = 0 (Geddes, Czapor and
+# Labahn, Algorithms for Computer Algebra, 1992, ch. 2), and entries over
+# different powers add over the largest.  So the total derivatives, the
+# default lifts h_j and h_j^0 and the Euler-Lagrange sums work on expanded
+# polynomials over powers of one fixed b, and a side is gcd-reduced once, by
+# one _rat_reduce when it is output.  Powers of b, not of d, keep a repeated
+# factor from piling up: three derivatives of 1/s^4 sit over s^7, not s^16.
+
+
+class Derivation:
+    """sum_s c_s d/ds, each component c_s one monomial with coefficient 1 (a
+    tuple) or None for 0, made by rule(s) when s is first met; apply maps a
+    polynomial to its image."""
+
+    __slots__ = ("rule", "comps")
+
+    def __init__(self, rule: Callable[[Sym], Optional[tuple]]):
+        self.rule = rule
+        self.comps: dict = {}
+
+    def apply(self, p: dict) -> dict:
+        comps = self.comps
+        out: dict = {}
+        for mono, c in p.items():
+            for ix, (s, e) in enumerate(mono):
+                if s not in comps:
+                    comps[s] = self.rule(s)
+                v = comps[s]
+                if v is None:
+                    continue
+                rest = mono[:ix] + ((s, e - 1),) + mono[ix + 1:] if e > 1 else mono[:ix] + mono[ix + 1:]
+                key = _mono_mul(rest, v)
+                new = out.get(key, 0) + c * e
+                if new:
+                    out[key] = _coef(new)
+                else:
+                    del out[key]
+        return out
+
+
+def horizontal(i: int, jet_rule: Callable[[Sym], Optional[tuple]]) -> Derivation:
+    """d/dx^i plus the formal field derivative along x^i, and jet_rule's
+    component on each jet; 0 along everything else."""
+
+    def rule(s: Sym) -> Optional[tuple]:
+        if s.kind == JET:
+            return jet_rule(s)
+        if s.kind == BASE:
+            return () if s.i == i else None
+        if s.kind == FIELD and i in s.deps:
+            return ((field_sym(s.name, s.index.bump(i), s.deps), 1),)
+        return None
+
+    return Derivation(rule)
+
+
+def _p_gradient(p: dict) -> dict:
+    """Symbol -> the partial of the polynomial p along it, every symbol of p, in one pass."""
+    out: dict = {}
+    for mono, c in p.items():
+        for ix, (s, e) in enumerate(mono):
+            rest = mono[:ix] + ((s, e - 1),) + mono[ix + 1:] if e > 1 else mono[:ix] + mono[ix + 1:]
+            acc = out.setdefault(s, {})
+            new = acc.get(rest, 0) + c * e
+            if new:
+                acc[rest] = _coef(new)
+            else:
+                del acc[rest]
+    return out
+
+
+class Partials:
+    """A Lagrangian expanded once: its canonical pair num/den, and its partials
+    as entries over powers of base, the squarefree part of den, taken from one
+    pass over the monomials of L's numerator over base^e and of base when
+    first asked for."""
+
+    __slots__ = ("num", "den", "base", "_poly", "_lag", "_dn", "_db", "_of", "_images", "_powers")
+
+    def __init__(self, L: Expr):
+        self.num, self.den = expand(L)
+        self._poly = _p_is_one(self.den)
+        self.base, e = (self.den, 0) if self._poly else _p_squarefree(self.den)
+        self._lag = (self.num if e <= 1 else
+                     _p_mul(self.num, _p_divexact(_p_pow(self.base, e), self.den)), e)
+        self._dn = self._db = None
+        self._of: dict = {}
+        self._images: dict = {}
+        self._powers = {1: self.base}
+
+    def expr(self) -> Expr:
+        """L in canonical form, as normalize gives it."""
+        return canonical_quotient(self.num, self.den)
+
+    def lagrangian(self) -> tuple[dict, int]:
+        """L itself as an entry."""
+        return self._lag
+
+    def of(self, s: Sym) -> tuple[dict, int]:
+        """dL/ds, each atom independent of the others."""
+        if s not in self._of:
+            num, e = self._lag
+            if self._dn is None:
+                self._dn, self._db = _p_gradient(num), _p_gradient(self.base)
+            dn, db = self._dn.get(s, {}), self._db.get(s)
+            if db is None:
+                self._of[s] = dn, e
+            else:
+                out = _p_mul(dn, self.base)
+                _p_add_into(out, _p_mul(num, db), -e)
+                self._of[s] = out, e + 1
+        return self._of[s]
+
+    def derive(self, entry: tuple[dict, int], d: Derivation) -> tuple[dict, int]:
+        """D applied to an entry."""
+        num, r = entry
+        if not num:
+            return entry
+        if d not in self._images:
+            self._images[d] = d.apply(self.base)
+        db = self._images[d]
+        if not db:
+            return d.apply(num), r
+        out = _p_mul(d.apply(num), self.base)
+        _p_add_into(out, _p_mul(num, db), -r)
+        return out, r + 1
+
+    def _power(self, r: int) -> dict:
+        if r not in self._powers:
+            self._powers[r] = _p_pow(self.base, r)
+        return self._powers[r]
+
+    def total(self, terms: Sequence[tuple[int, tuple[dict, int]]]) -> tuple[dict, int]:
+        """The sum of sign * entry over (sign, entry) in terms, over the largest power of base."""
+        top = max((r for _, (num, r) in terms if num), default=0)
+        out: dict = {}
+        for sign, (num, r) in terms:
+            if num:
+                _p_add_into(out, num if r == top else _p_mul(num, self._power(top - r)), sign)
+        return out, top
+
+    def reduce(self, entry: tuple[dict, int]) -> tuple[dict, dict]:
+        """The entry as a canonical pair: one _rat_reduce, none on a polynomial."""
+        num, r = entry
+        if self._poly or not num:
+            return num, _p_one()
+        return _rat_reduce(num, self._power(r))
 
 
 def is_zero(e: Expr) -> bool:

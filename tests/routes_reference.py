@@ -2,32 +2,46 @@
 
 The engine takes every x-derivative of a section or a bound field from one
 memoized table (`symexpr.base_derivatives`), evaluates L and the
-Euler-Lagrange components on compiled jets, and reads the selection matrix
-off `analysis.b_system_matrix`.  These functions build the same objects the
-way the engine once did: an eager loop over every multi-index, the
-Euler-Lagrange components with the prolonged section substituted in and
-multiplied by the variation as one compiled integrand, and the selection rows
-built from the selected columns.  The tests compare the two routes.
+Euler-Lagrange components on compiled jets, reads the selection matrix off
+`analysis.b_system_matrix`, and takes the equation sides and the
+Euler-Lagrange components from L's partials table (`symexpr.Partials`).
+These functions build the same objects the way the engine once did: an
+eager loop over every multi-index, the Euler-Lagrange components with the
+prolonged section substituted in and multiplied by the variation as one
+compiled integrand, the selection rows built from the selected columns, and
+every equation side and Euler-Lagrange component as a tree (gradient, the
+lift applied to the partials, iterated total derivatives), normalized once.
+The tests compare the two routes.
 """
 
 import numpy as np
 
+from srfield import assembler as asm
 from srfield import eleuler as el
 from srfield import multiindex as mi
 from srfield.analysis import SelectionMatrix
-from srfield.jetmodel import BundleSpec, SectionFn
+from srfield.jetmodel import BundleSpec, CoordCatalog, SectionFn, pairing_phi
 from srfield.symexpr import (
+    BASE,
     FIELD,
     JET,
+    ZERO,
+    Atom,
     Expr,
     Sym,
+    aux_b,
     base_sym,
     compile_expr,
     eadd,
     emul,
+    eneg,
+    esub,
     free_syms,
+    gradient,
     jet_sym,
+    normalize,
     partial,
+    render,
     substitute,
 )
 
@@ -111,3 +125,65 @@ def built_selection_rows(spec: BundleSpec, sel: SelectionMatrix) -> SelectionMat
                 row[col_pos[(jj, jj, J)]] = 1
         matrix.append(row)
     return SelectionMatrix(rows, list(sel.col_labels), matrix, list(sel.trace), set(sel.line6_cols))
+
+
+def default_lift(catalog: CoordCatalog, j: int, grad) -> Expr:
+    """h_j with the default assignment applied to a function of x and u, given its partials."""
+    return eadd(*[d if s.kind == BASE else emul(asm._default_a(catalog, s, j), d)
+                  for s, d in grad.items() if s.kind != BASE or s.i == j])
+
+
+def tree_euler_lagrange(L: Expr, spec: BundleSpec) -> list[str]:
+    """Per fiber index, sum over |J| <= k of (-1)^|J| D^J (dL/du^a_J) as one tree, normalized."""
+    out = []
+    for alpha in range(1, spec.n + 1):
+        jets = [jet_sym(alpha, J) for J in mi.enumerate_up_to(spec.m, spec.k)]
+        parts = []
+        for u, dl in gradient(L, jets).items():
+            term = el.iterated_total_derivative(dl, u.index)
+            parts.append(term if u.index.order % 2 == 0 else eneg(term))
+        out.append(render(normalize(eadd(*parts))))
+    return out
+
+
+def tree_families(catalog: CoordCatalog, L: Expr) -> dict[str, tuple[str, str]]:
+    """d(u) -> the rendered sides of the trace, middle or W1 equation on the jet u."""
+    dl = gradient(L, catalog.jet_syms)
+    out = {}
+    for u in catalog.jet_syms:
+        d = dl.get(u, ZERO)
+        bs = eadd(*[Atom(aux_b(u.index, i, u.alpha, i)) for i in range(1, catalog.m + 1)])
+        lhs, rhs = ((bs, d) if u.index.order == 0 else
+                    (asm.momentum_sum(u), esub(d, bs)) if u.index.order < catalog.k else
+                    (asm.momentum_sum(u), d))
+        out["d(%s)" % u.render()] = (render(normalize(lhs)), render(normalize(rhs)))
+    return out
+
+
+def tree_tangency(catalog: CoordCatalog, L: Expr) -> list[tuple[str, str]]:
+    """Each default lift applied to the partials of each W1 right side, in the engine's order."""
+    syms = catalog.base_syms + catalog.jet_syms
+    out = []
+    for u, d in asm.top_partials(catalog, L).items():
+        grad = gradient(d, syms)
+        for j in range(1, catalog.m + 1):
+            lhs = eadd(*[Atom(aux_b(I, i, u.alpha, j)) for I, i in mi.decompositions(u.index)])
+            out.append((render(normalize(lhs)), render(normalize(default_lift(catalog, j, grad)))))
+    return out
+
+
+def tree_c_coefficients(catalog: CoordCatalog, L: Expr) -> list[str]:
+    """C_j = h_j^0(L) - P_j, h_j^0 applied to the partials of L along x and u below top order,
+    and P_j from the lifts of the default assignment."""
+    pairing = normalize(esub(pairing_phi(catalog), Atom(catalog.p)))
+    lifts = asm._reduced_lifts(catalog, *asm.default_projector_assignments(catalog))
+    images = asm._pairing_images(catalog, lifts, pairing)
+    grad = gradient(L, catalog.base_syms + tuple(u for u in catalog.jet_syms
+                                                 if u.index.order < catalog.k))
+    return [render(normalize(esub(default_lift(catalog, j, grad), image)))
+            for j, image in enumerate(images, start=1)]
+
+
+def tree_w2(catalog: CoordCatalog, L: Expr) -> str:
+    """The right side of H0 = 0 solved for p, L - (pairing - p), normalized."""
+    return render(normalize(esub(L, esub(pairing_phi(catalog), Atom(catalog.p)))))

@@ -452,7 +452,8 @@ def _textbook_tangency(cat, L):
     for u, eq in equation_families(cat, L).items():
         if eq.tag == TAG_W1:
             lhs, rhs = sx.gradient(eq.lhs, cat.coords), sx.gradient(eq.rhs, cat.coords)
-            out += [Equation(sx.directional(h, lhs), sx.normalize(sx.directional(h, rhs)),
+            out += [Equation(sx.normalize(sx.directional(h, lhs)),
+                             sx.normalize(sx.directional(h, rhs)),
                              TAG_TANGENCY, "d/dx[%d] of W1(%s)" % (j, u.render()))
                     for j, h in lifts.items()]
     return out
@@ -510,16 +511,23 @@ def test_warm_equation_stages_skip_h0_and_the_families(monkeypatch, plate_catalo
         monkeypatch.setattr(asm, name, refuse)
     requested = []
 
-    def gradient(e, syms, _real=sx.gradient):
-        requested.extend(syms)
-        return _real(e, syms)
-    monkeypatch.setattr(asm, "gradient", gradient)
+    def horizontal(i, jet_rule, _real=sx.horizontal):
+        lift = _real(i, jet_rule)
+        rule = lift.rule
+
+        def recorded(s):
+            requested.append(s)
+            return rule(s)
+        lift.rule = recorded
+        return lift
+    monkeypatch.setattr(asm, "horizontal", horizontal)
     got = ([sx.render(c) for c in c_coefficients(plate_catalog, plate_L, a_map, b_map)],
            [e.record() for e in tangency_equations(plate_catalog, plate_L)],
            [e.record() for e in w2_constraint(plate_catalog, plate_L)])
     assert got == want
-    # every partial taken is along x or u, none along a momentum or p
-    assert requested and {s.kind for s in requested} == {sx.BASE, sx.JET}
+    # every partial the lifts take is along u or the field q(x[1], x[2]) of L,
+    # none along a momentum or p
+    assert requested and {s.kind for s in requested} == {sx.JET, sx.FIELD}
 
 
 def test_warm_c_coefficients_compare_with_the_record(monkeypatch, plate_catalog, plate_L):

@@ -363,9 +363,9 @@ def test_run_problem_derives_and_compiles_once(monkeypatch):
     derived, compiled = [], []
     real_el, real_compile = el.euler_lagrange, el.compile_expr
 
-    def counting_el(L, spec):
+    def counting_el(L, spec, *table):
         derived.append(L)
-        return real_el(L, spec)
+        return real_el(L, spec, *table)
 
     def counting_compile(exprs, syms):
         compiled.append(list(exprs))

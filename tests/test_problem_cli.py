@@ -413,6 +413,23 @@ def test_cli_term_budget(tmp_path, capsys):
     assert "exceeds the budget of 10000 terms" in capsys.readouterr().err
 
 
+# twenty jet and base coordinates and 1, summed: L's denominator is that sum s cubed,
+# 1,771 terms, and the partials table keeps its partials over powers of s, whose
+# fourth, 10,626 terms, passes the budget
+RATIONAL_BUDGET_SUM = "+".join(["u[0,0]%s+u[1,0]%s+u[0,1]%s+u[2,0]%s+u[1,1]%s+u[0,2]%s"
+                                % ((fiber,) * 6) for fiber in ("", "@2", "@3")] + ["x[1]+x[2]+1"])
+
+
+@pytest.mark.parametrize("command", ["el", "run"])
+def test_cli_rational_power_budget(tmp_path, capsys, command):
+    text = "m=2\nn=3\nk=2\nlagrangian = u[2,0]^2/(%s)^3\n" % RATIONAL_BUDGET_SUM
+    path = _write(tmp_path, "power.prob", text)
+    start = time.perf_counter()
+    assert main([command, path]) == 3
+    assert time.perf_counter() - start < 10.0
+    assert "expanded product exceeds the budget of 10000 terms" in capsys.readouterr().err
+
+
 def test_cli_point_name_parse_error(tmp_path, capsys):
     # a malformed coordinate name is a parse error like any other
     for point in ("x[0]=1", "x[3]=1", "u[3,0]=1", "u=1", "p[0,2;1]=1"):
