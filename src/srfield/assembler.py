@@ -221,8 +221,16 @@ def _signature(spec: BundleSpec) -> tuple[dict, tuple[dict, ...], tuple[dict, di
     pairing = normalize(esub(pairing_phi(catalog), Atom(catalog.p)))
     defaults = _default_maps(catalog)
     lifts = _reduced_lifts(catalog, *defaults)
-    return (expand(pairing)[0], tuple(expand(image)[0] for image in
-                                      _pairing_images(catalog, lifts, pairing)), defaults)
+    return (_polynomial(pairing), tuple(_polynomial(image) for image in
+                                        _pairing_images(catalog, lifts, pairing)), defaults)
+
+
+def _polynomial(e: Expr) -> dict:
+    """e as a polynomial dict; minus_polynomial takes pairing - p and each P_j as one."""
+    num, den = expand(e)
+    if den != {(): 1}:
+        raise InternalConsistencyError("%s is not a polynomial" % render(e))
+    return num
 
 
 def dynamical_equations(catalog: CoordCatalog, L: Expr,

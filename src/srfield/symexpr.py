@@ -10,9 +10,10 @@ dependence; their formal derivatives stay symbolic.
 
 A Lagrangian's partials table (:class:`Partials`) expands L once into its
 canonical pair n/d and keeps every partial, and every derivation of one, as
-an expanded numerator over a power of the squarefree part of d, so a side
-built from it is gcd-reduced once, when it is output; a canonical pair minus
-a polynomial (:func:`minus_polynomial`) needs no gcd at all.
+an expanded numerator over a power of one base, d with each factor that L
+writes as a power kept once, so a side built from it is gcd-reduced once,
+when it is output; a canonical pair minus a polynomial
+(:func:`minus_polynomial`) needs no gcd at all.
 
 Everything here is immutable and reentrant; there is no interning table or
 other shared mutable state.
@@ -20,7 +21,6 @@ other shared mutable state.
 
 from __future__ import annotations
 
-from bisect import insort
 from fractions import Fraction
 from itertools import chain
 from typing import Callable, Mapping, Optional, Sequence
@@ -610,28 +610,16 @@ def _p_monic(p: dict) -> dict:
     return _p_scale(p, 1 / Fraction(lc)) if lc != 1 else dict(p)
 
 
-def _lex_rank(mono: tuple) -> tuple:
-    """_lex_key with each symbol replaced by its sort key, so tuples compare it directly."""
-    return tuple((s._k, e) for s, e in reversed(mono))
-
-
 def _p_divexact(a: dict, b: dict) -> dict:
-    """Exact quotient a / b; raises NormalizationError when b does not divide a.
-
-    The remainder's monomials wait in a list sorted by the term order, so
-    each step takes the leading one off its end instead of searching for it.
-    """
+    """Exact quotient a / b; raises NormalizationError when b does not divide a."""
     if _p_is_one(b):
         return dict(a)
     lb = max(b, key=_lex_key)
     cb = b[lb]
     q: dict = {}
     r = dict(a)
-    queue = sorted((_lex_rank(m), m) for m in r)
-    while queue:
-        lr = queue.pop()[1]
-        if lr not in r:  # cancelled after it was queued
-            continue
+    while r:
+        lr = max(r, key=_lex_key)
         mono = _mono_div(lr, lb)
         if mono is None:
             raise NormalizationError("inexact polynomial division")
@@ -641,29 +629,8 @@ def _p_divexact(a: dict, b: dict) -> dict:
         else:
             qc = _coef(Fraction(rc) / cb)
         q[mono] = qc
-        for m, c in b.items():
-            key = _mono_mul(m, mono)
-            if key in r:
-                new = r[key] - c * qc
-                if new:
-                    r[key] = _coef(new)
-                else:
-                    del r[key]
-            else:
-                r[key] = _coef(-c * qc)
-                insort(queue, (_lex_rank(key), key))
+        _p_add_into(r, {_mono_mul(m, mono): c for m, c in b.items()}, -qc)
     return q
-
-
-def _p_coefficients(p: dict, syms: set) -> list[dict]:
-    """The coefficients of p as a polynomial in syms (p itself when syms is empty)."""
-    if not syms:
-        return [p]
-    out: dict = {}
-    for mono, c in p.items():
-        outer = tuple(pair for pair in mono if pair[0] in syms)
-        out.setdefault(outer, {})[tuple(pair for pair in mono if pair[0] not in syms)] = c
-    return list(out.values())
 
 
 def _p_gcd(a: dict, b: dict) -> dict:
@@ -674,9 +641,7 @@ def _p_gcd(a: dict, b: dict) -> dict:
     Primitive remainder sequence in the main variable, the largest symbol
     present (the last pair of some monomial).  A polynomial is split into a
     dict degree -> coefficient polynomial in the smaller symbols, whose
-    contents recurse into this gcd.  A common factor lies in the symbols both
-    operands have, so an operand with symbols the other lacks is first split
-    into its coefficients in those symbols, all in one pass.
+    contents recurse into this gcd.
     """
     if not a:
         return _p_monic(b)
@@ -684,15 +649,6 @@ def _p_gcd(a: dict, b: dict) -> dict:
         return _p_monic(a)
     if _p_is_const(a) or _p_is_const(b):
         return _p_one()
-    sa = {s for mono in a for s, _ in mono}
-    sb = {s for mono in b for s, _ in mono}
-    if sa != sb:
-        g: dict = {}
-        for coeff in chain(_p_coefficients(a, sa - sb), _p_coefficients(b, sb - sa)):
-            g = _p_gcd(g, coeff)
-            if _p_is_const(g):
-                return _p_one()
-        return g
     main = max(mono[-1][0] for mono in chain(a, b) if mono)
 
     def to_univ(p: dict) -> dict:
@@ -803,24 +759,6 @@ def _rat_reduce(num: dict, den: dict) -> tuple[dict, dict]:
         num = _p_scale(num, inv)
         den = _p_scale(den, inv)
     return num, den
-
-
-def _p_squarefree(p: dict) -> tuple[dict, int]:
-    """The squarefree part b of p and the least e with p dividing b^e.
-
-    g = gcd(p, every partial of p) holds each factor f^k of p as f^(k-1), so
-    b = p / g, and e - 1 is the number of times gcd(g, b) divides out of g.
-    """
-    g = p
-    for dp in _p_gradient(p).values():
-        g = _p_gcd(g, dp)
-        if _p_is_const(g):
-            return p, 1
-    base, e = _p_divexact(p, g), 1
-    while not _p_is_const(g):
-        g = _p_divexact(g, _p_gcd(g, base))
-        e += 1
-    return base, e
 
 
 def _to_rat(e: Expr) -> tuple[dict, dict]:
@@ -942,18 +880,60 @@ def expand(e: Expr) -> tuple[dict, dict]:
 # ---------------------------------------------------------------------------
 # The partials table: one Lagrangian expanded once
 #
-# L = n/d in canonical form, b the squarefree part of d and e the least power
-# with d dividing b^e, so L = n'/b^e with n' = n b^e/d.  Every partial dL/ds is
-# an entry (N, r), read as N / b^r: N = dn'/ds and r = e when b is free of s,
-# else N = b dn'/ds - e n' db/ds and r = e + 1; on a polynomial L (d = 1) every
-# r is 0.  A derivation D whose components are single monomials maps N / b^r
-# to (b DN - r N Db) / b^(r+1), or DN / b^r when Db = 0 (Geddes, Czapor and
+# L = n/d in canonical form, b a base and e a power with d dividing b^e, so
+# L = n'/b^e with n' = n b^e/d.  Every partial dL/ds is an entry
+# (N, r), read as N / b^r: N = dn'/ds and r = e when b is free of s, else
+# N = b dn'/ds - e n' db/ds and r = e + 1; on a polynomial L (d = 1) every r
+# is 0.  A derivation D whose components are single monomials maps N / b^r to
+# (b DN - r N Db) / b^(r+1), or DN / b^r when Db = 0 (Geddes, Czapor and
 # Labahn, Algorithms for Computer Algebra, 1992, ch. 2), and entries over
 # different powers add over the largest.  So the total derivatives, the
 # default lifts h_j and h_j^0 and the Euler-Lagrange sums work on expanded
 # polynomials over powers of one fixed b, and a side is gcd-reduced once, by
-# one _rat_reduce when it is output.  Powers of b, not of d, keep a repeated
-# factor from piling up: three derivatives of 1/s^4 sit over s^7, not s^16.
+# one _rat_reduce when it is output.  b is d with each factor that L writes as
+# a power f^k, k >= 2, kept once (_den_base): powers of b, not of d, keep a
+# repeated factor from piling up, so three derivatives of 1/s^4 sit over s^7,
+# not s^16.  Finding b takes trial divisions by those f, never a gcd; a factor
+# repeated in some other way stays in b as often as in d, which costs only
+# larger powers, since every entry is exact.
+
+
+def _power_bases(e: Expr, out: dict) -> dict:
+    """The non-constant numerators and denominators of the bases of e's powers
+    with exponent at least 2 in size, each once, keyed by its terms; inner
+    bases first, so (f^2)^3 lists f before f^2."""
+    if isinstance(e, Pow):
+        _power_bases(e.base, out)
+        if abs(e.exp) >= 2:
+            for p in _to_rat(e.base):
+                if not _p_is_const(p):
+                    out.setdefault(frozenset(p.items()), p)
+    elif isinstance(e, (Add, Mul)):
+        for t in (e.terms if isinstance(e, Add) else e.factors):
+            _power_bases(t, out)
+    return out
+
+
+def _den_base(L: Expr, den: dict) -> tuple[dict, int, dict]:
+    """The table's base b for L's denominator den, a power e with den dividing
+    b^e, and b^e / den: each power base f of L divides out of den k times, b is
+    the product of the f with k > 0 and of what is left, and e the largest k."""
+    rest, found = den, []
+    for f in _power_bases(L, {}).values():
+        k = 0
+        while not _p_is_const(rest):
+            try:
+                rest = _p_divexact(rest, f)
+            except NormalizationError:
+                break
+            k += 1
+        if k:
+            found.append((f, k))
+    e = max((k for _, k in found), default=1)
+    base, cofactor = rest, _p_pow(rest, e - 1)
+    for f, k in found:
+        base, cofactor = _p_mul(base, f), _p_mul(cofactor, _p_pow(f, e - k))
+    return base, e, cofactor
 
 
 class Derivation:
@@ -1020,35 +1000,38 @@ def _p_gradient(p: dict) -> dict:
 
 class Partials:
     """A Lagrangian expanded once: its canonical pair num/den, and its partials
-    as entries over powers of base, the squarefree part of den, taken from one
-    pass over the monomials of L's numerator over base^e and of base when
-    first asked for."""
+    as entries over powers of base (_den_base), taken from one pass over the
+    monomials of L's numerator over base^e and of base when first asked for.
+    Only the entries need base, so the canonical pair alone (expr) costs one
+    expansion of L."""
 
-    __slots__ = ("num", "den", "base", "_poly", "_lag", "_dn", "_db", "_of", "_images", "_powers")
+    __slots__ = ("num", "den", "base", "_L", "_poly", "_lag", "_dn", "_db", "_of", "_images", "_powers")
 
     def __init__(self, L: Expr):
+        self._L = L
         self.num, self.den = expand(L)
         self._poly = _p_is_one(self.den)
-        self.base, e = (self.den, 0) if self._poly else _p_squarefree(self.den)
-        self._lag = (self.num if e <= 1 else
-                     _p_mul(self.num, _p_divexact(_p_pow(self.base, e), self.den)), e)
-        self._dn = self._db = None
+        self.base = self._lag = self._dn = self._db = None
         self._of: dict = {}
         self._images: dict = {}
-        self._powers = {1: self.base}
 
     def expr(self) -> Expr:
         """L in canonical form, as normalize gives it."""
         return canonical_quotient(self.num, self.den)
 
     def lagrangian(self) -> tuple[dict, int]:
-        """L itself as an entry."""
+        """L itself as an entry; the first call finds base."""
+        if self._lag is None:
+            self.base, e, cofactor = ((self.den, 0, _p_one()) if self._poly else
+                                      _den_base(self._L, self.den))
+            self._lag = _p_mul(self.num, cofactor), e
+            self._powers = {1: self.base}
         return self._lag
 
     def of(self, s: Sym) -> tuple[dict, int]:
         """dL/ds, each atom independent of the others."""
         if s not in self._of:
-            num, e = self._lag
+            num, e = self.lagrangian()
             if self._dn is None:
                 self._dn, self._db = _p_gradient(num), _p_gradient(self.base)
             dn, db = self._dn.get(s, {}), self._db.get(s)

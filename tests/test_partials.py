@@ -17,7 +17,7 @@ from srfield.assembler import (
 )
 from srfield.corpus import CORPUS_NAMES, CORPUS_PROBLEMS
 from srfield.equations import TAG_B_MIDDLE, TAG_B_TRACE, TAG_W1, Equation
-from srfield.errors import EngineError
+from srfield.errors import EngineError, InternalConsistencyError
 from srfield.jetmodel import BundleSpec, build_catalog
 from srfield.problem import parse_problem
 from srfield.report import run_problem
@@ -41,13 +41,23 @@ def _text(entry_pair) -> str:
     return sx.render(sx.canonical_quotient(*entry_pair))
 
 
-def test_squarefree_base(rational):
+def test_table_base_keeps_each_power_base_once(rational):
     catalog, L = rational
     table = sx.Partials(L)
-    # (u[0,0]+1)^2 (u[1,0]+x[2]) (q+x[1]) over its squarefree part: b^2 is the least power
+    # (u[0,0]+1)^2 (u[1,0]+x[2]) (q+x[1]) with the power base u[0,0]+1 kept once:
+    # b^2 is the least power den divides
+    assert table.lagrangian()[1] == 2
     base = sx.expand(sx.parse("(u[0,0]+1)*(u[1,0]+x[2])*(q+x[1])", catalog))[0]
-    assert sx._p_monic(table.base) == base and table.lagrangian()[1] == 2
+    assert sx._p_monic(table.base) == base
     assert sx.render(table.expr()) == sx.render(sx.normalize(L))
+
+
+def test_table_base_is_found_without_a_gcd(rational, monkeypatch):
+    """Only L's expansion takes gcds; the base comes from trial divisions."""
+    catalog, L = rational
+    table = sx.Partials(L)
+    monkeypatch.setattr(sx, "_p_gcd", None)
+    assert table.lagrangian()[1] == 2
 
 
 def test_partial_matches_the_normalized_tree_partial(rational):
@@ -142,19 +152,27 @@ def test_run_problem_expands_l_once(monkeypatch):
 
 
 def test_report_sides_are_built_canonical(monkeypatch):
-    """Every equation side a report records is already in canonical form, so
-    record only renders."""
+    """Every equation side a report records renders as it does after a fresh
+    reduction of its own expansion, so record only renders."""
     recorded = []
 
     def record(self, _real=Equation.record):
         for side in (self.lhs, self.rhs):
-            assert sx.normalize(side) is side, (self.provenance, sx.render(side))
+            fresh = sx._rat_to_expr(*sx._rat_reduce(*sx._to_rat(side)))
+            assert sx.render(fresh) == sx.render(side), (self.provenance, sx.render(side))
         recorded.append(self)
         return _real(self)
     monkeypatch.setattr(Equation, "record", record)
     texts = [CORPUS_PROBLEMS[name] for name in CORPUS_NAMES]
     texts += [text for _, text in bench_workloads().LADDER]
     texts += [it.text for it in bench_workloads().generate("assembly", 5)[::7]]
+    texts.append("m=2\nn=1\nk=2\nlagrangian = %s\n" % RATIONAL.replace("q", "x[1]"))
     for text in texts:
         run_problem(parse_problem(text), 0, {"equations"})
     assert len(recorded) > 500
+
+
+def test_signature_record_takes_polynomials_only(rational):
+    catalog, L = rational
+    with pytest.raises(InternalConsistencyError, match="not a polynomial"):
+        asm._polynomial(L)

@@ -430,6 +430,24 @@ def test_cli_rational_power_budget(tmp_path, capsys, command):
     assert "expanded product exceeds the budget of 10000 terms" in capsys.readouterr().err
 
 
+# a factor to the fourth beside a factor with 84 terms in three variables: the
+# header and the analysis need only L's canonical pair, while the partials table
+# keeps L over (u[0,0]+1)^4 s^4, which passes the budget
+WIDE_FACTOR = "+".join(["x[1]^%d*x[2]^%d*u[1,0]^%d" % (a, b, c) for a in range(7)
+                        for b in range(7) for c in range(7) if 0 < a + b + c <= 6] + ["1"])
+
+
+@pytest.mark.parametrize("command,code", [("analyze", 0), ("el", 3)])
+def test_cli_repeated_factor_beside_a_wide_factor(tmp_path, capsys, command, code):
+    text = "m=2\nn=1\nk=2\nlagrangian = u[2,0]^2/((u[0,0]+1)^4*(%s))\n" % WIDE_FACTOR
+    path = _write(tmp_path, "wide.prob", text)
+    start = time.perf_counter()
+    assert main([command, path]) == code
+    assert time.perf_counter() - start < 10.0
+    if code:
+        assert "expanded product exceeds the budget of 10000 terms" in capsys.readouterr().err
+
+
 def test_cli_point_name_parse_error(tmp_path, capsys):
     # a malformed coordinate name is a parse error like any other
     for point in ("x[0]=1", "x[3]=1", "u[3,0]=1", "u=1", "p[0,2;1]=1"):
