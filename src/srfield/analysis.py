@@ -12,6 +12,14 @@ call per point.  On the constraint set's tangent space, taken as the graph
 over the free coordinates, Omega_H0 is the canonical form: each of its
 components there is one signed entry of the graph, so the kernel check takes
 no determinant and no orthonormalization.
+
+At every on-constraint point the kernel dimension is at least the corank of
+the top-order Hessian.  For a null vector c of the Hessian, v = sum_K c_K d/du_K
+over the order-k jets changes each W1 residual by -(Hessian c)_K = 0, and H0 by
+sum_K c_K (momentum_sum(u_K) - dL/du_K), a sum of W1 residuals: v lies in T.
+No order-k du_K is a factor of the canonical form, whose momenta p^{I,i} pair
+with |I| <= k - 1, so i_v Omega_H0|_T = 0.  Equality held at every k >= 2
+point checked; at k = 1 some points have one more kernel direction.
 """
 
 from __future__ import annotations
@@ -19,7 +27,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -44,7 +51,6 @@ from .symexpr import (
     compile_at,
     esub,
     gradient,
-    jet_sym,
     mom_sym,
     normalize,
     render,
@@ -77,17 +83,15 @@ class HessianMatrix:
 
 
 def highest_hessian(L: Expr, spec: BundleSpec) -> HessianMatrix:
-    """The top-order Hessian: one gradient along the top-order jets per row."""
-    labels = [(alpha, K)
-              for alpha in range(1, spec.n + 1)
-              for K in mi.enumerate_indices(spec.m, spec.k)]
-    tops = [jet_sym(alpha, K) for alpha, K in labels]
-    first = gradient(L, tops)
+    """The top-order Hessian: one gradient along the top-order jets per entry of
+    top_partials, in its order."""
+    first = top_partials(build_catalog(spec), L)
+    tops = list(first)
     entries = []
-    for u in tops:
-        row = gradient(first.get(u, ZERO), tops)
+    for d in first.values():
+        row = gradient(d, tops)
         entries.append([normalize(row.get(v, ZERO)) for v in tops])
-    return HessianMatrix(labels, entries)
+    return HessianMatrix([(u.alpha, u.index) for u in tops], entries)
 
 
 def hessian_at(hess: HessianMatrix, points: Sequence[Mapping], fields=None) -> list[np.ndarray]:
@@ -134,8 +138,8 @@ class Classification:
 def classify_b_system(spec: BundleSpec) -> Classification:
     """Counts and verdict for the linear system on the order-(k-1) B coefficients (n=1)."""
     m, k = spec.m, spec.k
-    unknowns = comb(m - 1 + k - 1, m - 1) * m * m
-    equations = comb(m - 1 + k, m - 1) * m + comb(m - 1 + k - 1, m - 1)
+    unknowns = mi.count_indices(m, k - 1) * m * m
+    equations = mi.count_indices(m, k) * m + mi.count_indices(m, k - 1)
     if k == 1 or m == 1:
         verdict = OVERDETERMINED
     elif k == 2 and m == 2:

@@ -111,7 +111,6 @@ def canonical_form(catalog: CoordCatalog) -> Form:
 def omega_h0(catalog: CoordCatalog, L: Expr) -> Form:
     """Premultisymplectic (m+1)-form: the canonical form plus dH0 ^ d^m x, the
     latter term by term from the gradient of H0."""
-    _check_l_on_jets(catalog, L)
     base = tuple(catalog.base_syms)
     omega = canonical_form(catalog)
     for c, dh in gradient(hamiltonian_h0(catalog, L), catalog.coords).items():
@@ -161,12 +160,11 @@ def equation_families(catalog: CoordCatalog, L: Expr,
                 u = jet_sym(alpha, J)
                 d = table.reduce(table.of(u))
                 bs = _linear(aux_b(J, i, alpha, i) for i in range(1, m + 1))
-                moms = canonical_polynomial(_linear(mom_sym(alpha, I, i)
-                                                    for I, i in mi.decompositions(J)))
                 lhs, rhs, tag = ((canonical_polynomial(bs), canonical_quotient(*d), TAG_B_TRACE)
                                  if sum(J) == 0 else
-                                 (moms, minus_polynomial(*d, bs), TAG_B_MIDDLE) if sum(J) < k else
-                                 (moms, canonical_quotient(*d), TAG_W1))
+                                 (momentum_sum(u), minus_polynomial(*d, bs), TAG_B_MIDDLE)
+                                 if sum(J) < k else
+                                 (momentum_sum(u), canonical_quotient(*d), TAG_W1))
                 out[u] = Equation(lhs, rhs, tag, "d(%s)" % u.render())
     return out
 
@@ -251,8 +249,9 @@ def w2_constraint(catalog: CoordCatalog, L: Expr,
 
 
 def momentum_sum(u: Sym) -> Expr:
-    """The momenta p^{I,i}_a with I + 1_i = J, summed, for the jet u = u^a_J."""
-    return eadd(*[Atom(mom_sym(u.alpha, I, i)) for I, i in mi.decompositions(u.index)])
+    """The momenta p^{I,i}_a with I + 1_i = J, summed in canonical form, for the jet u = u^a_J."""
+    return canonical_polynomial(_linear(mom_sym(u.alpha, I, i)
+                                        for I, i in mi.decompositions(u.index)))
 
 
 def top_partials(catalog: CoordCatalog, L: Expr) -> dict[Sym, Expr]:

@@ -121,9 +121,9 @@ def projectability_replay(problem: ProblemFile) -> dict:
                 killed[aux_b(I, j, alpha, j)] = Const(0)
     reduced = []
     for eq in eqs2.by_tag(TAG_B_MIDDLE):
-        reduced.append((normalize(eq.lhs), normalize(substitute(eq.rhs, killed))))
+        reduced.append((eq.lhs, normalize(substitute(eq.rhs, killed))))
 
-    first_w1 = [(normalize(e.lhs), normalize(e.rhs)) for e in eqs1.by_tag(TAG_W1)]
+    first_w1 = [(e.lhs, e.rhs) for e in eqs1.by_tag(TAG_W1)]
     w1_match = len(reduced) == len(first_w1) and all(
         render(a_l) == render(b_l) and equivalent(a_r, b_r)
         for (a_l, a_r), (b_l, b_r) in zip(reduced, first_w1))
@@ -142,8 +142,8 @@ def projectability_replay(problem: ProblemFile) -> dict:
     el1 = eleuler.euler_lagrange(L, spec1)
     el_match = all(equivalent(a, b) for a, b in zip(replayed, el1.components))
 
-    btrace_match = [render(normalize(e2.lhs)) for e2 in eqs2.by_tag(TAG_B_TRACE)] == \
-                   [render(normalize(e1.lhs)) for e1 in eqs1.by_tag(TAG_B_TRACE)]
+    btrace_match = [render(e2.lhs) for e2 in eqs2.by_tag(TAG_B_TRACE)] == \
+                   [render(e1.lhs) for e1 in eqs1.by_tag(TAG_B_TRACE)]
 
     return {
         "projectable_condition": "sum_j B[I;j;alpha;j] = 0 for |I| = 1",

@@ -9,7 +9,6 @@ systematically from the signature, never copied from worked examples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 from typing import Mapping, Optional, Sequence
 
 from . import multiindex as mi
@@ -52,7 +51,7 @@ def dim_jet(spec: BundleSpec, order: int) -> int:
         raise UsageError("order %d exceeds the signature's jet order %d" % (order, spec.k))
     if order < 0:
         raise UsageError("order must be >= 0")
-    return spec.m + spec.n * sum(comb(spec.m - 1 + l, spec.m - 1) for l in range(order + 1))
+    return spec.m + spec.n * sum(mi.count_indices(spec.m, l) for l in range(order + 1))
 
 
 class CoordCatalog:
@@ -117,8 +116,8 @@ def build_catalog(spec: BundleSpec, fields: Optional[Mapping[str, Sequence[int]]
 
 def coordinate_count(spec: BundleSpec) -> int:
     m, n, k = spec.m, spec.n, spec.k
-    jets = sum(comb(m - 1 + l, m - 1) for l in range(k + 1))
-    moms = sum(comb(m - 1 + l, m - 1) for l in range(k))
+    jets = sum(mi.count_indices(m, l) for l in range(k + 1))
+    moms = sum(mi.count_indices(m, l) for l in range(k))
     return m + n * jets + n * m * moms + 1
 
 

@@ -69,14 +69,6 @@ class MultiIndex(tuple):
         return "MultiIndex(%s)" % (tuple(self),)
 
 
-def length(a: MultiIndex) -> int:
-    return a.order
-
-
-def factorial(a: MultiIndex) -> int:
-    return a.factorial()
-
-
 def unit(i: int, m: int) -> MultiIndex:
     """The multi-index that is zero except for a 1 at 1-based slot i."""
     if not 1 <= i <= m:

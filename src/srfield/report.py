@@ -10,7 +10,7 @@ from typing import Optional
 from . import analysis, assembler, eleuler
 from . import multiindex as mi
 from .equations import TAG_C, Equation
-from .errors import QuadratureError
+from .errors import EvalDomainError, QuadratureError
 from .jetmodel import BundleSpec, CoordCatalog, SectionFn
 from .problem import ProblemFile
 from .symexpr import (
@@ -239,7 +239,7 @@ def _oracle_section(problem: ProblemFile, catalog: CoordCatalog, L: Expr,
                 "rhs": rhs,
                 "rel_err": eleuler.relative_gap(lhs, rhs),
             })
-        except QuadratureError as exc:
+        except (QuadratureError, EvalDomainError) as exc:
             entry["diagnostic"] = str(exc)
         out.append(entry)
     return out

@@ -881,16 +881,16 @@ def expand(e: Expr) -> tuple[dict, dict]:
 # The partials table: one Lagrangian expanded once
 #
 # L = n/d in canonical form, b a base and e a power with d dividing b^e, so
-# L = n'/b^e with n' = n b^e/d.  Every partial dL/ds is an entry
-# (N, r), read as N / b^r: N = dn'/ds and r = e when b is free of s, else
-# N = b dn'/ds - e n' db/ds and r = e + 1; on a polynomial L (d = 1) every r
-# is 0.  A derivation D whose components are single monomials maps N / b^r to
-# (b DN - r N Db) / b^(r+1), or DN / b^r when Db = 0 (Geddes, Czapor and
+# L = n'/b^e with n' = n b^e/d: the entry (n', e), an entry (N, r) read as
+# N / b^r.  A derivation D whose components are single monomials maps N / b^r
+# to (b DN - r N Db) / b^(r+1), or DN / b^r when Db = 0 (Geddes, Czapor and
 # Labahn, Algorithms for Computer Algebra, 1992, ch. 2), and entries over
-# different powers add over the largest.  So the total derivatives, the
-# default lifts h_j and h_j^0 and the Euler-Lagrange sums work on expanded
-# polynomials over powers of one fixed b, and a side is gcd-reduced once, by
-# one _rat_reduce when it is output.  b is d with each factor that L writes as
+# different powers add over the largest.  That rule is the table's one chain
+# rule: each partial dL/ds is D = d/ds applied to L's entry, and the total
+# derivatives, the default lifts h_j and h_j^0 and the Euler-Lagrange sums
+# work by it on expanded polynomials over powers of one fixed b; on a
+# polynomial L (d = 1) every r is 0.  A side is gcd-reduced once, by one
+# _rat_reduce when it is output.  b is d with each factor that L writes as
 # a power f^k, k >= 2, kept once (_den_base): powers of b, not of d, keep a
 # repeated factor from piling up, so three derivatives of 1/s^4 sit over s^7,
 # not s^16.  Finding b takes trial divisions by those f, never a gcd; a factor
@@ -983,35 +983,19 @@ def horizontal(i: int, jet_rule: Callable[[Sym], Optional[tuple]]) -> Derivation
     return Derivation(rule)
 
 
-def _p_gradient(p: dict) -> dict:
-    """Symbol -> the partial of the polynomial p along it, every symbol of p, in one pass."""
-    out: dict = {}
-    for mono, c in p.items():
-        for ix, (s, e) in enumerate(mono):
-            rest = mono[:ix] + ((s, e - 1),) + mono[ix + 1:] if e > 1 else mono[:ix] + mono[ix + 1:]
-            acc = out.setdefault(s, {})
-            new = acc.get(rest, 0) + c * e
-            if new:
-                acc[rest] = _coef(new)
-            else:
-                del acc[rest]
-    return out
-
-
 class Partials:
     """A Lagrangian expanded once: its canonical pair num/den, and its partials
-    as entries over powers of base (_den_base), taken from one pass over the
-    monomials of L's numerator over base^e and of base when first asked for.
-    Only the entries need base, so the canonical pair alone (expr) costs one
-    expansion of L."""
+    as entries over powers of base (_den_base), each derived from L's entry
+    when first asked for.  Only the entries need base, so the canonical pair
+    alone (expr) costs one expansion of L."""
 
-    __slots__ = ("num", "den", "base", "_L", "_poly", "_lag", "_dn", "_db", "_of", "_images", "_powers")
+    __slots__ = ("num", "den", "base", "_L", "_poly", "_lag", "_of", "_images", "_powers")
 
     def __init__(self, L: Expr):
         self._L = L
         self.num, self.den = expand(L)
         self._poly = _p_is_one(self.den)
-        self.base = self._lag = self._dn = self._db = None
+        self.base = self._lag = None
         self._of: dict = {}
         self._images: dict = {}
 
@@ -1031,16 +1015,8 @@ class Partials:
     def of(self, s: Sym) -> tuple[dict, int]:
         """dL/ds, each atom independent of the others."""
         if s not in self._of:
-            num, e = self.lagrangian()
-            if self._dn is None:
-                self._dn, self._db = _p_gradient(num), _p_gradient(self.base)
-            dn, db = self._dn.get(s, {}), self._db.get(s)
-            if db is None:
-                self._of[s] = dn, e
-            else:
-                out = _p_mul(dn, self.base)
-                _p_add_into(out, _p_mul(num, db), -e)
-                self._of[s] = out, e + 1
+            d_s = Derivation(lambda t: () if t == s else None)
+            self._of[s] = self.derive(self.lagrangian(), d_s)
         return self._of[s]
 
     def derive(self, entry: tuple[dict, int], d: Derivation) -> tuple[dict, int]:

@@ -19,6 +19,7 @@ from srfield.equations import TAG_W1
 from srfield.errors import (
     EvalDomainError,
     InternalConsistencyError,
+    ParseError,
     PreconditionError,
     UsageError,
 )
@@ -31,6 +32,7 @@ from srfield.report import REGULARITY_SAMPLES, run_problem
 from conftest import CH_L_TEXT, PLATE_L_TEXT, bench_workloads, jet, mom
 from forms_reference import _minor_rows
 from routes_reference import built_selection_rows
+from test_cli_fuzz import problem_text
 
 PLATE_PROBLEM_TEXT = "m=2\nn=1\nk=2\nfield q(x[1],x[2]) = 1\nlagrangian = %s\n" % PLATE_L_TEXT
 
@@ -496,6 +498,33 @@ def test_kernel_dim_is_hessian_corank(pid):
     coranks = [hess.size() - an._rank(h) for h in an.hessian_at(hess, points, fields)]
     assert coranks == [corank] * 5
     assert an.omega2_kernel_dims(L, problem.bundle, points, fields) == coranks
+
+
+def test_kernel_dim_is_at_least_hessian_corank_on_fuzz_problems():
+    # the lower bound of the analysis module's docstring, k = 1 included, on the
+    # fuzz grammar's texts with m >= 2 whose Lagrangian has no unbound field
+    tested = 0
+    for seed in range(400):
+        try:
+            problem = parse_problem(problem_text(random.Random(seed), 3))
+            cat = problem.catalog()
+            L = problem.lagrangian(cat)
+        except (ParseError, UsageError):
+            continue
+        fields = problem.field_bindings(cat)
+        if problem.bundle.m < 2 or any(s.kind == sx.FIELD and s.name not in fields
+                                       for s in sx.free_syms(L)):
+            continue
+        try:
+            points = an.on_constraint_points(L, problem.bundle, random.Random(seed), 2, fields)
+        except EvalDomainError:  # a divisor of L vanishes there, as x[2] - x[2] does
+            continue
+        hess = an.highest_hessian(L, problem.bundle)
+        coranks = [hess.size() - an._rank(h) for h in an.hessian_at(hess, points, fields)]
+        dims = an.omega2_kernel_dims(L, problem.bundle, points, fields)
+        assert all(d >= c for d, c in zip(dims, coranks)), (seed, dims, coranks)
+        tested += 1
+    assert tested >= 100
 
 
 _RESIDUAL_CASES = {

@@ -14,11 +14,9 @@ from srfield.multiindex import (
     MultiIndex,
     decompositions,
     enumerate_indices,
-    factorial,
     fubini_check,
     identity_weight_sum,
     lemma_b3_check,
-    length,
     unit,
 )
 
@@ -46,8 +44,8 @@ def test_sub_checked():
 
 
 def test_length_factorial_unit():
-    assert length(MultiIndex((0, 2, 1))) == 3
-    assert factorial(MultiIndex((2, 1))) == 2
+    assert MultiIndex((0, 2, 1)).order == 3
+    assert MultiIndex((2, 1)).factorial() == 2
     assert unit(2, 3) == (0, 1, 0)
     with pytest.raises(UsageError):
         unit(4, 3)

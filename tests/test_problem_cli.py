@@ -387,6 +387,23 @@ def test_cli_non_finite_oracle_is_a_diagnostic(tmp_path):
         assert "lhs" not in entry and "rel_err" not in entry
 
 
+POLE = "division by zero in (x[1] - 1/2)^-1"
+
+
+@pytest.mark.parametrize("lagrangian,lines,poles", [
+    ("u[1]^2", "section@1 = 1/(x[1]-1/2)\nvariation@1 = 1\n", [True, False, False]),
+    ("u[1]^2/(x[1]-1/2)", "", [True, True, True])])
+def test_cli_pole_on_a_node_is_a_diagnostic(tmp_path, capsys, lagrangian, lines, poles):
+    # 1/2 is the middle node of both Gauss-Legendre rules; a pole there used to
+    # end the whole run with exit 3, while one between the nodes gave diagnostics
+    text = "m=1\nn=1\nk=1\nlagrangian = %s\n%s" % (lagrangian, lines)
+    assert main(["run", _write(tmp_path, "pole.prob", text)]) == 0
+    pairs = json.loads(capsys.readouterr().out)["oracle"]
+    assert [entry.get("diagnostic") == POLE for entry in pairs] == poles
+    for entry in pairs:
+        assert ("diagnostic" in entry) != ("rel_err" in entry)
+
+
 def test_cli_large_action_oracle_passes(tmp_path):
     # the action is about 1e300; a complex step scaled by it overflowed the
     # stepped jets, and every pair reported a non-finite action derivative
