@@ -16,9 +16,9 @@ holds the default assignment's maps and, as polynomials, pairing - p and
 P_j = h_j^0(pairing - p), the Lagrangian-free halves of W2,
 p = L - (pairing - p), and of C_j = h_j^0(L) - P_j.
 
-Every side is built in canonical form from L's partials table
-(symexpr.Partials), which one report shares: the trace, middle and W1 sides
-are partials reduced once, the tangency sides are the default lift h_j, with
+Every side is built from L's partials table (symexpr.Partials), which one
+report shares, as a canonical pair that Equation keeps: the trace, middle and
+W1 sides are partials reduced once, the tangency sides are the default lift h_j, with
 the top-order A's, applied to the top-order partials and reduced once, and
 h_j^0(L) is reduced once to n'/d'.  W2 = (n - pairing d)/d and
 C_j = (n' - P_j d')/d' then take no gcd, since gcd(n - P d, d) = gcd(n, d) = 1.
@@ -160,11 +160,10 @@ def equation_families(catalog: CoordCatalog, L: Expr,
                 u = jet_sym(alpha, J)
                 d = table.reduce(table.of(u))
                 bs = _linear(aux_b(J, i, alpha, i) for i in range(1, m + 1))
-                lhs, rhs, tag = ((canonical_polynomial(bs), canonical_quotient(*d), TAG_B_TRACE)
-                                 if sum(J) == 0 else
-                                 (momentum_sum(u), minus_polynomial(*d, bs), TAG_B_MIDDLE)
+                lhs, rhs, tag = ((_over_one(bs), d, TAG_B_TRACE) if sum(J) == 0 else
+                                 (_over_one(_momenta(u)), minus_polynomial(*d, bs), TAG_B_MIDDLE)
                                  if sum(J) < k else
-                                 (momentum_sum(u), canonical_quotient(*d), TAG_W1))
+                                 (_over_one(_momenta(u)), d, TAG_W1))
                 out[u] = Equation(lhs, rhs, tag, "d(%s)" % u.render())
     return out
 
@@ -172,6 +171,11 @@ def equation_families(catalog: CoordCatalog, L: Expr,
 def _linear(syms) -> dict:
     """The sum of syms as a polynomial."""
     return {((s, 1),): 1 for s in syms}
+
+
+def _over_one(poly: dict) -> tuple[dict, dict]:
+    """A polynomial as a canonical pair."""
+    return poly, {(): 1}
 
 
 def check_collapse(catalog: CoordCatalog, L: Expr) -> EquationSet:
@@ -250,8 +254,12 @@ def w2_constraint(catalog: CoordCatalog, L: Expr,
 
 def momentum_sum(u: Sym) -> Expr:
     """The momenta p^{I,i}_a with I + 1_i = J, summed in canonical form, for the jet u = u^a_J."""
-    return canonical_polynomial(_linear(mom_sym(u.alpha, I, i)
-                                        for I, i in mi.decompositions(u.index)))
+    return canonical_polynomial(_momenta(u))
+
+
+def _momenta(u: Sym) -> dict:
+    """momentum_sum(u) as a polynomial."""
+    return _linear(mom_sym(u.alpha, I, i) for I, i in mi.decompositions(u.index))
 
 
 def top_partials(catalog: CoordCatalog, L: Expr) -> dict[Sym, Expr]:
@@ -282,8 +290,7 @@ def tangency_equations(catalog: CoordCatalog, L: Expr,
             d = table.of(u)
             for j, h in enumerate(lifts, start=1):
                 lhs = _linear(aux_b(I, i, u.alpha, j) for I, i in mi.decompositions(u.index))
-                out.add(Equation(canonical_polynomial(lhs),
-                                 canonical_quotient(*table.reduce(table.derive(d, h))),
+                out.add(Equation(_over_one(lhs), table.reduce(table.derive(d, h)),
                                  TAG_TANGENCY, "d/dx[%d] of W1(%s)" % (j, u.render())))
     return out
 
@@ -360,20 +367,27 @@ def c_coefficients(catalog: CoordCatalog, L: Expr, a_assign: Mapping[Sym, Expr],
     momentum p (h_j[p] is the unknown C_j itself), with the given values for
     every A and B unknown of h_j and each top-order A_{K,j} on u_K set to 0
     (_reduced_lifts): C_j = h_j^0(L) - P_j with P_j = h_j^0(pairing - p).
-    Under the default assignment, which is 0 on the top-order jets, h_j^0 acts
-    on L's table, and with n'/d' = h_j^0(L) reduced once, C_j = (n' - P_j d')/d'
-    with P_j from the signature's record; other assignments take the lifts
-    through the gradient of L along x and u.
+    Under the default assignment these are default_c_sides as trees; other
+    assignments take the lifts through the gradient of L along x and u.
     """
-    _check_l_on_jets(catalog, L)
-    pairing, images, defaults = _signature(catalog.spec)
+    pairing, _, defaults = _signature(catalog.spec)
     if (dict(a_assign), dict(b_assign)) == defaults:
-        table = Partials(L) if table is None else table
-        return [minus_polynomial(*table.reduce(table.derive(table.lagrangian(),
-                                                            _lift(catalog, j, False))), image)
-                for j, image in enumerate(images, start=1)]
+        return [canonical_quotient(*c) for c in default_c_sides(catalog, L, table)]
+    _check_l_on_jets(catalog, L)
     lifts = _reduced_lifts(catalog, a_assign, b_assign)
     grad = gradient(L, catalog.base_syms + catalog.jet_syms)
     return [normalize(esub(directional(h, grad), image))
             for h, image in zip(lifts.values(),
                                 _pairing_images(catalog, lifts, canonical_polynomial(pairing)))]
+
+
+def default_c_sides(catalog: CoordCatalog, L: Expr,
+                    table: Optional[Partials] = None) -> list[tuple[dict, dict]]:
+    """C_j under the default assignment, as canonical pairs.  That assignment is
+    0 on the top-order jets, so h_j^0 acts on L's table, and with n'/d' = h_j^0(L)
+    reduced once, C_j = (n' - P_j d')/d' with P_j from the signature's record."""
+    _check_l_on_jets(catalog, L)
+    table = Partials(L) if table is None else table
+    return [minus_polynomial(*table.reduce(table.derive(table.lagrangian(),
+                                                        _lift(catalog, j, False))), image)
+            for j, image in enumerate(_signature(catalog.spec)[1], start=1)]

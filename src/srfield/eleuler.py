@@ -43,7 +43,7 @@ from .symexpr import (
     horizontal,
     jet_order,
     jet_sym,
-    render,
+    render_side,
     substitute_fields,
 )
 
@@ -82,27 +82,41 @@ def iterated_total_derivative(e: Expr, J: mi.MultiIndex) -> Expr:
 
 
 class ELSystem:
-    """Euler-Lagrange expressions per fiber index, over jets of order at most 2k."""
+    """Euler-Lagrange expressions per fiber index, over jets of order at most 2k.
 
-    def __init__(self, spec: BundleSpec, components: Sequence[Expr]):
+    Each component is a tree or, as euler_lagrange builds it, a canonical pair
+    (numerator, denominator) of monomial dicts, which records renders straight
+    from its monomials; components builds the trees on first read and keeps them.
+    """
+
+    def __init__(self, spec: BundleSpec, components: Sequence):
         self.spec = spec
-        self.components = tuple(components)
+        self._sides = tuple(components)
+        self._trees = None
+
+    @property
+    def components(self) -> tuple[Expr, ...]:
+        if self._trees is None:
+            self._trees = tuple(c if isinstance(c, Expr) else canonical_quotient(*c)
+                                for c in self._sides)
+        return self._trees
 
     def __len__(self):
-        return len(self.components)
+        return len(self._sides)
 
     def __getitem__(self, ix):
         return self.components[ix]
 
     def records(self) -> list[str]:
-        return [render(c) for c in self.components]
+        return [render_side(c) for c in self._sides]
 
 
 def euler_lagrange(L: Expr, spec: BundleSpec, table: Optional[Partials] = None) -> ELSystem:
     """Per fiber index: sum over |J| <= k of (-1)^|J| D^J (dL/du^a_J), normalized.
 
     The partials come from L's table; each D^J is taken on them as expanded
-    polynomials over powers of the table's base, and each sum is reduced once.
+    polynomials over powers of the table's base, and each sum is reduced once
+    into the canonical pair that the system keeps.
     """
     if jet_order(L) > spec.k:
         raise UsageError("Lagrangian order exceeds the signature's jet order")
@@ -120,7 +134,7 @@ def euler_lagrange(L: Expr, spec: BundleSpec, table: Optional[Partials] = None) 
                 for _ in range(times):
                     term = table.derive(term, d)
             terms.append((-1 if J.order % 2 else 1, term))
-        comps.append(canonical_quotient(*table.reduce(table.total(terms))))
+        comps.append(table.reduce(table.total(terms)))
     return ELSystem(spec, comps)
 
 

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .symexpr import Expr, render
+from .symexpr import Expr, canonical_quotient, esub, render_side
 
 TAG_A = "A"
 TAG_B_TRACE = "B_TRACE"
@@ -16,24 +15,45 @@ TAG_TANGENCY = "TANGENCY"
 TAG_C = "C"
 
 
-@dataclass(frozen=True)
 class Equation:
-    """lhs = rhs, both sides in normalize's canonical form, which record renders."""
+    """lhs = rhs, both sides in normalize's canonical form.
 
-    lhs: Expr
-    rhs: Expr
-    tag: str
-    provenance: str
+    A side is a tree or, as the engine builds it from L's partials table, a
+    canonical pair (numerator, denominator) of monomial dicts.  record renders
+    a pair straight from its monomials; lhs and rhs return trees, each built
+    from its pair on first read and kept.
+    """
+
+    __slots__ = ("tag", "provenance", "_sides", "_trees")
+
+    def __init__(self, lhs, rhs, tag: str, provenance: str):
+        self.tag = tag
+        self.provenance = provenance
+        self._sides = (lhs, rhs)
+        self._trees = [None, None]
+
+    def _tree(self, ix: int) -> Expr:
+        if self._trees[ix] is None:
+            side = self._sides[ix]
+            self._trees[ix] = side if isinstance(side, Expr) else canonical_quotient(*side)
+        return self._trees[ix]
+
+    @property
+    def lhs(self) -> Expr:
+        return self._tree(0)
+
+    @property
+    def rhs(self) -> Expr:
+        return self._tree(1)
 
     def residual(self) -> Expr:
-        from .symexpr import esub
         return esub(self.lhs, self.rhs)
 
     def record(self) -> dict:
         return {
             "tag": self.tag,
-            "lhs": render(self.lhs),
-            "rhs": render(self.rhs),
+            "lhs": render_side(self._sides[0]),
+            "rhs": render_side(self._sides[1]),
             "provenance": self.provenance,
         }
 

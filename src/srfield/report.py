@@ -24,6 +24,7 @@ from .symexpr import (
     free_syms,
     normalize,
     render,
+    render_side,
 )
 
 ORACLE_PAIRS = 3
@@ -111,7 +112,7 @@ def run_problem(problem: ProblemFile, seed: int = 0,
             "m": spec.m,
             "n": spec.n,
             "k": spec.k,
-            "lagrangian": render(table.expr()),
+            "lagrangian": render_side((table.num, table.den)),
             "fields": {
                 name: {"depends": list(deps),
                        "value": None if text is None else text}
@@ -130,10 +131,8 @@ def run_problem(problem: ProblemFile, seed: int = 0,
         eqs = assembler.dynamical_equations(catalog, L, table)
         eqs.extend(assembler.w2_constraint(catalog, L, table))
         eqs.extend(assembler.tangency_equations(catalog, L, table))
-        a_map, b_map = assembler.default_projector_assignments(catalog)
-        cs = assembler.c_coefficients(catalog, L, a_map, b_map, table)
-        for j, cexpr in enumerate(cs, start=1):
-            eqs.add(Equation(Atom(aux_c(j)), cexpr, TAG_C, "d/dx[%d] of H0" % j))
+        for j, c in enumerate(assembler.default_c_sides(catalog, L, table), start=1):
+            eqs.add(Equation(Atom(aux_c(j)), c, TAG_C, "d/dx[%d] of H0" % j))
         report["equations"] = {tag: [e.record() for e in eqs.by_tag(tag)]
                                for tag in sorted(eqs.tags())}
 

@@ -10,13 +10,14 @@ dependence; their formal derivatives stay symbolic.
 
 A Lagrangian's partials table (:class:`Partials`) expands L once into its
 canonical pair n/d and keeps every partial, and every derivation of one, as
-an expanded numerator over a power of one base, d with each factor that L
-writes as a power kept once, so a side built from it is gcd-reduced once,
-when it is output; a canonical pair minus a polynomial
-(:func:`minus_polynomial`) needs no gcd at all.
+an expanded numerator over a power of one base (d with each factor that L
+writes as a power kept once).  A side built from it is gcd-reduced once into
+a canonical pair, or needs no gcd at all (:func:`minus_polynomial`), and stays
+that pair to the report, which :func:`render_side` renders from its monomials;
+trees are made at parse, at compile and when a caller first reads a side.
 
-Everything here is immutable and reentrant; there is no interning table or
-other shared mutable state.
+Everything here is reentrant and immutable, but for the text a symbol keeps
+once rendered; there is no interning table or other shared mutable state.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ class Sym:
     catalog into the order x^i, u^a_J, p^{I,i}_a, p.
     """
 
-    __slots__ = ("kind", "alpha", "index", "i", "name", "j", "deps", "_k", "_h")
+    __slots__ = ("kind", "alpha", "index", "i", "name", "j", "deps", "_k", "_h", "_r")
 
     def __init__(self, kind, alpha=0, index=None, i=0, name="", j=0, deps=()):
         self.kind = kind
@@ -63,6 +64,7 @@ class Sym:
         ikey = (-1, ()) if index is None else (sum(index), tuple(-c for c in index))
         self._k = (kind, name, alpha, ikey, i, j, self.deps)
         self._h = hash(self._k)
+        self._r = None
 
     def __eq__(self, other):
         return isinstance(other, Sym) and self._k == other._k
@@ -74,6 +76,11 @@ class Sym:
         return self._k < other._k
 
     def render(self) -> str:
+        if self._r is None:
+            self._r = self._text()
+        return self._r
+
+    def _text(self) -> str:
         a = "" if self.alpha in (0, 1) else "@%d" % self.alpha
         if self.kind == BASE:
             return "x[%d]" % self.i
@@ -102,7 +109,7 @@ class Sym:
 
 
 def _idx_body(index) -> str:
-    return ",".join(str(c) for c in index)
+    return ",".join(map(str, index))
 
 
 def base_sym(i: int) -> Sym:
@@ -833,28 +840,20 @@ def _poly_to_expr(p: dict) -> Expr:
 
 def _rat_to_expr(num: dict, den: dict) -> Expr:
     ne = _poly_to_expr(num)
-    if _p_is_one(den):
-        return ne
-    de = _poly_to_expr(den)
-    return Mul([ne, Pow(de, -1)])
+    return ne if _p_is_one(den) else Mul([ne, Pow(_poly_to_expr(den), -1)])
 
 
 def normalize(e: Expr) -> Expr:
     """Canonical quotient form; idempotent, exact, deterministic; atoms and constants as given."""
     if e._canon or isinstance(e, (Atom, Const)):
         return e
-    num, den = _rat_reduce(*_to_rat(e))
-    out = _rat_to_expr(num, den)
-    out._canon = True
-    return out
+    return canonical_quotient(*expand(e))
 
 
 def canonical_polynomial(coeffs: Mapping[tuple, Fraction]) -> Expr:
     """What normalize gives for the sum of c * monomial over coeffs, built directly;
     a monomial is a tuple of (Sym, positive exponent) pairs in symbol order."""
-    out = _poly_to_expr({mono: _coef(c) for mono, c in coeffs.items() if c})
-    out._canon = True
-    return out
+    return canonical_quotient({mono: _coef(c) for mono, c in coeffs.items() if c}, _p_one())
 
 
 def canonical_quotient(num: dict, den: dict) -> Expr:
@@ -864,12 +863,12 @@ def canonical_quotient(num: dict, den: dict) -> Expr:
     return out
 
 
-def minus_polynomial(num: dict, den: dict, poly: dict) -> Expr:
-    """num / den - poly, canonical for a canonical pair: no gcd is taken, since
-    gcd(num - poly * den, den) = gcd(num, den) = 1."""
+def minus_polynomial(num: dict, den: dict, poly: dict) -> tuple[dict, dict]:
+    """num / den - poly as a canonical pair, for a canonical pair num / den: no
+    gcd is taken, since gcd(num - poly * den, den) = gcd(num, den) = 1."""
     out = dict(num)
     _p_add_into(out, _p_mul(poly, den), -1)
-    return canonical_quotient(out, den if out else _p_one())
+    return out, den if out else _p_one()
 
 
 def expand(e: Expr) -> tuple[dict, dict]:
@@ -987,7 +986,7 @@ class Partials:
     """A Lagrangian expanded once: its canonical pair num/den, and its partials
     as entries over powers of base (_den_base), each derived from L's entry
     when first asked for.  Only the entries need base, so the canonical pair
-    alone (expr) costs one expansion of L."""
+    alone (a report's header) costs one expansion of L."""
 
     __slots__ = ("num", "den", "base", "_L", "_poly", "_lag", "_of", "_images", "_powers")
 
@@ -1190,11 +1189,8 @@ def bind_values(point: Mapping, syms: Sequence[Sym]) -> list:
 
 
 def _render_factor(e: Expr) -> str:
-    if isinstance(e, (Add,)) or (isinstance(e, Const) and e.q < 0):
-        return "(" + render(e) + ")"
-    if isinstance(e, Mul):
-        return "(" + render(e) + ")"
-    return render(e)
+    paren = isinstance(e, (Add, Mul)) or isinstance(e, Const) and e.q < 0
+    return "(" + render(e) + ")" if paren else render(e)
 
 
 def _split_sign(e: Expr) -> tuple[int, Expr]:
@@ -1207,6 +1203,30 @@ def _split_sign(e: Expr) -> tuple[int, Expr]:
             return -1, (rest[0] if len(rest) == 1 else Mul(rest))
         return -1, Mul([first] + rest)
     return 1, e
+
+
+def render_side(side) -> str:
+    """render of a tree, or of canonical_quotient(*side) for a canonical pair, read
+    off the pair's sorted monomials without the tree; every coefficient is checked."""
+    if isinstance(side, Expr):
+        return render(side)
+    if _p_is_one(side[1]):
+        return _poly_text(side[0])
+    # a factor is in parentheses unless one constant, or one symbol or power with coefficient 1
+    return "/".join(_poly_text(p) if len(p) <= 1 and all(not m or c == 1 and len(m) == 1
+                                                         for m, c in p.items())
+                    else "(" + _poly_text(p) + ")" for p in side)
+
+
+def _poly_text(p: dict) -> str:
+    text = ""
+    for mono in sorted(p, key=_mono_key, reverse=True):
+        c = p[mono]
+        factors = [s.render() if e == 1 else "%s^%d" % (s.render(), e) for s, e in mono]
+        if c not in (1, -1) or not mono:
+            factors.insert(0, str(_check_digits(abs(c), "in a result")))
+        text += (" - " if c < 0 else " + ") + "*".join(factors)
+    return "0" if not text else text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 def render(e: Expr) -> str:

@@ -151,6 +151,35 @@ def test_run_problem_expands_l_once(monkeypatch):
     assert len(expanded) == 1 and images == []
 
 
+def test_report_renders_sides_without_trees(monkeypatch):
+    """A warm report with the equations and el stages renders every side and
+    EL component from its canonical pair: it builds no tree.  A side read as a
+    tree is built once, so the replay and the oracle never build one twice."""
+    problems = [parse_problem(dict(bench_workloads().LADDER)["ladder-222"]),
+                parse_problem(CORPUS_PROBLEMS["camassa-holm"])]
+    for problem in problems:
+        run_problem(problem, 0, {"equations", "el"})
+    built = []
+
+    def poly_to_expr(p, _real=sx._poly_to_expr):
+        built.append(p)
+        return _real(p)
+    monkeypatch.setattr(sx, "_poly_to_expr", poly_to_expr)
+    for problem in problems:
+        run_problem(problem, 0, {"equations", "el"})
+    assert built == []
+    for problem in problems:
+        catalog = problem.catalog()
+        L = problem.lagrangian(catalog)
+        eqs = list(dynamical_equations(catalog, L)) + list(tangency_equations(catalog, L))
+        system = el.euler_lagrange(L, problem.bundle)
+        sides, components = [(e.lhs, e.rhs) for e in eqs], system.components
+        count = len(built)
+        assert all(e.lhs is lhs and e.rhs is rhs for e, (lhs, rhs) in zip(eqs, sides))
+        assert system.components is components
+        assert len(built) == count > 0
+
+
 def test_report_sides_are_built_canonical(monkeypatch):
     """Every equation side a report records renders as it does after a fresh
     reduction of its own expansion, so record only renders."""

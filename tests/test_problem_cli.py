@@ -326,6 +326,16 @@ def test_cli_digit_budget(tmp_path, capsys, lagrangian, code, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["el", "run"])
+def test_cli_digit_budget_in_derived_sides(tmp_path, capsys, command):
+    # L itself renders (a 600-digit coefficient); its derived sides carry
+    # 32*10^599, which only the renderer of the equations and EL can catch
+    text = "m=1\nn=1\nk=1\nlagrangian = 1%s*u[1]^32\n" % ("0" * 599)
+    path = _write(tmp_path, "big.prob", text)
+    assert main([command, path]) == 3
+    assert "constant with more than 600 digits in a result" in capsys.readouterr().err
+
+
 def test_cli_digit_budget_boundary(tmp_path, capsys):
     # (3^32)^32 has 489 digits, a 600-digit literal is still a number
     text = "(3^32)^32*u[1]^2 + %s*u[1]" % ("1" * 600)

@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 
 from srfield import symexpr as sx
 from srfield.assembler import hamiltonian_h0
-from srfield.errors import EvalDomainError, NormalizationError, ParseError, UsageError
+from srfield.errors import EngineError, EvalDomainError, NormalizationError, ParseError, UsageError
 from srfield.jetmodel import BundleSpec, build_catalog
 from srfield.multiindex import MultiIndex, enumerate_up_to
 from srfield.report import random_section
 
 from conftest import CH_L_TEXT, PLATE_L_TEXT, PLATE_SPEC, bench_problems, jet, random_poly, random_rational
 from routes_reference import eager_substitute_fields
+from test_cli_fuzz import FUZZ, expression, leaf
 
 
 def test_parse_plate(plate_catalog, plate_L):
@@ -484,6 +485,77 @@ def test_render_roundtrip_random(seed):
     e = random_rational(rng, _SYMS)
     text = sx.render(sx.normalize(e))
     assert sx.equivalent(sx.parse(text, cat), e)
+
+
+# --- rendering a canonical pair without its tree ---------------------------
+
+_PAIR_CATALOG = build_catalog(BundleSpec(2, 1, 2), fields={"q": (1,)})
+
+
+def _pair_text(num, den):
+    """The pair's text from render_side and from the tree, or the error each raises."""
+    out = []
+    for route in (lambda: sx.render_side((num, den)), lambda: sx.render(sx._rat_to_expr(num, den))):
+        try:
+            out.append(route())
+        except UsageError as exc:
+            out.append("UsageError: %s" % exc)
+    return out
+
+
+@pytest.mark.parametrize("text,want", [
+    ("0", "0"),
+    ("1/(x[1] + 1)", "1/(x[1] + 1)"),
+    ("-1/(x[1] + 1)", "-1/(x[1] + 1)"),
+    ("3/4/(x[1] + 1)", "3/4/(x[1] + 1)"),
+    ("-3/4/(x[1] + 1)", "-3/4/(x[1] + 1)"),
+    ("1/(x[1]*x[2])", "1/(x[1]*x[2])"),
+    ("-1/x[1]", "-1/x[1]"),
+    ("3/4/(x[1]*x[2])", "3/4/(x[1]*x[2])"),
+    ("-3/4/x[2]", "-3/4/x[2]"),
+    ("x[2]/u[1,0]^2", "x[2]/u[1,0]^2"),
+    ("(x[2] + 1)/(u[1,0]^3*x[1])", "(x[2] + 1)/(x[1]*u[1,0]^3)"),
+    ("x[1]^2/(x[2] + 1)", "x[1]^2/(x[2] + 1)"),
+    ("q/(x[2] + 1)", "q/(x[2] + 1)"),
+    ("x[1]*q/(x[2] + 1)", "(x[1]*q)/(x[2] + 1)"),
+    ("-x[1]/(x[2] + 1)", "(-x[1])/(x[2] + 1)"),
+    ("-2*x[1]^2/(x[2] + 1)", "(-2*x[1]^2)/(x[2] + 1)"),
+    ("3*x[1]*u[1,0]", "3*x[1]*u[1,0]"),
+    ("-u[2,0]", "-u[2,0]"),
+    ("(3/4*x[1] - 1/2)/(x[2] + 1/3)", "(3/4*x[1] - 1/2)/(x[2] + 1/3)"),
+    ("-5/3", "-5/3"),
+    ("-x[1]^2 + x[1] - 1", "-x[1]^2 + x[1] - 1"),
+    ("(-x[1]^2 + 1)/x[2]", "(-x[1]^2 + 1)/x[2]"),
+])
+def test_render_side_edge_cases(text, want):
+    num, den = sx.expand(sx.parse(text, _PAIR_CATALOG))
+    assert _pair_text(num, den) == [want, want]
+    assert sx.render_side(sx.canonical_quotient(num, den)) == want
+
+
+def test_render_side_checks_every_coefficient():
+    # only the middle coefficient passes the digit budget
+    x = sx.base_sym(1)
+    big = 10 ** sx._MAX_DIGITS
+    for num, den in [({((x, 2),): 1, ((x, 1),): big, (): 1}, sx._p_one()),
+                     ({(): Fraction(1, big)}, {((x, 1),): 1, (): 1}),
+                     ({((x, 1),): 1}, {((x, 1),): 1, (): -big})]:
+        want = "UsageError: constant with more than 600 digits in a result"
+        assert _pair_text(num, den) == [want, want]
+
+
+@settings(FUZZ, max_examples=300)
+@given(st.randoms(use_true_random=True))
+def test_render_side_matches_the_tree(rng):
+    """The fuzz grammar's expressions, expanded to canonical pairs, render as
+    their trees do."""
+    text = expression(rng, lambda: leaf(rng, 2, 1, 2, ["q"]), 3)
+    try:
+        num, den = sx.expand(sx.parse(text, _PAIR_CATALOG))
+    except EngineError:
+        return
+    got, want = _pair_text(num, den)
+    assert got == want, text
 
 
 # --- gcd and exact division on monomial dicts ------------------------------
