@@ -9,26 +9,36 @@ axis, with nodes polished by Newton steps on P_n.  L and the Euler-Lagrange
 components are compiled once per problem over the base variables and the
 jets they read.  A section reaches them as its jets, all read off one
 truncated Taylor expansion (:class:`Taylor`) per grid point, with no
-derivative tree to build or compile.  Each grid is evaluated as numpy arrays
-and summed with numpy.
-"""
+derivative tree to build.  A drawn section or variation, a canonical
+polynomial, enters by its coefficients: its Taylor rows on a slab of points
+are one matrix product of its exact shift matrix with the slab's monomials.
+Any other section, and the bump, is compiled once and evaluated by truncated
+Taylor arithmetic.  Each grid is evaluated as numpy arrays and summed with
+numpy."""
 
 from __future__ import annotations
 
 from functools import lru_cache, reduce
+from itertools import product
+from math import comb, prod
+from operator import sub
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from . import multiindex as mi
-from .errors import QuadratureError, UsageError
+from .errors import EvalDomainError, QuadratureError, UsageError
 from .jetmodel import BundleSpec, SectionFn
 from .symexpr import (
+    Add,
     Atom,
+    Const,
     Expr,
     JET,
+    Mul,
     ONE,
     Partials,
+    Pow,
     Sym,
     base_sym,
     bind_values,
@@ -164,7 +174,9 @@ class Taylor:
     """Truncated Taylor expansions at a set of points: rows[r] is the coefficient of the
     r-th multi-index of mi.enumerate_up_to(m, order), kept up to the value's own degree.
     Compiled code uses only +, * and ** by a nonzero integer, so a compiled section called
-    on Taylor base variables gives all its jets at once: u_J = rows[J] * J!."""
+    on Taylor base variables gives all its jets at once: u_J = rows[J] * J!.  A canonical
+    polynomial's rows are built directly from its coefficients (:func:`_taylor_at`); the
+    arithmetic serves every other section, the bump and its product with a variation."""
 
     __array_ufunc__ = None  # numpy operands defer to the reflected operators
 
@@ -241,12 +253,89 @@ def _order(jets: Sequence[Sym]) -> int:
     return max((u.index.order for u in jets), default=0)
 
 
+def _polynomial(c: Expr, m: int) -> Optional[dict]:
+    """c as a dict from exponent m-tuples to coefficients when c is a canonical
+    polynomial, as every drawn section and variation component is; None for any
+    other tree.  A canonical polynomial is a sum of distinct monomials, each a
+    constant, a power of a base variable or a product of those."""
+    if not c._canon:
+        return None
+    out = {}
+    for term in c.terms if isinstance(c, Add) else (c,):
+        coeff, J = 1, [0] * m
+        for f in term.factors if isinstance(term, Mul) else (term,):
+            if isinstance(f, Const):
+                coeff = f.q
+                continue
+            base, e = (f.base, f.exp) if isinstance(f, Pow) else (f, 1)
+            if not isinstance(base, Atom) or e < 0:
+                return None
+            J[base.sym.i - 1] = e
+        out[tuple(J)] = coeff
+    return out
+
+
 def _taylor_at(s: SectionFn, spec: BundleSpec, order: int):
-    """s compiled once: a function from base values x to its Taylor values there."""
+    """s as a function from base values x to its Taylor values there, to the given order.
+
+    A component that is a canonical polynomial (every drawn section and variation)
+    enters by its coefficients.  Row I of its Taylor value at x is
+    sum_J c_J C(J, I) x^(J - I), linear in the coefficients c_J, so the rows of all
+    such components are one product A X: A holds the exact coefficients of
+    d^I s / I! over the monomials, each converted to float once, and X the
+    monomials at x, each one multiplication from a lower one.  Any other component
+    (a problem file's, rational, factored or as written) is compiled once and
+    called on Taylor base variables, since expanding a factored polynomial would
+    lose relative accuracy.
+    """
     if len(s) != spec.n:
         raise UsageError("section has %d components, fiber dimension is %d" % (len(s), spec.n))
-    at = compile_expr(s.components, _base(spec))
-    return lambda x: at(_variables(x, order))
+    m = spec.m
+    polys = [_polynomial(c, m) for c in s.components]
+    drawn = [p for p in polys if p is not None]
+    degrees = [max(map(sum, p)) for p in drawn]
+    tops = [min(d, order) for d in degrees]
+    degree = max(degrees, default=0)
+    pos, sizes, _, _ = _taylor_index(m, max(degree, order))
+    # monomial r is monomial parent times x[axis], with axis the first one it uses
+    steps = []
+    for K in list(pos)[1:sizes[degree]]:
+        axis = next(i for i, c in enumerate(K) if c)
+        steps.append((pos[K[:axis] + (K[axis] - 1,) + K[axis + 1:]], axis))
+    blocks = []
+    for p, top in zip(drawn, tops):
+        a = np.zeros((sizes[top], sizes[degree]))
+        for J, c in p.items():
+            for I in product(*(range(j + 1) for j in J)):
+                if sum(I) <= top:
+                    try:  # int / int rounds the exact quotient once
+                        a[pos[I], pos[tuple(map(sub, J, I))]] = (
+                            c.numerator * prod(map(comb, J, I)) / c.denominator)
+                    except OverflowError:
+                        raise EvalDomainError(
+                            "a constant of %d digits is too large for floating point"
+                            % len(str(abs(c.numerator)))) from None
+        blocks.append(a)
+    shift_matrix = np.vstack(blocks) if blocks else None
+    cuts = np.cumsum([len(a) for a in blocks])[:-1]
+    others = [c for c, p in zip(s.components, polys) if p is None]
+    compiled = compile_expr(others, _base(spec)) if others else None
+
+    def at(x: list) -> list:
+        if others:
+            values = iter(compiled(_variables(x, order)))
+        if blocks:
+            shape = np.broadcast_shapes(*map(np.shape, x))
+            monomials = np.empty((sizes[degree],) + shape)
+            monomials[0] = 1.0
+            for r, (parent, axis) in enumerate(steps, start=1):
+                monomials[r] = monomials[parent] * x[axis]
+            rows = shift_matrix @ monomials.reshape(sizes[degree], -1)
+            taylors = iter(Taylor(r.reshape(r.shape[:1] + shape), top, m, order)
+                           for r, top in zip(np.split(rows, cuts), tops))
+        return [next(values if p is None else taylors) for p in polys]
+
+    return at
 
 
 # ---------------------------------------------------------------------------

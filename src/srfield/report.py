@@ -36,9 +36,14 @@ def _rng(seed: int, stage: str) -> random.Random:
     return random.Random("%d:%s" % (seed, stage))
 
 
+def _round_float(x: float) -> float:
+    """x to the 12 significant digits that reports keep."""
+    return float("%.12g" % x)
+
+
 def _round_floats(obj):
     if isinstance(obj, float):
-        return float("%.12g" % obj)
+        return _round_float(obj)
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -96,7 +101,8 @@ def run_problem(problem: ProblemFile, seed: int = 0,
 
     stages restricts the work ("equations", "analysis", "el", "oracle"); the
     catalog and flags are always present.  All randomness is drawn from
-    per-stage generators derived from the seed, which is recorded.
+    per-stage generators derived from the seed, which is recorded.  Floats are
+    kept to 12 significant digits, rounded where they are made.
     """
     spec = problem.bundle
     catalog = problem.catalog()
@@ -147,7 +153,7 @@ def run_problem(problem: ProblemFile, seed: int = 0,
     if "oracle" in stages:
         report["oracle"] = _oracle_section(problem, catalog, L, el, bindings, seed)
 
-    return _round_floats(report)
+    return report
 
 
 def _analysis_section(problem: ProblemFile, catalog: CoordCatalog, L: Expr,
@@ -170,10 +176,10 @@ def _analysis_section(problem: ProblemFile, catalog: CoordCatalog, L: Expr,
             if s.kind == FIELD and s.name not in bindings:
                 point[s] = rng.uniform(1.0, 2.0)
         points.append(point)
-        shown.append({s.render(): point[s] for s in sorted(hess_syms) if s in point})
+        shown.append({s.render(): _round_float(point[s]) for s in sorted(hess_syms) if s in point})
     for point in problem.point_assignments(catalog):
         points.append(point)
-        shown.append({s.render(): v for s, v in sorted(point.items())})
+        shown.append({s.render(): _round_float(v) for s, v in sorted(point.items())})
     samples = [{"point": where, "regular": analysis.full_rank(mat)}
                for where, mat in zip(shown, analysis.hessian_at(hess, points, bindings or None))]
     out["regularity"] = {
@@ -233,10 +239,10 @@ def _oracle_section(problem: ProblemFile, catalog: CoordCatalog, L: Expr,
         try:
             lhs, rhs = oracle(s, psi, eleuler.COMPLEX_STEP)
             entry.update({
-                "eps": eleuler.COMPLEX_STEP,
-                "lhs": lhs,
-                "rhs": rhs,
-                "rel_err": eleuler.relative_gap(lhs, rhs),
+                "eps": _round_float(eleuler.COMPLEX_STEP),
+                "lhs": _round_float(lhs),
+                "rhs": _round_float(rhs),
+                "rel_err": _round_float(eleuler.relative_gap(lhs, rhs)),
             })
         except (QuadratureError, EvalDomainError) as exc:
             entry["diagnostic"] = str(exc)

@@ -357,6 +357,72 @@ def test_taylor_zero_base_is_a_domain_error():
     assert str(on_taylor.value).startswith("division by zero in ")
 
 
+@pytest.fixture
+def compiled(monkeypatch):
+    """The expression lists that eleuler.compile_expr is called on during the test."""
+    calls, real_compile = [], el.compile_expr
+
+    def counting_compile(exprs, syms):
+        calls.append(list(exprs))
+        return real_compile(exprs, syms)
+
+    monkeypatch.setattr(el, "compile_expr", counting_compile)
+    return calls
+
+
+@pytest.mark.parametrize("signature", [(1, 1, 3), (2, 1, 3), (2, 2, 2), (3, 1, 2)])
+def test_drawn_pairs_enter_by_coefficients(signature, compiled):
+    """Drawn sections and variations take the coefficient route, with nothing
+    compiled, and give every jet up to order 2k of the exact prolongation to 1e-13
+    relative, at x given as arrays and as floats; a problem file's section is compiled."""
+    spec = BundleSpec(*signature)
+    rng = random.Random(6)
+    points = [[Fraction(j, 7) + Fraction(i, 11) for i in range(1, spec.m + 1)] for j in (1, 3, 5)]
+    x = [np.array([float(p[i]) for p in points]) for i in range(spec.m)]
+    for s in (random_section(spec, rng), random_variation(spec, rng)):
+        prolonged = prolong(s, 2 * spec.k, spec)
+        jets = sorted(prolonged)
+        at = el._taylor_at(s, spec, 2 * spec.k)
+        on_arrays = el._jets(at(x), jets)
+        on_floats = el._jets(at([float(c) for c in points[0]]), jets)
+        for u, values, first in zip(jets, on_arrays, on_floats):
+            for p, value in zip(points + points[:1],
+                                list(np.broadcast_to(values, (len(points),))) + [first]):
+                at_p = {sx.base_sym(i): sx.Const(c) for i, c in enumerate(p, start=1)}
+                exact = float(sx.normalize(sx.substitute(prolonged[u], at_p)).q)
+                assert abs(value - exact) <= 1e-13 * abs(exact), (u.render(), value, exact)
+    assert compiled == []
+    lines = ["m=%d" % spec.m, "n=%d" % spec.n, "k=%d" % spec.k, "lagrangian = u[%s]^2"
+             % ",".join(["0"] * spec.m)]
+    lines += ["section@%d = x[1] + x[%d]^2" % (a, spec.m) for a in range(1, spec.n + 1)]
+    (parsed,) = parse_problem("\n".join(lines) + "\n").section_fns()
+    el._taylor_at(parsed, spec, 2 * spec.k)
+    assert compiled == [list(parsed.components)]
+
+
+def test_out_of_range_coefficient_is_a_domain_error():
+    """A coefficient beyond the float range raises the same EvalDomainError on the
+    coefficient route as on the compiled one."""
+    spec = BundleSpec(1, 1, 1)
+    written = sx.parse("1%s*x[1]" % ("0" * 400), build_catalog(spec))
+    messages = []
+    for e in (written, sx.normalize(written)):
+        with pytest.raises(EvalDomainError) as exc:
+            el._taylor_at(SectionFn([e]), spec, 2)
+        messages.append(str(exc.value))
+    assert messages == ["a constant of 401 digits is too large for floating point"] * 2
+
+
+def test_run_problem_compiles_once_per_problem(compiled):
+    """A full report on ladder-222 compiles L, the EL components and the bump, and
+    nothing for its drawn oracle pairs."""
+    problem = parse_problem(dict(bench_workloads().LADDER)["ladder-222"])
+    rep = run_problem(problem, 0)
+    assert len(rep["oracle"]) == ORACLE_PAIRS and all("rel_err" in e for e in rep["oracle"])
+    assert len(compiled) == 3
+    assert [el.bump_polynomial(problem.bundle)] in compiled
+
+
 def test_run_problem_derives_and_compiles_once(monkeypatch):
     """One report derives EL once for its el and oracle stages, and compiles L
     and the EL components once for all of its oracle pairs."""
