@@ -6,7 +6,11 @@ form, extracts the dynamical equation families mechanically, runs the
 constraint and regularity analysis, and derives the higher-order
 Euler-Lagrange equations, cross-checked by an independent numeric
 first-variation oracle.
+
+The exact stages import no numpy; the analysis and the oracle load it on first use.
 """
+
+from importlib import import_module
 
 from .errors import (
     EngineError,
@@ -31,25 +35,29 @@ from .assembler import (
     tangency_equations,
     w2_constraint,
 )
-from .analysis import (
-    classify_b_system,
-    highest_hessian,
-    is_regular_at,
-    omega2_kernel_dim_at,
-    prop31_select,
-    prop31_verify,
-)
-from .eleuler import (
-    euler_lagrange,
-    gateaux_oracle,
-    iterated_total_derivative,
-    residual_on_section,
-    total_derivative,
-)
+from .eleuler import euler_lagrange, iterated_total_derivative, total_derivative
 from .problem import ProblemFile, load_problem, parse_problem
 from .report import run_problem
 
 __version__ = "0.1.0"
+
+# the numeric re-exports, whose modules import numpy, loaded on first use (PEP 562)
+_NUMERIC = {
+    "classify_b_system": "analysis",
+    "highest_hessian": "analysis",
+    "is_regular_at": "analysis",
+    "omega2_kernel_dim_at": "analysis",
+    "prop31_select": "analysis",
+    "prop31_verify": "analysis",
+    "gateaux_oracle": "oracle",
+    "residual_on_section": "oracle",
+}
+
+
+def __getattr__(name: str):
+    if name not in _NUMERIC:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    return getattr(import_module("." + _NUMERIC[name], __name__), name)
 
 __all__ = [
     "BundleSpec",

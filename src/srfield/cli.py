@@ -6,11 +6,15 @@ Subcommands:
     el <file> [--seed N]                    Euler-Lagrange derivation only
     analyze <file> [--seed N]               analysis stages only
 
+`el` is exact and never imports numpy; `run`, `analyze` and `corpus` load it
+when their analysis or oracle stage first runs.
+
 Exit codes: 0 success, 1 golden mismatch, 2 parse error (including a number
-literal longer than 600 digits and a malformed coordinate name in a point
-line), 3 precondition or usage error (including a section or variation on
-anything but the base variables, such as a jet coordinate or a field, raised
-when the file is read, an unreadable file, a power whose exponent exceeds 32 in
+literal longer than 600 digits, a malformed coordinate name in a point line
+and a repeated m, n, k, lagrangian or field line), 3 precondition or usage
+error (including a section or variation on anything but the base variables,
+such as a jet coordinate or a field, raised when the file is read, an
+unreadable file, a power whose exponent exceeds 32 in
 absolute value once nested powers fold, an expanded product with more than
 10,000 terms, a catalog of more than 2,000 coordinates, and a constant with
 more than 600 digits, folded by the parser or computed, or one beyond the

@@ -12,8 +12,11 @@ Recognized lines (comments start with '#'):
     point = u[2,0]=1.5 u[1,1]=0.25 u[0,2]=1.0
 
 Sections and variations are paired in file order; a repeated fiber index
-starts a new entry.  Point assignments are whitespace-separated name=value
-pairs using the rendered coordinate names.  Every line is checked on parsing.
+starts a new entry.  Each point line is one more point.  Point assignments are
+whitespace-separated name=value pairs using the rendered coordinate names.
+m, n, k, lagrangian and each field name may be given once: a repeat is a
+ParseError naming the key and both lines, not a silent override.  Every line
+is checked on parsing.
 """
 
 from __future__ import annotations
@@ -95,6 +98,13 @@ def parse_problem(text: str) -> ProblemFile:
     sections: list[dict[int, str]] = []
     variations: list[dict[int, str]] = []
     points: list[dict[str, float]] = []
+    first_line: dict[str, int] = {}
+
+    def once(key: str, lineno: int) -> None:
+        if key in first_line:
+            raise ParseError("line %d: repeated key %s, first given on line %d"
+                             % (lineno, key, first_line[key]))
+        first_line[key] = lineno
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -103,6 +113,7 @@ def parse_problem(text: str) -> ProblemFile:
         fm = _FIELD_RE.match(line)
         if fm:
             name, deps_text, value = fm.group(1), fm.group(2), fm.group(3)
+            once("field " + name, lineno)
             deps = []
             for part in deps_text.split(",") if deps_text.strip() else ():
                 part = part.strip()
@@ -117,6 +128,8 @@ def parse_problem(text: str) -> ProblemFile:
         key, value = line.split("=", 1)
         key = key.strip()
         value = value.strip()
+        if key in ("m", "n", "k", "lagrangian"):
+            once(key, lineno)
         if key in ("m", "n", "k"):
             try:
                 header[key] = int(value)

@@ -1,4 +1,7 @@
-"""Full pipeline runs producing deterministic, JSON-serializable reports."""
+"""Full pipeline runs producing deterministic, JSON-serializable reports.
+
+The analysis and the oracle stages import their modules, and with them numpy,
+when they first run; the equations and EL stages are exact and need neither."""
 
 from __future__ import annotations
 
@@ -7,7 +10,7 @@ import random
 from fractions import Fraction
 from typing import Optional
 
-from . import analysis, assembler, eleuler
+from . import assembler, eleuler
 from . import multiindex as mi
 from .equations import TAG_C, Equation
 from .errors import EvalDomainError, QuadratureError
@@ -158,6 +161,8 @@ def run_problem(problem: ProblemFile, seed: int = 0,
 
 def _analysis_section(problem: ProblemFile, catalog: CoordCatalog, L: Expr,
                       bindings, seed: int) -> dict:
+    from . import analysis
+
     spec = problem.bundle
     out: dict = {}
     hess = analysis.highest_hessian(L, spec)
@@ -217,6 +222,8 @@ def _analysis_section(problem: ProblemFile, catalog: CoordCatalog, L: Expr,
 
 def _oracle_section(problem: ProblemFile, catalog: CoordCatalog, L: Expr,
                     el: eleuler.ELSystem, bindings, seed: int) -> list[dict]:
+    from .oracle import COMPLEX_STEP, oracle_for, relative_gap
+
     spec = problem.bundle
     if any(s.kind == FIELD and s.name not in bindings for s in free_syms(L)):
         return [{"skipped": "Lagrangian has unbound external fields"}]
@@ -227,7 +234,7 @@ def _oracle_section(problem: ProblemFile, catalog: CoordCatalog, L: Expr,
     while len(pairs) < ORACLE_PAIRS:
         pairs.append((random_section(spec, rng), random_variation(spec, rng)))
     grid = default_grid(spec)
-    oracle = eleuler.oracle_for(L, spec, el, grid, bindings or None)
+    oracle = oracle_for(L, spec, el, grid, bindings or None)
     out = []
     for s, psi in pairs:
         entry: dict = {
@@ -237,12 +244,12 @@ def _oracle_section(problem: ProblemFile, catalog: CoordCatalog, L: Expr,
             "seed": seed,
         }
         try:
-            lhs, rhs = oracle(s, psi, eleuler.COMPLEX_STEP)
+            lhs, rhs = oracle(s, psi, COMPLEX_STEP)
             entry.update({
-                "eps": _round_float(eleuler.COMPLEX_STEP),
+                "eps": _round_float(COMPLEX_STEP),
                 "lhs": _round_float(lhs),
                 "rhs": _round_float(rhs),
-                "rel_err": _round_float(eleuler.relative_gap(lhs, rhs)),
+                "rel_err": _round_float(relative_gap(lhs, rhs)),
             })
         except (QuadratureError, EvalDomainError) as exc:
             entry["diagnostic"] = str(exc)

@@ -26,8 +26,6 @@ from fractions import Fraction
 from itertools import chain
 from typing import Callable, Mapping, Optional, Sequence
 
-import numpy as np
-
 from .errors import (
     EvalDomainError,
     NormalizationError,
@@ -1077,8 +1075,10 @@ _MAX_DEPTH = 50
 
 def _npow(b, n: int, node: Expr):
     """b ** n for a negative n, refusing a zero base anywhere in b; a Taylor
-    value (eleuler.Taylor) is refused on a zero constant term."""
-    if not np.all(getattr(b, "value", b)):
+    value (oracle.Taylor) is refused on a zero constant term.  An array is
+    tested by its own all(), a scalar by != 0, so nothing here needs numpy."""
+    v = getattr(b, "value", b)
+    if not (v.all() if hasattr(v, "all") else v != 0):
         raise EvalDomainError("division by zero in %s" % render(node))
     return b ** n
 
@@ -1175,8 +1175,9 @@ def compile_at(exprs: Sequence[Expr], fields: Optional[Mapping[str, Expr]] = Non
 
 
 def bind_values(point: Mapping, syms: Sequence[Sym]) -> list:
-    """The values of syms at a point, as :func:`evaluate` reads them, in the order of syms."""
-    values = {k if isinstance(k, Sym) else str(k): v if isinstance(v, np.ndarray) else float(v)
+    """The values of syms at a point, as :func:`evaluate` reads them, in the order of syms:
+    an array of one or more dimensions as it is, any other value as a float."""
+    values = {k if isinstance(k, Sym) else str(k): v if getattr(v, "ndim", 0) else float(v)
               for k, v in point.items()}
     for s in syms:
         if s not in values and s.render() not in values:

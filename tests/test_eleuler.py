@@ -10,6 +10,7 @@ import pytest
 
 from srfield import symexpr as sx
 from srfield import eleuler as el
+from srfield import oracle
 from srfield.corpus import CORPUS_NAMES, corpus_problem
 from srfield.errors import EvalDomainError, QuadratureError, UsageError
 from srfield.jetmodel import BundleSpec, SectionFn, build_catalog, prolong
@@ -357,16 +358,25 @@ def test_taylor_zero_base_is_a_domain_error():
     assert str(on_taylor.value).startswith("division by zero in ")
 
 
+def test_only_moved_names_are_read_from_the_oracle():
+    """eleuler's module __getattr__ hands on the names that moved to the oracle module
+    (test_reexports_resolve checks each), and no other: a patch of a name the oracle
+    only imports, such as compile_expr, fails loudly."""
+    assert el.__getattr__("gateaux_oracle") is oracle.gateaux_oracle
+    with pytest.raises(AttributeError, match="'srfield.eleuler' has no attribute 'compile_expr'"):
+        el.__getattr__("compile_expr")
+
+
 @pytest.fixture
 def compiled(monkeypatch):
-    """The expression lists that eleuler.compile_expr is called on during the test."""
-    calls, real_compile = [], el.compile_expr
+    """The expression lists that oracle.compile_expr is called on during the test."""
+    calls, real_compile = [], oracle.compile_expr
 
     def counting_compile(exprs, syms):
         calls.append(list(exprs))
         return real_compile(exprs, syms)
 
-    monkeypatch.setattr(el, "compile_expr", counting_compile)
+    monkeypatch.setattr(oracle, "compile_expr", counting_compile)
     return calls
 
 
@@ -427,7 +437,7 @@ def test_run_problem_derives_and_compiles_once(monkeypatch):
     """One report derives EL once for its el and oracle stages, and compiles L
     and the EL components once for all of its oracle pairs."""
     derived, compiled = [], []
-    real_el, real_compile = el.euler_lagrange, el.compile_expr
+    real_el, real_compile = el.euler_lagrange, oracle.compile_expr
 
     def counting_el(L, spec, *table):
         derived.append(L)
@@ -438,7 +448,7 @@ def test_run_problem_derives_and_compiles_once(monkeypatch):
         return real_compile(exprs, syms)
 
     monkeypatch.setattr(el, "euler_lagrange", counting_el)
-    monkeypatch.setattr(el, "compile_expr", counting_compile)
+    monkeypatch.setattr(oracle, "compile_expr", counting_compile)
     problem = parse_problem(dict(bench_workloads().LADDER)["ladder-222"])
     rep = run_problem(problem, 0)
     L = problem.lagrangian()

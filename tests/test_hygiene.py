@@ -217,13 +217,61 @@ def test_benchmark_uses_bind(script):
     assert broken_uses(source) == []
 
 
-def test_import_loads_no_third_party_package_but_numpy():
-    # a fresh interpreter's import is the benchmark's set-up time; a new
-    # third-party import would add its load to every run
+def fresh_interpreter(code: str, *args: str) -> subprocess.CompletedProcess:
+    """code run by a new interpreter on the package's source, with args as sys.argv[1:]."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True)
+
+
+def test_import_loads_no_third_party_package():
+    # a fresh interpreter's import is the benchmark's set-up time; a third-party
+    # import, numpy included, would add its load to every run
     code = ("import sys\nbefore = set(sys.modules)\nimport srfield\n"
             "print(sorted({name.split('.')[0] for name in set(sys.modules) - before}"
             " - set(sys.stdlib_module_names)))\n")
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert ast.literal_eval(out) == ["numpy", "srfield"]
+    out = fresh_interpreter(code)
+    assert out.returncode == 0, out.stderr
+    assert ast.literal_eval(out.stdout) == ["srfield"]
+
+
+EXACT_MODULES = ("assembler", "cli", "corpus", "eleuler", "equations", "errors", "extalg",
+                 "jetmodel", "multiindex", "problem", "report", "symexpr")
+
+
+@pytest.mark.parametrize("command, loads_numpy", [("el", False), ("run", True)])
+def test_numpy_loads_only_when_a_numeric_stage_runs(tmp_path, command, loads_numpy):
+    # every exact module imports without numpy and `el` derives without it;
+    # `run` on the same file loads it, so the check cannot pass by never looking
+    path = tmp_path / "problem.txt"
+    path.write_text("m = 1\nn = 1\nk = 2\nlagrangian = u[2]^2/2 + u[0]*u[1]^2\n")
+    code = ("import sys\nfrom importlib import import_module\n"
+            "for name in %r:\n    import_module('srfield.' + name)\n"
+            "after_import = 'numpy' in sys.modules\n"
+            "from srfield.cli import main\nstatus = main(sys.argv[1:])\n"
+            "sys.stderr.write('numpy: %%s %%s\\n' %% (after_import, 'numpy' in sys.modules))\n"
+            "sys.exit(status)\n" % (EXACT_MODULES,))
+    out = fresh_interpreter(code, command, str(path))
+    assert out.returncode == 0, out.stderr
+    assert out.stderr.splitlines()[-1] == "numpy: False %s" % loads_numpy
+    assert '"euler_lagrange"' in out.stdout
+
+
+def test_reexports_resolve():
+    # the package's analysis and oracle re-exports, and the names that moved from
+    # eleuler to oracle, are read on first use; each must still resolve
+    code = ("import srfield\nfrom srfield import analysis, eleuler, oracle\n"
+            "from srfield.eleuler import bump_polynomial, gateaux_oracle\n"
+            "assert gateaux_oracle is oracle.gateaux_oracle\n"
+            "assert bump_polynomial is oracle.bump_polynomial\n"
+            "missing = [name for name in srfield.__all__ if getattr(srfield, name, None) is None]\n"
+            "missing += ['eleuler.' + name for name in sorted(eleuler._ORACLE_NAMES)\n"
+            "            if getattr(eleuler, name) is not getattr(oracle, name)]\n"
+            "for name in ('highest_hessian', 'prop31_verify'):\n"
+            "    assert getattr(srfield, name) is getattr(analysis, name)\n"
+            "for name in ('gateaux_oracle', 'residual_on_section'):\n"
+            "    assert getattr(srfield, name) is getattr(oracle, name)\n"
+            "print(missing)\n")
+    out = fresh_interpreter(code)
+    assert out.returncode == 0, out.stderr
+    assert ast.literal_eval(out.stdout) == []

@@ -496,6 +496,41 @@ def test_cli_every_line_checked_on_parsing(tmp_path, capsys, line, code):
         assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("line,key,first", [("m = 2", "m", 3), ("n = 1", "n", 4),
+                                            ("k = 3", "k", 5), ("field q(x[1]) = 2", "field q", 6),
+                                            ("lagrangian = u[0,0]^2", "lagrangian", 7)])
+def test_cli_repeated_key_is_a_parse_error(tmp_path, capsys, line, key, first):
+    # the last of two values used to win silently; a repeat, even of the same
+    # value, leaves the problem ambiguous, so no command runs it
+    path = _write(tmp_path, "repeat.prob", PLATE_PROBLEM + line + "\n")
+    for command in ("el", "run"):
+        assert main([command, path]) == 2, command
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "parse error: line 8: repeated key %s, first given on line %d\n" % (
+            key, first)
+
+
+def test_cli_repeated_points_are_more_points(tmp_path, capsys):
+    text = PLATE_PROBLEM + "point = u[2,0]=1.5\npoint = u[2,0]=1.25 u[1,1]=0.5\n"
+    path = _write(tmp_path, "points.prob", text)
+    assert main(["analyze", path]) == 0
+    samples = json.loads(capsys.readouterr().out)["analysis"]["regularity"]["samples"]
+    assert [s["point"] for s in samples[-2:]] == [{"u[2,0]": 1.5},
+                                                  {"u[1,1]": 0.5, "u[2,0]": 1.25}]
+
+
+def test_cli_repeated_fiber_index_starts_a_new_pair(tmp_path, capsys):
+    text = MECH_PROBLEM + ("section@1 = x[1]^3\nsection@1 = x[1]^2\n"
+                           "variation@1 = 1\nvariation@1 = x[1]\n")
+    path = _write(tmp_path, "pairs.prob", text)
+    assert main(["run", path]) == 0
+    oracle = json.loads(capsys.readouterr().out)["oracle"]
+    assert [(e["section"], e["variation"]) for e in oracle[:2]] == [
+        (["x[1]^3"], ["1"]), (["x[1]^2"], ["x[1]"])]
+    assert all("rel_err" in e for e in oracle)
+
+
 def test_cli_catalog_budget(tmp_path, capsys):
     # m = n = k = 9 has 2,406,700 coordinates; listing them ran past 30 s
     text = "m=9\nn=9\nk=9\nlagrangian = u[1,0,0,0,0,0,0,0,0]^2\n"
