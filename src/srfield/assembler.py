@@ -58,8 +58,6 @@ from .symexpr import (
     aux_a,
     aux_b,
     aux_c,
-    canonical_polynomial,
-    canonical_quotient,
     directional,
     eadd,
     emul,
@@ -76,6 +74,7 @@ from .symexpr import (
     mom_sym,
     normalize,
     render,
+    tree_of,
 )
 
 
@@ -220,7 +219,7 @@ def _signature(spec: BundleSpec) -> tuple[dict, tuple[dict, ...], tuple[dict, di
     catalog = build_catalog(spec)
     check_collapse(catalog, eadd(*[emul(Atom(field_sym("dL/d" + u.render(), mi.zero(spec.m), ())),
                                         Atom(u)) for u in catalog.jet_syms]))
-    pairing = normalize(esub(pairing_phi(catalog), Atom(catalog.p)))
+    pairing = esub(pairing_phi(catalog), Atom(catalog.p))
     defaults = _default_maps(catalog)
     lifts = _reduced_lifts(catalog, *defaults)
     return (_polynomial(pairing), tuple(_polynomial(image) for image in
@@ -254,7 +253,7 @@ def w2_constraint(catalog: CoordCatalog, L: Expr,
 
 def momentum_sum(u: Sym) -> Expr:
     """The momenta p^{I,i}_a with I + 1_i = J, summed in canonical form, for the jet u = u^a_J."""
-    return canonical_polynomial(_momenta(u))
+    return tree_of(_over_one(_momenta(u)))
 
 
 def _momenta(u: Sym) -> dict:
@@ -354,9 +353,9 @@ def _reduced_lifts(catalog: CoordCatalog, a_assign: Mapping[Sym, Expr],
 
 def _pairing_images(catalog: CoordCatalog, lifts: Mapping[int, Mapping[Sym, Expr]],
                     pairing: Expr) -> list[Expr]:
-    """P_j: each lift applied to the pairing without p, normalized."""
+    """P_j: each lift applied to the pairing without p."""
     grad = gradient(pairing, catalog.coords)
-    return [normalize(directional(h, grad)) for h in lifts.values()]
+    return [directional(h, grad) for h in lifts.values()]
 
 
 def c_coefficients(catalog: CoordCatalog, L: Expr, a_assign: Mapping[Sym, Expr],
@@ -372,13 +371,13 @@ def c_coefficients(catalog: CoordCatalog, L: Expr, a_assign: Mapping[Sym, Expr],
     """
     pairing, _, defaults = _signature(catalog.spec)
     if (dict(a_assign), dict(b_assign)) == defaults:
-        return [canonical_quotient(*c) for c in default_c_sides(catalog, L, table)]
+        return [tree_of(c) for c in default_c_sides(catalog, L, table)]
     _check_l_on_jets(catalog, L)
     lifts = _reduced_lifts(catalog, a_assign, b_assign)
     grad = gradient(L, catalog.base_syms + catalog.jet_syms)
     return [normalize(esub(directional(h, grad), image))
             for h, image in zip(lifts.values(),
-                                _pairing_images(catalog, lifts, canonical_polynomial(pairing)))]
+                                _pairing_images(catalog, lifts, tree_of(_over_one(pairing))))]
 
 
 def default_c_sides(catalog: CoordCatalog, L: Expr,

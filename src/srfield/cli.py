@@ -7,7 +7,7 @@ Subcommands:
     analyze <file> [--seed N]               analysis stages only
 
 `el` is exact and never imports numpy; `run`, `analyze` and `corpus` load it
-when their analysis or oracle stage first runs.
+when their analysis or oracle stage first runs, and exit 3 without it.
 
 Exit codes: 0 success, 1 golden mismatch, 2 parse error (including a number
 literal longer than 600 digits, a malformed coordinate name in a point line
@@ -18,8 +18,10 @@ unreadable file, a power whose exponent exceeds 32 in
 absolute value once nested powers fold, an expanded product with more than
 10,000 terms, a catalog of more than 2,000 coordinates, and a constant with
 more than 600 digits, folded by the parser or computed, or one beyond the
-float range met by a numeric check), 4 internal consistency error or any
-other unexpected exception, reported on one `internal error:` line.
+float range met by a numeric check, and numpy missing when an analysis or
+oracle stage runs, reported on one `error:` line that names numpy), 4 internal
+consistency error or any other unexpected exception, reported on one
+`internal error:` line.
 """
 
 from __future__ import annotations
@@ -134,6 +136,10 @@ def main(argv=None) -> int:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_PRECONDITION
     except Exception as exc:
+        if isinstance(exc, ModuleNotFoundError) and exc.name == "numpy":
+            sys.stderr.write("error: the analysis and oracle stages need numpy: %s\n"
+                             % exc)
+            return EXIT_PRECONDITION
         # a bug, or a resource limit such as RecursionError or MemoryError;
         # exit 1 is reserved for golden mismatches
         sys.stderr.write("internal error: %s: %s\n"

@@ -20,7 +20,6 @@ from .symexpr import (
     Partials,
     Sym,
     base_sym,
-    canonical_quotient,
     directional,
     free_syms,
     gradient,
@@ -28,12 +27,13 @@ from .symexpr import (
     jet_order,
     jet_sym,
     render_side,
+    tree_of,
 )
 
-# the names that moved to srfield.oracle, read from there on first use (PEP 562)
+# the public names that moved to srfield.oracle, read from there on first use (PEP 562)
 _ORACLE_NAMES = frozenset("""COMPLEX_STEP REFINEMENT_TOL SLAB_POINTS Taylor action_value
-    bump_polynomial default_eps gateaux_oracle oracle_for relative_gap residual_on_section
-    _gauss_legendre _grid _jets _polynomial _taylor_at _taylor_index""".split())
+    bump_polynomial default_eps gateaux_oracle oracle_for relative_gap
+    residual_on_section""".split())
 
 
 def __getattr__(name: str):
@@ -85,8 +85,7 @@ class ELSystem:
     @property
     def components(self) -> tuple[Expr, ...]:
         if self._trees is None:
-            self._trees = tuple(c if isinstance(c, Expr) else canonical_quotient(*c)
-                                for c in self._sides)
+            self._trees = tuple(map(tree_of, self._sides))
         return self._trees
 
     def __len__(self):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .symexpr import Expr, canonical_quotient, esub, render_side
+from .symexpr import Expr, esub, render_side, tree_of
 
 TAG_A = "A"
 TAG_B_TRACE = "B_TRACE"
@@ -34,8 +34,7 @@ class Equation:
 
     def _tree(self, ix: int) -> Expr:
         if self._trees[ix] is None:
-            side = self._sides[ix]
-            self._trees[ix] = side if isinstance(side, Expr) else canonical_quotient(*side)
+            self._trees[ix] = tree_of(self._sides[ix])
         return self._trees[ix]
 
     @property

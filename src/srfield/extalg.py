@@ -18,12 +18,12 @@ from .symexpr import (
     Expr,
     Sym,
     as_expr,
+    canonical_quotient,
     eadd,
     emul,
     eneg,
+    expand,
     is_syntactic_zero,
-    is_zero,
-    normalize,
 )
 
 
@@ -130,7 +130,7 @@ def collect(a: Form) -> dict[tuple[Sym, ...], Expr]:
     """Normalized coefficients per canonical monomial, zero entries removed."""
     out: dict[tuple[Sym, ...], Expr] = {}
     for mono, coef in a.terms.items():
-        nf = normalize(coef)
-        if not is_zero(nf):
-            out[mono] = nf
+        num, den = expand(coef)
+        if num:
+            out[mono] = canonical_quotient(num, den)
     return out

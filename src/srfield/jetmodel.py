@@ -29,6 +29,7 @@ from .symexpr import (
     jet_sym,
     mom_sym,
     p_sym,
+    tree_of,
 )
 
 
@@ -131,18 +132,30 @@ def pairing_phi(catalog: CoordCatalog) -> Expr:
 
 
 class SectionFn:
-    """A local section given per fiber index as an expression in the base variables."""
+    """A local section given per fiber index in the base variables.
 
-    def __init__(self, components: Sequence[Expr]):
-        self.components = tuple(as_expr(c) for c in components)
-        for c in self.components:
-            bad = sorted(s for s in free_syms(c) if s.kind != BASE)
+    Each of its sides is a tree or, as a drawn oracle section is built, a canonical
+    pair (numerator, denominator) of monomial dicts, which the oracle and the report
+    read directly; components builds the trees on first read and keeps them."""
+
+    def __init__(self, components: Sequence):
+        self.sides = tuple(c if isinstance(c, tuple) else as_expr(c) for c in components)
+        self._trees = None
+        for c in self.sides:
+            syms = free_syms(c) if isinstance(c, Expr) else {s for p in c for m in p for s, _ in m}
+            bad = sorted(s for s in syms if s.kind != BASE)
             if bad:
                 raise UsageError("section component references %s, which is not a base variable"
                                  % bad[0].render())
 
+    @property
+    def components(self) -> tuple[Expr, ...]:
+        if self._trees is None:
+            self._trees = tuple(map(tree_of, self.sides))
+        return self._trees
+
     def __len__(self):
-        return len(self.components)
+        return len(self.sides)
 
     def __getitem__(self, ix):
         return self.components[ix]

@@ -8,12 +8,13 @@ axis, with nodes polished by Newton steps on P_n.  L and the Euler-Lagrange
 components are compiled once per problem over the base variables and the
 jets they read.  A section reaches them as its jets, all read off one
 truncated Taylor expansion (:class:`Taylor`) per grid point, with no
-derivative tree to build.  A drawn section or variation, a canonical
-polynomial, enters by its coefficients: its Taylor rows on a slab of points
-are one matrix product of its exact shift matrix with the slab's monomials.
-Any other section, and the bump, is compiled once and evaluated by truncated
-Taylor arithmetic.  Each grid is evaluated as numpy arrays and summed with
-numpy, which only this module and :mod:`srfield.analysis` import."""
+derivative tree to build.  A drawn section or variation is a canonical pair,
+a polynomial over 1, and enters by its numerator's coefficients, with no tree:
+its Taylor rows on a slab of points are one matrix product of its exact shift
+matrix with the slab's monomials.  Any other section, and the bump, is
+compiled once and evaluated by truncated Taylor arithmetic.  Each grid is
+evaluated as numpy arrays and summed with numpy, which only this module and
+:mod:`srfield.analysis` import."""
 
 from __future__ import annotations
 
@@ -30,14 +31,10 @@ from .eleuler import ELSystem, euler_lagrange
 from .errors import EvalDomainError, QuadratureError, UsageError
 from .jetmodel import BundleSpec, SectionFn
 from .symexpr import (
-    Add,
     Atom,
-    Const,
     Expr,
     JET,
-    Mul,
     ONE,
-    Pow,
     Sym,
     base_sym,
     bind_values,
@@ -47,6 +44,7 @@ from .symexpr import (
     esub,
     free_syms,
     substitute_fields,
+    tree_of,
 )
 
 # largest move of either oracle side from n to 2n-1 nodes per axis, relative to 1 + |refined|
@@ -82,8 +80,8 @@ class Taylor:
     """Truncated Taylor expansions at a set of points: rows[r] is the coefficient of the
     r-th multi-index of mi.enumerate_up_to(m, order), kept up to the value's own degree.
     Compiled code uses only +, * and ** by a nonzero integer, so a compiled section called
-    on Taylor base variables gives all its jets at once: u_J = rows[J] * J!.  A canonical
-    polynomial's rows are built directly from its coefficients (:func:`_taylor_at`); the
+    on Taylor base variables gives all its jets at once: u_J = rows[J] * J!.  A polynomial
+    pair's rows are built directly from its coefficients (:func:`_taylor_at`); the
     arithmetic serves every other section, the bump and its product with a variation."""
 
     __array_ufunc__ = None  # numpy operands defer to the reflected operators
@@ -161,47 +159,28 @@ def _order(jets: Sequence[Sym]) -> int:
     return max((u.index.order for u in jets), default=0)
 
 
-def _polynomial(c: Expr, m: int) -> Optional[dict]:
-    """c as a dict from exponent m-tuples to coefficients when c is a canonical
-    polynomial, as every drawn section and variation component is; None for any
-    other tree.  A canonical polynomial is a sum of distinct monomials, each a
-    constant, a power of a base variable or a product of those."""
-    if not c._canon:
-        return None
-    out = {}
-    for term in c.terms if isinstance(c, Add) else (c,):
-        coeff, J = 1, [0] * m
-        for f in term.factors if isinstance(term, Mul) else (term,):
-            if isinstance(f, Const):
-                coeff = f.q
-                continue
-            base, e = (f.base, f.exp) if isinstance(f, Pow) else (f, 1)
-            if not isinstance(base, Atom) or e < 0:
-                return None
-            J[base.sym.i - 1] = e
-        out[tuple(J)] = coeff
-    return out
-
-
 def _taylor_at(s: SectionFn, spec: BundleSpec, order: int):
     """s as a function from base values x to its Taylor values there, to the given order.
 
-    A component that is a canonical polynomial (every drawn section and variation)
-    enters by its coefficients.  Row I of its Taylor value at x is
+    A component that is a canonical pair over 1 (every drawn section and variation)
+    enters by its numerator's coefficients.  Row I of its Taylor value at x is
     sum_J c_J C(J, I) x^(J - I), linear in the coefficients c_J, so the rows of all
     such components are one product A X: A holds the exact coefficients of
     d^I s / I! over the monomials, each converted to float once, and X the
     monomials at x, each one multiplication from a lower one.  Any other component
-    (a problem file's, rational, factored or as written) is compiled once and
-    called on Taylor base variables, since expanding a factored polynomial would
-    lose relative accuracy.
+    (a tree, as a problem file's, rational, factored or as written, or a rational
+    pair) is compiled once and called on Taylor base variables, since expanding a
+    factored polynomial would lose relative accuracy.
     """
     if len(s) != spec.n:
         raise UsageError("section has %d components, fiber dimension is %d" % (len(s), spec.n))
-    m = spec.m
-    polys = [_polynomial(c, m) for c in s.components]
+    m, base = spec.m, _base(spec)
+    # each polynomial pair's coefficients keyed by exponent m-tuples, None for any other side
+    polys = [None if isinstance(c, Expr) or c[1] != {(): 1} else
+             {tuple(dict(mono).get(x, 0) for x in base): coeff
+              for mono, coeff in c[0].items()} for c in s.sides]
     drawn = [p for p in polys if p is not None]
-    degrees = [max(map(sum, p)) for p in drawn]
+    degrees = [max(map(sum, p), default=0) for p in drawn]
     tops = [min(d, order) for d in degrees]
     degree = max(degrees, default=0)
     pos, sizes, _, _ = _taylor_index(m, max(degree, order))
@@ -226,8 +205,8 @@ def _taylor_at(s: SectionFn, spec: BundleSpec, order: int):
         blocks.append(a)
     shift_matrix = np.vstack(blocks) if blocks else None
     cuts = np.cumsum([len(a) for a in blocks])[:-1]
-    others = [c for c, p in zip(s.components, polys) if p is None]
-    compiled = compile_expr(others, _base(spec)) if others else None
+    others = [tree_of(c) for c, p in zip(s.sides, polys) if p is None]
+    compiled = compile_expr(others, base) if others else None
 
     def at(x: list) -> list:
         if others:

@@ -23,10 +23,8 @@ from .symexpr import (
     Partials,
     aux_c,
     base_sym,
-    canonical_polynomial,
+    expand,
     free_syms,
-    normalize,
-    render,
     render_side,
 )
 
@@ -61,14 +59,15 @@ def _quantize(x: float) -> Fraction:
 def _random_polynomial(spec: BundleSpec, rng: random.Random, draws) -> SectionFn:
     """Per fiber index, the sum over (J, low, high) in draws of a quantized draw from
     [low, high], drawn in that order, times the monomial x^J.  Each component is
-    built in normalize's canonical form, so rendering it normalizes nothing."""
+    its canonical pair, a polynomial over 1, which the oracle and the report read
+    with no tree."""
     comps = []
     for _ in range(spec.n):
         coeffs: dict = {}
         for J, low, high in draws:
             mono = tuple((base_sym(i), c) for i, c in enumerate(J, start=1) if c)
             coeffs[mono] = coeffs.get(mono, 0) + _quantize(rng.uniform(low, high))
-        comps.append(canonical_polynomial(coeffs))
+        comps.append(({mono: c for mono, c in coeffs.items() if c}, {(): 1}))
     return SectionFn(comps)
 
 
@@ -95,7 +94,7 @@ def default_grid(spec: BundleSpec) -> int:
 
 
 def _section_text(s: SectionFn) -> list[str]:
-    return [render(normalize(c)) for c in s.components]
+    return [render_side(expand(c) if isinstance(c, Expr) else c) for c in s.sides]
 
 
 def run_problem(problem: ProblemFile, seed: int = 0,

@@ -13,8 +13,10 @@ canonical pair n/d and keeps every partial, and every derivation of one, as
 an expanded numerator over a power of one base (d with each factor that L
 writes as a power kept once).  A side built from it is gcd-reduced once into
 a canonical pair, or needs no gcd at all (:func:`minus_polynomial`), and stays
-that pair to the report, which :func:`render_side` renders from its monomials;
-trees are made at parse, at compile and when a caller first reads a side.
+that pair to the report, which :func:`render_side` renders from its monomials.
+A drawn oracle section is such a pair too, built from its coefficients.  Trees
+are made at parse, at compile and when a caller first reads a side
+(:func:`tree_of`).
 
 Everything here is reentrant and immutable, but for the text a symbol keeps
 once rendered; there is no interning table or other shared mutable state.
@@ -149,10 +151,7 @@ def aux_c(j: int) -> Sym:
 
 
 class Expr:
-    __slots__ = ("_canon",)
-
-    def __init__(self):
-        self._canon = False
+    __slots__ = ()
 
     def __str__(self):
         return render(self)
@@ -165,7 +164,6 @@ class Const(Expr):
     __slots__ = ("q",)
 
     def __init__(self, q):
-        super().__init__()
         self.q = q if isinstance(q, Fraction) else Fraction(q)
 
     def __eq__(self, other):
@@ -179,7 +177,6 @@ class Atom(Expr):
     __slots__ = ("sym",)
 
     def __init__(self, sym: Sym):
-        super().__init__()
         self.sym = sym
 
     def __eq__(self, other):
@@ -193,7 +190,6 @@ class Add(Expr):
     __slots__ = ("terms",)
 
     def __init__(self, terms):
-        super().__init__()
         self.terms = tuple(terms)
 
     def __eq__(self, other):
@@ -207,7 +203,6 @@ class Mul(Expr):
     __slots__ = ("factors",)
 
     def __init__(self, factors):
-        super().__init__()
         self.factors = tuple(factors)
 
     def __eq__(self, other):
@@ -221,7 +216,6 @@ class Pow(Expr):
     __slots__ = ("base", "exp")
 
     def __init__(self, base, exp):
-        super().__init__()
         self.base = base
         self.exp = int(exp)
 
@@ -836,29 +830,23 @@ def _poly_to_expr(p: dict) -> Expr:
     return terms[0] if len(terms) == 1 else Add(terms)
 
 
-def _rat_to_expr(num: dict, den: dict) -> Expr:
-    ne = _poly_to_expr(num)
-    return ne if _p_is_one(den) else Mul([ne, Pow(_poly_to_expr(den), -1)])
-
-
 def normalize(e: Expr) -> Expr:
-    """Canonical quotient form; idempotent, exact, deterministic; atoms and constants as given."""
-    if e._canon or isinstance(e, (Atom, Const)):
+    """Canonical quotient form; idempotent, exact, deterministic; atoms and constants as
+    given.  A caller that only renders, zero-tests or expands it reads expand(e) instead."""
+    if isinstance(e, (Atom, Const)):
         return e
     return canonical_quotient(*expand(e))
 
 
-def canonical_polynomial(coeffs: Mapping[tuple, Fraction]) -> Expr:
-    """What normalize gives for the sum of c * monomial over coeffs, built directly;
-    a monomial is a tuple of (Sym, positive exponent) pairs in symbol order."""
-    return canonical_quotient({mono: _coef(c) for mono, c in coeffs.items() if c}, _p_one())
-
-
 def canonical_quotient(num: dict, den: dict) -> Expr:
     """The tree normalize gives for num / den, a pair already in canonical form."""
-    out = _rat_to_expr(num, den)
-    out._canon = True
-    return out
+    ne = _poly_to_expr(num)
+    return ne if _p_is_one(den) else Mul([ne, Pow(_poly_to_expr(den), -1)])
+
+
+def tree_of(side) -> Expr:
+    """A side as a tree: a tree as given, a canonical pair as canonical_quotient builds it."""
+    return side if isinstance(side, Expr) else canonical_quotient(*side)
 
 
 def minus_polynomial(num: dict, den: dict, poly: dict) -> tuple[dict, dict]:
@@ -996,10 +984,6 @@ class Partials:
         self._of: dict = {}
         self._images: dict = {}
 
-    def expr(self) -> Expr:
-        """L in canonical form, as normalize gives it."""
-        return canonical_quotient(self.num, self.den)
-
     def lagrangian(self) -> tuple[dict, int]:
         """L itself as an entry; the first call finds base."""
         if self._lag is None:
@@ -1053,8 +1037,7 @@ class Partials:
 
 
 def is_zero(e: Expr) -> bool:
-    nf = normalize(e)
-    return isinstance(nf, Const) and nf.q == 0
+    return not expand(e)[0]
 
 
 def equivalent(a: Expr, b: Expr) -> bool:
@@ -1207,8 +1190,8 @@ def _split_sign(e: Expr) -> tuple[int, Expr]:
 
 
 def render_side(side) -> str:
-    """render of a tree, or of canonical_quotient(*side) for a canonical pair, read
-    off the pair's sorted monomials without the tree; every coefficient is checked."""
+    """render(tree_of(side)), read off a canonical pair's sorted monomials without
+    the tree; every coefficient is checked."""
     if isinstance(side, Expr):
         return render(side)
     if _p_is_one(side[1]):

@@ -19,6 +19,7 @@ import numpy as np
 from srfield import assembler as asm
 from srfield import eleuler as el
 from srfield import multiindex as mi
+from srfield import oracle
 from srfield.analysis import SelectionMatrix
 from srfield.jetmodel import BundleSpec, CoordCatalog, SectionFn, pairing_phi
 from srfield.symexpr import (
@@ -94,7 +95,7 @@ def substituted_oracle(L: Expr, spec: BundleSpec, s: SectionFn, psi: SectionFn,
     lfn = compile_expr([L_eff], base + jets)
     jets_at = compile_expr([sprol[u] for u in jets] + [pprol[u] for u in jets], base)
     pairing_at = compile_expr([eadd(*parts)], base)
-    points, weights = el._grid(spec.m, 2 * grid - 1)
+    points, weights = oracle._grid(spec.m, 2 * grid - 1)
     with np.errstate(over="ignore", invalid="ignore"):
         rhs = float(np.sum(weights * pairing_at(points)[0]))
         values = jets_at(points)

@@ -10,7 +10,7 @@ import pytest
 
 from srfield import symexpr as sx
 from srfield import eleuler as el
-from srfield import oracle
+from srfield import jetmodel, oracle, report
 from srfield.corpus import CORPUS_NAMES, corpus_problem
 from srfield.errors import EvalDomainError, QuadratureError, UsageError
 from srfield.jetmodel import BundleSpec, SectionFn, build_catalog, prolong
@@ -185,7 +185,7 @@ def test_action_value_asymmetric_box():
 def test_gauss_legendre_degree_on_asymmetric_box(n):
     """n nodes per axis of the unit square integrate degree 2n-1 on each axis exactly
     and miss degree 2n."""
-    (x1, x2), weights = el._grid(2, n)
+    (x1, x2), weights = oracle._grid(2, n)
     d = 2 * n - 1
     # integral of x1^d * x2^d over [0,1]^2
     assert float(np.sum(weights * x1 ** d * x2 ** d)) == pytest.approx(
@@ -329,10 +329,10 @@ def test_taylor_jets_match_prolong(signature):
     for s in sections:
         prolonged = prolong(s, 2 * spec.k, spec)
         jets = sorted(prolonged)
-        at = el._taylor_at(s, spec, 2 * spec.k)
+        at = oracle._taylor_at(s, spec, 2 * spec.k)
         # the points as arrays, as the oracle passes them, and the first one as floats
-        on_arrays = el._jets(at(x), jets)
-        on_floats = el._jets(at([float(c) for c in points[0]]), jets)
+        on_arrays = oracle._jets(at(x), jets)
+        on_floats = oracle._jets(at([float(c) for c in points[0]]), jets)
         for u, values, first in zip(jets, on_arrays, on_floats):
             for p, value in zip(points + points[:1],
                                 list(np.broadcast_to(values, (len(points),))) + [first]):
@@ -347,7 +347,7 @@ def test_taylor_zero_base_is_a_domain_error():
     spec = BundleSpec(1, 1, 2)
     cat = build_catalog(spec)
     e = sx.parse("x[1]^2 + 1/(x[1] - 1/2)", cat)
-    at = el._taylor_at(SectionFn([e]), spec, 4)
+    at = oracle._taylor_at(SectionFn([e]), spec, 4)
     (fine,) = at([np.array([0.25, 0.75])])
     assert fine.rows.shape == (5, 2)
     with pytest.raises(EvalDomainError) as on_floats:
@@ -392,9 +392,9 @@ def test_drawn_pairs_enter_by_coefficients(signature, compiled):
     for s in (random_section(spec, rng), random_variation(spec, rng)):
         prolonged = prolong(s, 2 * spec.k, spec)
         jets = sorted(prolonged)
-        at = el._taylor_at(s, spec, 2 * spec.k)
-        on_arrays = el._jets(at(x), jets)
-        on_floats = el._jets(at([float(c) for c in points[0]]), jets)
+        at = oracle._taylor_at(s, spec, 2 * spec.k)
+        on_arrays = oracle._jets(at(x), jets)
+        on_floats = oracle._jets(at([float(c) for c in points[0]]), jets)
         for u, values, first in zip(jets, on_arrays, on_floats):
             for p, value in zip(points + points[:1],
                                 list(np.broadcast_to(values, (len(points),))) + [first]):
@@ -406,19 +406,20 @@ def test_drawn_pairs_enter_by_coefficients(signature, compiled):
              % ",".join(["0"] * spec.m)]
     lines += ["section@%d = x[1] + x[%d]^2" % (a, spec.m) for a in range(1, spec.n + 1)]
     (parsed,) = parse_problem("\n".join(lines) + "\n").section_fns()
-    el._taylor_at(parsed, spec, 2 * spec.k)
+    oracle._taylor_at(parsed, spec, 2 * spec.k)
     assert compiled == [list(parsed.components)]
 
 
 def test_out_of_range_coefficient_is_a_domain_error():
     """A coefficient beyond the float range raises the same EvalDomainError on the
-    coefficient route as on the compiled one."""
+    coefficient route, taken by the parsed tree's canonical pair, as on the compiled
+    one, taken by the tree."""
     spec = BundleSpec(1, 1, 1)
     written = sx.parse("1%s*x[1]" % ("0" * 400), build_catalog(spec))
     messages = []
-    for e in (written, sx.normalize(written)):
+    for e in (written, sx.expand(written)):
         with pytest.raises(EvalDomainError) as exc:
-            el._taylor_at(SectionFn([e]), spec, 2)
+            oracle._taylor_at(SectionFn([e]), spec, 2)
         messages.append(str(exc.value))
     assert messages == ["a constant of 401 digits is too large for floating point"] * 2
 
@@ -431,6 +432,25 @@ def test_run_problem_compiles_once_per_problem(compiled):
     assert len(rep["oracle"]) == ORACLE_PAIRS and all("rel_err" in e for e in rep["oracle"])
     assert len(compiled) == 3
     assert [el.bump_polynomial(problem.bundle)] in compiled
+
+
+def test_drawn_sections_stay_pairs_through_a_report(monkeypatch):
+    """A full report on ladder-222 builds no tree for its drawn sections and
+    variations, and its texts for them are those of their pairs' trees, normalized."""
+    drawn, trees = [], []
+    real_draw, real_tree_of = report._random_polynomial, jetmodel.tree_of
+
+    def drawing(*args):
+        drawn.append(real_draw(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(report, "_random_polynomial", drawing)
+    monkeypatch.setattr(jetmodel, "tree_of", lambda side: trees.append(side) or real_tree_of(side))
+    rep = run_problem(parse_problem(dict(bench_workloads().LADDER)["ladder-222"]), 0)
+    assert len(drawn) == 2 * ORACLE_PAIRS and all("rel_err" in e for e in rep["oracle"])
+    assert trees == []
+    assert [text for e in rep["oracle"] for text in (e["section"], e["variation"])] == [
+        [sx.render(sx.normalize(sx.tree_of(c))) for c in s.sides] for s in drawn]
 
 
 def test_run_problem_derives_and_compiles_once(monkeypatch):

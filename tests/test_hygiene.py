@@ -257,6 +257,27 @@ def test_numpy_loads_only_when_a_numeric_stage_runs(tmp_path, command, loads_num
     assert '"euler_lagrange"' in out.stdout
 
 
+PLATE = ("m = 2\nn = 1\nk = 2\nfield q(x[1],x[2]) = 1\n"
+         "lagrangian = 1/2*(u[2,0]^2 + 2*u[1,1]^2 + u[0,2]^2 - 2*q*u[0,0])\n")
+
+
+@pytest.mark.parametrize("command, status", [("run", 3), ("analyze", 3), ("corpus", 3), ("el", 0)])
+def test_missing_numpy_is_a_precondition_error(tmp_path, command, status):
+    # with numpy hidden, a numeric stage ends with exit 3 and one error line naming
+    # numpy, not the internal-error exit 4; `el` needs no numpy and still runs
+    path = tmp_path / "plate.txt"
+    path.write_text(PLATE)
+    code = ("import sys\nsys.modules['numpy'] = None\nfrom srfield.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    out = fresh_interpreter(code, command, "all" if command == "corpus" else str(path))
+    assert out.returncode == status, out.stderr
+    if status:
+        (line,) = out.stderr.splitlines()
+        assert line.startswith("error: the analysis and oracle stages need numpy: "), line
+    else:
+        assert '"euler_lagrange"' in out.stdout
+
+
 def test_reexports_resolve():
     # the package's analysis and oracle re-exports, and the names that moved from
     # eleuler to oracle, are read on first use; each must still resolve

@@ -205,12 +205,15 @@ def test_prolong_rejects_momenta():
 
 
 def test_section_accepts_base_variables_only():
+    # a component is a tree or a canonical pair, the symbol in its numerator or denominator
     cat = build_catalog(BundleSpec(2, 1, 2), fields={"q": (1, 2)})
     x1 = sx.Atom(sx.base_sym(1))
     for other in (cat.field_atom("q"), sx.Atom(cat.p), sx.Atom(jet(1, 0, 0))):
-        with pytest.raises(UsageError, match="references %s, which is not a base variable"
-                           % re.escape(other.sym.render())):
-            SectionFn([sx.emul(other, x1)])
+        tree = sx.emul(other, x1)
+        for component in (tree, sx.expand(tree), (sx.expand(x1)[0], sx.expand(other)[0])):
+            with pytest.raises(UsageError, match="references %s, which is not a base variable"
+                               % re.escape(other.sym.render())):
+                SectionFn([component])
 
 
 def test_pairing_matches_pullback_numerically():

@@ -273,7 +273,7 @@ def test_normalize_returns_atoms_and_constants_unchanged(x):
     # already canonical: the object itself comes back, and it renders as
     # the quotient round trip does
     assert sx.normalize(x) is x
-    assert sx.render(x) == sx.render(sx._rat_to_expr(*sx._rat_reduce(*sx._to_rat(x))))
+    assert sx.render(x) == sx.render(sx.canonical_quotient(*sx._rat_reduce(*sx._to_rat(x))))
 
 
 def test_normalize_multivariate_gcd():
@@ -495,7 +495,8 @@ _PAIR_CATALOG = build_catalog(BundleSpec(2, 1, 2), fields={"q": (1,)})
 def _pair_text(num, den):
     """The pair's text from render_side and from the tree, or the error each raises."""
     out = []
-    for route in (lambda: sx.render_side((num, den)), lambda: sx.render(sx._rat_to_expr(num, den))):
+    for route in (lambda: sx.render_side((num, den)),
+                  lambda: sx.render(sx.canonical_quotient(num, den))):
         try:
             out.append(route())
         except UsageError as exc:
