@@ -18,10 +18,11 @@ p = L - (pairing - p), and of C_j = h_j^0(L) - P_j.
 
 Every side is built from L's partials table (symexpr.Partials), which one
 report shares, as a canonical pair that Equation keeps: the trace, middle and
-W1 sides are partials reduced once, the tangency sides are the default lift h_j, with
-the top-order A's, applied to the top-order partials and reduced once, and
-h_j^0(L) is reduced once to n'/d'.  W2 = (n - pairing d)/d and
-C_j = (n' - P_j d')/d' then take no gcd, since gcd(n - P d, d) = gcd(n, d) = 1.
+W1 sides are partials reduced once, the tangency sides are the default lift h_j,
+with the top-order A's, applied to the top-order partials and reduced once, and
+h_j^0(L) is reduced once to n'/d'.  The same derivation h_j^0 gives P_j from
+pairing - p.  W2 = (n - pairing d)/d and C_j = (n' - P_j d')/d' then take no
+gcd, since gcd(n - P d, d) = gcd(n, d) = 1.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ from .symexpr import (
     aux_a,
     aux_b,
     aux_c,
-    directional,
     eadd,
     emul,
     eneg,
@@ -213,25 +213,15 @@ def check_collapse(catalog: CoordCatalog, L: Expr) -> EquationSet:
 @lru_cache(maxsize=None)
 def _signature(spec: BundleSpec) -> tuple[dict, tuple[dict, ...], tuple[dict, dict]]:
     """The signature's record, built once: the collapse check on sum_J g_J u_J with opaque
-    constants g_J, then pairing - p and P_j = h_j^0(pairing - p) as polynomials, for the
-    default assignment, and that assignment's maps.  W2 and C_j are both
+    constants g_J, then pairing - p and P_j = h_j^0(pairing - p) as polynomials, h_j^0
+    C_j's derivation (_lift), and the default assignment's maps.  W2 and C_j are both
     X(L) - X(pairing - p), X the identity for W2 and h_j^0 for C_j."""
     catalog = build_catalog(spec)
     check_collapse(catalog, eadd(*[emul(Atom(field_sym("dL/d" + u.render(), mi.zero(spec.m), ())),
                                         Atom(u)) for u in catalog.jet_syms]))
-    pairing = esub(pairing_phi(catalog), Atom(catalog.p))
-    defaults = _default_maps(catalog)
-    lifts = _reduced_lifts(catalog, *defaults)
-    return (_polynomial(pairing), tuple(_polynomial(image) for image in
-                                        _pairing_images(catalog, lifts, pairing)), defaults)
-
-
-def _polynomial(e: Expr) -> dict:
-    """e as a polynomial dict; minus_polynomial takes pairing - p and each P_j as one."""
-    num, den = expand(e)
-    if den != {(): 1}:
-        raise InternalConsistencyError("%s is not a polynomial" % render(e))
-    return num
+    pairing = expand(esub(pairing_phi(catalog), Atom(catalog.p)))[0]
+    return (pairing, tuple(_lift(catalog, j, False).apply(pairing)
+                           for j in range(1, spec.m + 1)), _default_maps(catalog))
 
 
 def dynamical_equations(catalog: CoordCatalog, L: Expr,
@@ -288,8 +278,7 @@ def tangency_equations(catalog: CoordCatalog, L: Expr,
         if sum(u.index) == catalog.k:
             d = table.of(u)
             for j, h in enumerate(lifts, start=1):
-                lhs = _linear(aux_b(I, i, u.alpha, j) for I, i in mi.decompositions(u.index))
-                out.add(Equation(_over_one(lhs), table.reduce(table.derive(d, h)),
+                out.add(Equation(_over_one(h.apply(_momenta(u))), table.reduce(table.derive(d, h)),
                                  TAG_TANGENCY, "d/dx[%d] of W1(%s)" % (j, u.render())))
     return out
 
@@ -302,10 +291,15 @@ def _default_a(catalog: CoordCatalog, u: Sym, j: int) -> Expr:
 
 
 def _lift(catalog: CoordCatalog, j: int, top: bool) -> Derivation:
-    """h_j with the default assignment, as a derivation on functions of x and u;
-    h_j^0, 0 on the top-order jets, when top is False."""
-    return horizontal(j, lambda u: ((_default_a(catalog, u, j).sym, 1),)
-                      if top or sum(u.index) < catalog.k else None)
+    """h_j with the default assignment, as a derivation on functions of x, u and the
+    momenta, each p^{I,i}_a to B^{I,i}_{a,j}; h_j^0, 0 on the top-order jets, when top
+    is False.  h_j^0 is the general holonomic lift: the family A = u_{I+1_i} fixes every
+    lower-order A, and each top-order A_{K,j} multiplies the W1 residual of u_K, so C_j
+    for other B values is the default C_j with those values substituted."""
+    rule = horizontal(j, lambda u: ((_default_a(catalog, u, j).sym, 1),)
+                      if top or sum(u.index) < catalog.k else None).rule
+    return Derivation(lambda s: ((aux_b(s.index, s.i, s.alpha, j), 1),)
+                      if s.kind == MOMENTUM else rule(s))
 
 
 def _default_maps(catalog: CoordCatalog) -> tuple[dict[Sym, Expr], dict[Sym, Expr]]:
@@ -324,60 +318,18 @@ def default_projector_assignments(catalog: CoordCatalog) -> tuple[dict[Sym, Expr
     return dict(a_map), dict(b_map)
 
 
-def _reduced_lifts(catalog: CoordCatalog, a_assign: Mapping[Sym, Expr],
-                   b_assign: Mapping[Sym, Expr]) -> dict[int, dict[Sym, Expr]]:
-    """h_j^0: the template's h_j, its A and B unknowns given values, A_{K,j} on u_K set to 0.
-
-    A_{K,j} multiplies dH0/du_K there, the W1 residual by the signature's
-    collapse proof; a top-order A anywhere else in h_j must cancel.
-    """
-    assign = {"A": a_assign, "B": b_assign}
-    tops = {aux_a(u.alpha, u.index, j): (u, j) for u in catalog.jet_syms
-            if sum(u.index) == catalog.k for j in range(1, catalog.m + 1)}
-    lifts = projector_template(catalog)
-    for j, h in lifts.items():
-        for s, comp in h.items():
-            if isinstance(comp, Atom) and comp.sym.name in assign:
-                if comp.sym not in assign[comp.sym.name]:
-                    raise UsageError("%s assignment missing %s" % (comp.sym.name, comp.sym.render()))
-                comp = h[s] = assign[comp.sym.name][comp.sym]
-            if tops.keys() & free_syms(comp):
-                comp = normalize(comp)
-                if isinstance(comp, Atom) and tops.get(comp.sym) == (s, j):
-                    h[s] = Const(0)
-                elif tops.keys() & free_syms(comp):
-                    raise InternalConsistencyError(
-                        "top-order A in h_%d does not multiply a W1 residual in C_%d" % (j, j))
-    return lifts
-
-
-def _pairing_images(catalog: CoordCatalog, lifts: Mapping[int, Mapping[Sym, Expr]],
-                    pairing: Expr) -> list[Expr]:
-    """P_j: each lift applied to the pairing without p."""
-    grad = gradient(pairing, catalog.coords)
-    return [directional(h, grad) for h in lifts.values()]
-
-
 def c_coefficients(catalog: CoordCatalog, L: Expr, a_assign: Mapping[Sym, Expr],
                    b_assign: Mapping[Sym, Expr], table: Optional[Partials] = None) -> list[Expr]:
-    """Scalar-momentum coefficients C_j, free of top-order A symbols.
-
-    C_j is minus h_j applied to the dynamical function H0 without its scalar
-    momentum p (h_j[p] is the unknown C_j itself), with the given values for
-    every A and B unknown of h_j and each top-order A_{K,j} on u_K set to 0
-    (_reduced_lifts): C_j = h_j^0(L) - P_j with P_j = h_j^0(pairing - p).
-    Under the default assignment these are default_c_sides as trees; other
-    assignments take the lifts through the gradient of L along x and u.
+    """Scalar-momentum coefficients C_j, free of top-order A symbols: default_c_sides
+    as trees.  C_j is minus h_j applied to the dynamical function H0 without its
+    scalar momentum p (h_j[p] is the unknown C_j itself), each top-order A_{K,j} on
+    u_K set to 0: C_j = h_j^0(L) - P_j.  The maps must be the default assignment's;
+    C_j for other B values is the default C_j with those values substituted (_lift).
     """
-    pairing, _, defaults = _signature(catalog.spec)
-    if (dict(a_assign), dict(b_assign)) == defaults:
-        return [tree_of(c) for c in default_c_sides(catalog, L, table)]
-    _check_l_on_jets(catalog, L)
-    lifts = _reduced_lifts(catalog, a_assign, b_assign)
-    grad = gradient(L, catalog.base_syms + catalog.jet_syms)
-    return [normalize(esub(directional(h, grad), image))
-            for h, image in zip(lifts.values(),
-                                _pairing_images(catalog, lifts, tree_of(_over_one(pairing))))]
+    if (dict(a_assign), dict(b_assign)) != _signature(catalog.spec)[2]:
+        raise UsageError("c_coefficients takes the default assignment's maps; substitute "
+                         "other B values into the default C_j")
+    return [tree_of(c) for c in default_c_sides(catalog, L, table)]
 
 
 def default_c_sides(catalog: CoordCatalog, L: Expr,

@@ -10,18 +10,18 @@ Subcommands:
 when their analysis or oracle stage first runs, and exit 3 without it.
 
 Exit codes: 0 success, 1 golden mismatch, 2 parse error (including a number
-literal longer than 600 digits, a malformed coordinate name in a point line
-and a repeated m, n, k, lagrangian or field line), 3 precondition or usage
+literal longer than 600 digits, a malformed or repeated coordinate in a point
+line and a repeated m, n, k, lagrangian or field line), 3 precondition or usage
 error (including a section or variation on anything but the base variables,
-such as a jet coordinate or a field, raised when the file is read, an
-unreadable file, a power whose exponent exceeds 32 in
-absolute value once nested powers fold, an expanded product with more than
-10,000 terms, a catalog of more than 2,000 coordinates, and a constant with
-more than 600 digits, folded by the parser or computed, or one beyond the
-float range met by a numeric check, and numpy missing when an analysis or
-oracle stage runs, reported on one `error:` line that names numpy), 4 internal
-consistency error or any other unexpected exception, reported on one
-`internal error:` line.
+such as a jet coordinate or a field, with a fiber index outside 1..n, or
+without its variation or section, raised when the file is read, an unreadable
+file, a power whose exponent exceeds 32 in absolute value once nested powers
+fold, an expanded product with more than 10,000 terms, a catalog of more than
+2,000 coordinates, and a constant with more than 600 digits, folded by the
+parser or computed, or one beyond the float range met by a numeric check, and
+numpy missing when an analysis or oracle stage runs, reported on one `error:`
+line that names numpy), 4 internal consistency error or any other unexpected
+exception, reported on one `internal error:` line.
 """
 
 from __future__ import annotations

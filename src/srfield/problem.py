@@ -12,8 +12,10 @@ Recognized lines (comments start with '#'):
     point = u[2,0]=1.5 u[1,1]=0.25 u[0,2]=1.0
 
 Sections and variations are paired in file order; a repeated fiber index
-starts a new entry.  Each point line is one more point.  Point assignments are
-whitespace-separated name=value pairs using the rendered coordinate names.
+starts a new entry, every fiber index is in 1..n, and the two counts must match
+(a UsageError otherwise).  Each point line is one more point.  Point assignments
+are whitespace-separated name=value pairs using the rendered coordinate names;
+a coordinate given twice on one line, under any of its names, is a ParseError.
 m, n, k, lagrangian and each field name may be given once: a repeat is a
 ParseError naming the key and both lines, not a silent override.  Every line
 is checked on parsing.
@@ -83,6 +85,10 @@ class ProblemFile:
 
 
 def _to_section(entry: dict[int, str], bundle: BundleSpec, catalog: CoordCatalog) -> SectionFn:
+    for alpha in sorted(entry):
+        if not 1 <= alpha <= bundle.n:
+            raise UsageError("section/variation fiber index %d out of range for n=%d"
+                             % (alpha, bundle.n))
     comps = []
     for alpha in range(1, bundle.n + 1):
         if alpha not in entry:
@@ -98,6 +104,7 @@ def parse_problem(text: str) -> ProblemFile:
     sections: list[dict[int, str]] = []
     variations: list[dict[int, str]] = []
     points: list[dict[str, float]] = []
+    point_names: list[tuple[int, list[str]]] = []
     first_line: dict[str, int] = {}
 
     def once(key: str, lineno: int) -> None:
@@ -149,10 +156,12 @@ def parse_problem(text: str) -> ProblemFile:
             continue
         if key == "point":
             entry: dict[str, float] = {}
+            point_names.append((lineno, []))
             for token in value.split():
                 if "=" not in token:
                     raise ParseError("line %d: bad point assignment %r" % (lineno, token))
                 name, num = token.rsplit("=", 1)
+                point_names[-1][1].append(name)
                 try:
                     entry[name] = float(num)
                 except ValueError:
@@ -175,7 +184,16 @@ def parse_problem(text: str) -> ProblemFile:
     parsed = (catalog, problem.lagrangian(catalog), problem.field_bindings(catalog))
     problem.section_fns(catalog)
     problem.variation_fns(catalog)
-    problem.point_assignments(catalog)
+    if len(sections) != len(variations):
+        raise UsageError("%d sections but %d variations: each section pairs with one variation"
+                         % (len(sections), len(variations)))
+    for lineno, names in point_names:
+        seen: set[Sym] = set()
+        for name in names:
+            s = parse_coordinate_name(name, catalog)
+            if s in seen:
+                raise ParseError("line %d: coordinate %s given twice" % (lineno, s.render()))
+            seen.add(s)
     problem._parsed = parsed
     return problem
 

@@ -33,6 +33,7 @@ from srfield.symexpr import (
     aux_b,
     base_sym,
     compile_expr,
+    directional,
     eadd,
     emul,
     eneg,
@@ -175,14 +176,18 @@ def tree_tangency(catalog: CoordCatalog, L: Expr) -> list[tuple[str, str]]:
 
 def tree_c_coefficients(catalog: CoordCatalog, L: Expr) -> list[str]:
     """C_j = h_j^0(L) - P_j, h_j^0 applied to the partials of L along x and u below top order,
-    and P_j from the lifts of the default assignment."""
-    pairing = normalize(esub(pairing_phi(catalog), Atom(catalog.p)))
-    lifts = asm._reduced_lifts(catalog, *asm.default_projector_assignments(catalog))
-    images = asm._pairing_images(catalog, lifts, pairing)
-    grad = gradient(L, catalog.base_syms + tuple(u for u in catalog.jet_syms
-                                                 if u.index.order < catalog.k))
-    return [render(normalize(esub(default_lift(catalog, j, grad), image)))
-            for j, image in enumerate(images, start=1)]
+    and P_j = h_j^0(pairing - p): the default lift's components on the momenta (B) and on the
+    jets below top order, as a dict, applied to the gradient of the pairing without p."""
+    lower = tuple(u for u in catalog.jet_syms if u.index.order < catalog.k)
+    pairing = gradient(esub(pairing_phi(catalog), Atom(catalog.p)), catalog.coords)
+    grad = gradient(L, catalog.base_syms + lower)
+    out = []
+    for j in range(1, catalog.m + 1):
+        lift = {u: asm._default_a(catalog, u, j) for u in lower}
+        lift.update({s: Atom(aux_b(s.index, s.i, s.alpha, j)) for s in catalog.mom_syms})
+        image = directional(lift, pairing)
+        out.append(render(normalize(esub(default_lift(catalog, j, grad), image))))
+    return out
 
 
 def tree_w2(catalog: CoordCatalog, L: Expr) -> str:

@@ -1,6 +1,7 @@
 """Dynamical-form assembly and the grouped equation families, against hand results."""
 
 import random
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -461,15 +462,11 @@ def _textbook_tangency(cat, L):
 
 def test_equation_stages_match_the_textbook_route():
     """C_j and the tangency equations on each corpus, ladder and assembly
-    Lagrangian equal the lifts applied to gradients along every coordinate,
-    and C_j from the signature's record equals C_j from maps that are not
-    the defaults (an extra, unused entry) and so take P_j from the lifts."""
+    Lagrangian equal the lifts applied to gradients along every coordinate."""
     for pid, cat, L in bench_problems():
         a_map, b_map = default_projector_assignments(cat)
         want = [sx.render(c) for c in _textbook_c_coefficients(cat, L)]
         assert [sx.render(c) for c in c_coefficients(cat, L, a_map, b_map)] == want, pid
-        extra = {**a_map, sx.aux_c(1): sx.Const(0)}
-        assert [sx.render(c) for c in c_coefficients(cat, L, extra, b_map)] == want, pid
         assert ([e.record() for e in tangency_equations(cat, L)]
                 == [e.record() for e in _textbook_tangency(cat, L)]), pid
 
@@ -495,7 +492,8 @@ def test_signature_record_is_built_once(monkeypatch, plate_catalog, plate_L, ch_
         dynamical_equations(cat, L)
         tangency_equations(cat, L)
         c_coefficients(cat, L, a_map, b_map)
-        c_coefficients(cat, L, {**a_map, sx.aux_c(1): sx.Const(0)}, b_map)
+        with pytest.raises(UsageError):
+            c_coefficients(cat, L, {**a_map, sx.aux_c(1): sx.Const(0)}, b_map)
     assert builds == [PLATE_SPEC]
 
 
@@ -525,8 +523,8 @@ def test_warm_equation_stages_skip_h0_and_the_families(monkeypatch, plate_catalo
            [e.record() for e in tangency_equations(plate_catalog, plate_L)],
            [e.record() for e in w2_constraint(plate_catalog, plate_L)])
     assert got == want
-    # every partial the lifts take is along u or the field q(x[1], x[2]) of L,
-    # none along a momentum or p
+    # every partial horizontal's rule takes is along u or the field q(x[1], x[2])
+    # of L, none along p (_lift's own rule sends the momenta to their B's)
     assert requested and {s.kind for s in requested} == {sx.JET, sx.FIELD}
 
 
@@ -670,25 +668,29 @@ def test_c_coefficients_zero_lagrangian():
     assert sx.equivalent(cs[0], hand)
 
 
-def test_c_coefficients_rejects_broken_w1_identity(plate_catalog, plate_L):
-    a_map, b_map = default_projector_assignments(plate_catalog)
-    top = sx.aux_a(1, MultiIndex((1, 1)), 2)
-    a_map[top] = sx.emul(sx.Const(2), sx.Atom(top))
-    with pytest.raises(InternalConsistencyError, match="W1 residual"):
-        c_coefficients(plate_catalog, plate_L, a_map, b_map)
+_TOP = sx.aux_a(1, MultiIndex((1, 1)), 2)
 
 
-@pytest.mark.parametrize("missing", [("plate", sx.aux_a(1, MultiIndex((1, 0)), 1)),
-                                     ("plate", sx.aux_b(MultiIndex((0, 1)), 2, 1, 2)),
-                                     # Camassa-Holm has no u[0,0]; its lift still needs the A
-                                     ("ch", sx.aux_a(1, MultiIndex((0, 0)), 1))])
-def test_c_coefficients_missing_assignment(request, missing):
-    problem, sym = missing
+@pytest.mark.parametrize("problem,edit", [
+    # a top-order A that does not multiply its W1 residual
+    ("plate", lambda a, b: a.__setitem__(_TOP, sx.emul(sx.Const(2), sx.Atom(_TOP)))),
+    ("plate", lambda a, b: a.pop(sx.aux_a(1, MultiIndex((1, 0)), 1))),
+    ("plate", lambda a, b: b.pop(sx.aux_b(MultiIndex((0, 1)), 2, 1, 2))),
+    # Camassa-Holm has no u[0,0]; its lift still has the A
+    ("ch", lambda a, b: a.pop(sx.aux_a(1, MultiIndex((0, 0)), 1))),
+    ("plate", lambda a, b: a.__setitem__(sx.aux_c(1), sx.Const(0))),
+    # a top-order A whose value cancels
+    ("plate", lambda a, b: a.__setitem__(_TOP, sx.esub(sx.Atom(_TOP), sx.Atom(_TOP)))),
+    ("plate", lambda a, b: b.__setitem__(sx.aux_b(MultiIndex((0, 1)), 2, 1, 2), sx.Const(1))),
+], ids=["broken", "missing-a", "missing-b", "missing-a-ch", "extra", "cancelled", "b-value"])
+def test_c_coefficients_takes_the_default_maps_only(request, problem, edit):
+    """Maps other than the default assignment's, broken, missing an entry, with an
+    extra one, with a cancelled top-order A or with a B value, raise UsageError."""
     cat = request.getfixturevalue(problem + "_catalog")
     L = request.getfixturevalue(problem + "_L")
     a_map, b_map = default_projector_assignments(cat)
-    del (a_map if sym.name == "A" else b_map)[sym]
-    with pytest.raises(UsageError, match="%s assignment missing" % sym.name):
+    edit(a_map, b_map)
+    with pytest.raises(UsageError, match="substitute other B values into the default C_j"):
         c_coefficients(cat, L, a_map, b_map)
 
 
@@ -727,7 +729,9 @@ def _sequential_c_coefficients(cat, L, a_map, b_map):
 
 @pytest.mark.parametrize("m,n,k", [(1, 1, 3), (2, 1, 2), (2, 2, 1), (2, 1, 3), (3, 1, 2)])
 def test_c_coefficients_match_sequential_reduction(m, n, k):
-    """One normalize per C_j renders exactly as the normalize-per-A reduction."""
+    """One normalize per C_j renders exactly as the normalize-per-A reduction, and
+    for random B values (rationals plus jet terms) the default C_j with those
+    values substituted renders as that reduction with them."""
     rng = random.Random(1000 * m + 100 * n + k)
     cat = build_catalog(BundleSpec(m, n, k))
     syms = list(cat.jet_syms) + list(cat.base_syms)
@@ -739,12 +743,12 @@ def test_c_coefficients_match_sequential_reduction(m, n, k):
         sx.eadd(random_poly(rng, syms, max_terms=4), sx.Const(1)),
         sx.eadd(sx.Atom(rng.choice(tops)), sx.Const(rng.randint(1, 3)))))
     a_map, b_map = default_projector_assignments(cat)
-    # a top-order A whose value cancels drops out of C_j without a W1 check
-    cancelled = dict(a_map)
-    for j in range(1, m + 1):
-        sym = sx.aux_a(1, tops[0].index, j)
-        cancelled[sym] = sx.esub(sx.Atom(sym), sx.Atom(sym))
-    for L, amap in ((poly, a_map), (rational, a_map), (poly, cancelled)):
-        got = [sx.render(c) for c in c_coefficients(cat, L, amap, b_map)]
-        want = [sx.render(c) for c in _sequential_c_coefficients(cat, L, amap, b_map)]
-        assert got == want
+    values = {b: sx.eadd(sx.Const(Fraction(rng.randint(-5, 5), rng.randint(1, 4))),
+                         sx.emul(sx.Const(rng.randint(-2, 2)), sx.Atom(rng.choice(syms))))
+              for b in b_map}
+    for L in (poly, rational):
+        default = c_coefficients(cat, L, a_map, b_map)
+        want = [sx.render(c) for c in _sequential_c_coefficients(cat, L, a_map, b_map)]
+        assert [sx.render(c) for c in default] == want
+        want = [sx.render(c) for c in _sequential_c_coefficients(cat, L, a_map, values)]
+        assert [sx.render(sx.normalize(sx.substitute(c, values))) for c in default] == want

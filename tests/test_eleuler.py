@@ -405,6 +405,7 @@ def test_drawn_pairs_enter_by_coefficients(signature, compiled):
     lines = ["m=%d" % spec.m, "n=%d" % spec.n, "k=%d" % spec.k, "lagrangian = u[%s]^2"
              % ",".join(["0"] * spec.m)]
     lines += ["section@%d = x[1] + x[%d]^2" % (a, spec.m) for a in range(1, spec.n + 1)]
+    lines += ["variation@%d = 1" % a for a in range(1, spec.n + 1)]
     (parsed,) = parse_problem("\n".join(lines) + "\n").section_fns()
     oracle._taylor_at(parsed, spec, 2 * spec.k)
     assert compiled == [list(parsed.components)]

@@ -1,6 +1,8 @@
 """The partials table: one expansion of L, derivations on expanded polynomials,
 one reduction per side, checked against the tree route of routes_reference.py."""
 
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +19,7 @@ from srfield.assembler import (
 )
 from srfield.corpus import CORPUS_NAMES, CORPUS_PROBLEMS
 from srfield.equations import TAG_B_MIDDLE, TAG_B_TRACE, TAG_W1, Equation
-from srfield.errors import EngineError, InternalConsistencyError
+from srfield.errors import EngineError
 from srfield.jetmodel import BundleSpec, build_catalog
 from srfield.problem import parse_problem
 from srfield.report import run_problem
@@ -131,24 +133,25 @@ def test_table_route_matches_the_tree_route(rng):
 
 def test_run_problem_expands_l_once(monkeypatch):
     """One report with the equations and el stages expands L into its table
-    once, and a warm signature applies no lift to the pairing again."""
+    once, and a warm signature builds no record again."""
     problem = parse_problem(dict(bench_workloads().LADDER)["ladder-222"])
     L = problem.lagrangian()
+    builds, expanded = [], []
+
+    def signature(spec, _build=asm._signature.__wrapped__):
+        builds.append(spec)
+        return _build(spec)
+    monkeypatch.setattr(asm, "_signature", lru_cache(maxsize=None)(signature))
     run_problem(problem, 0, {"equations", "el"})
-    expanded, images = [], []
+    assert builds == [problem.bundle]
 
     def to_rat(e, _real=sx._to_rat):
         if e is L:
             expanded.append(e)
         return _real(e)
-
-    def pairing_images(*args, _real=asm._pairing_images):
-        images.append(args)
-        return _real(*args)
     monkeypatch.setattr(sx, "_to_rat", to_rat)
-    monkeypatch.setattr(asm, "_pairing_images", pairing_images)
     run_problem(problem, 0, {"equations", "el"})
-    assert len(expanded) == 1 and images == []
+    assert len(expanded) == 1 and builds == [problem.bundle]
 
 
 def test_report_renders_sides_without_trees(monkeypatch):
@@ -199,9 +202,3 @@ def test_report_sides_are_built_canonical(monkeypatch):
     for text in texts:
         run_problem(parse_problem(text), 0, {"equations"})
     assert len(recorded) > 500
-
-
-def test_signature_record_takes_polynomials_only(rational):
-    catalog, L = rational
-    with pytest.raises(InternalConsistencyError, match="not a polynomial"):
-        asm._polynomial(L)

@@ -496,6 +496,27 @@ def test_cli_every_line_checked_on_parsing(tmp_path, capsys, line, code):
         assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("lines,code,err", [
+    ("section@1 = x[1]\nsection@2 = x[1]^2\nvariation@1 = 1\n", 3,
+     "error: section/variation fiber index 2 out of range for n=1\n"),
+    ("section@1 = x[1]\nsection@0 = x[1]^2\nvariation@1 = 1\n", 3,
+     "error: section/variation fiber index 0 out of range for n=1\n"),
+    ("section@1 = x[1]\nsection@1 = x[1]^2\nvariation@1 = 1\n", 3,
+     "error: 2 sections but 1 variations: each section pairs with one variation\n"),
+    ("point = u[2,0]=1 u[2,0]=2\n", 2, "parse error: line 5: coordinate u[2,0] given twice\n"),
+    ("point = u[2,0]=1.5 u[2,0]@1=0.5\n", 2,
+     "parse error: line 5: coordinate u[2,0] given twice\n"),
+], ids=["section-index-above-n", "section-index-0", "section-without-variation",
+        "point-repeated-name", "point-repeated-coordinate"])
+def test_cli_no_section_or_coordinate_is_dropped(tmp_path, capsys, lines, code, err):
+    # each of these used to run with the extra section, variation or value dropped
+    path = _write(tmp_path, "drop.prob", "m=2\nn=1\nk=2\nlagrangian = u[2,0]^2\n" + lines)
+    for command in ("el", "analyze", "run"):
+        assert main([command, path]) == code, command
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", err), command
+
+
 @pytest.mark.parametrize("line,key,first", [("m = 2", "m", 3), ("n = 1", "n", 4),
                                             ("k = 3", "k", 5), ("field q(x[1]) = 2", "field q", 6),
                                             ("lagrangian = u[0,0]^2", "lagrangian", 7)])
