@@ -271,10 +271,6 @@ def prop31_select(spec: BundleSpec) -> SelectionMatrix:
                            [[full[r][c] for c in picked] for r in order], trace, line6)
 
 
-def prop31_verify(sel: SelectionMatrix) -> bool:
-    return prop31_verify_detailed(sel)[0]
-
-
 def prop31_verify_detailed(sel: SelectionMatrix) -> tuple[bool, str]:
     """Nonsingularity by the stated elimination order, with an exact fallback.
 

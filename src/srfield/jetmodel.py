@@ -1,4 +1,4 @@
-"""Bundle signatures, the velocity-momentum coordinate catalog, pairing and prolongation.
+"""Bundle signatures, the velocity-momentum coordinate catalog, pairing and sections.
 
 The catalog lists, in one deterministic order, the coordinates
 (x^i, u^a_J, p^{I,i}_a, p) of the fibered product of the order-k jet space
@@ -20,7 +20,6 @@ from .symexpr import (
     Expr,
     Sym,
     as_expr,
-    base_derivatives,
     base_sym,
     eadd,
     emul,
@@ -44,15 +43,6 @@ class BundleSpec:
     def __post_init__(self):
         if self.m < 1 or self.n < 1 or self.k < 1:
             raise UsageError("bundle signature needs m, n, k >= 1")
-
-
-def dim_jet(spec: BundleSpec, order: int) -> int:
-    """Dimension of the order-`order` jet space of the bundle."""
-    if order > spec.k:
-        raise UsageError("order %d exceeds the signature's jet order %d" % (order, spec.k))
-    if order < 0:
-        raise UsageError("order must be >= 0")
-    return spec.m + spec.n * sum(mi.count_indices(spec.m, l) for l in range(order + 1))
 
 
 class CoordCatalog:
@@ -159,19 +149,3 @@ class SectionFn:
 
     def __getitem__(self, ix):
         return self.components[ix]
-
-
-def prolong(s: SectionFn, order: int, spec: BundleSpec) -> dict[Sym, Expr]:
-    """Jet coordinates of the prolonged section as expressions in the base variables.
-
-    Entries are u^a_J -> D^J s^a for all |J| <= order, taken from one
-    :func:`symexpr.base_derivatives` table per component, so each is a chain
-    of partials along a fixed path.
-    """
-    if order > 2 * spec.k:
-        raise UsageError("prolongation order %d exceeds 2k = %d" % (order, 2 * spec.k))
-    if len(s) != spec.n:
-        raise UsageError("section has %d components, fiber dimension is %d" % (len(s), spec.n))
-    tables = [base_derivatives(c, spec.m) for c in s.components]
-    return {jet_sym(alpha, J): tables[alpha - 1](J)
-            for J in mi.enumerate_up_to(spec.m, order) for alpha in range(1, spec.n + 1)}

@@ -37,7 +37,6 @@ from .symexpr import (
     ONE,
     Sym,
     base_sym,
-    bind_values,
     compile_expr,
     emul,
     epow,
@@ -51,15 +50,11 @@ from .symexpr import (
 REFINEMENT_TOL = 1e-4
 # step of the complex-step action derivative, which has no cancellation to scale it against
 COMPLEX_STEP = 1e-20
-# points per slab of a grid's first axis, evaluated at a time to bound the Taylor tables' memory
+# a grid is evaluated in slabs of whole hyperplanes along its first axis, as many as
+# fit in SLAB_POINTS and at least one, so a slab of an n-point rule holds at most
+# max(SLAB_POINTS, n^(m-1)) points (83,521 on the refined grid at m = 5); a pair's
+# Taylor tables live for one slab, but the bump's are kept for every slab of both grids
 SLAB_POINTS = 1024
-
-def residual_on_section(el: ELSystem, s: SectionFn, point: Mapping,
-                        fields: Optional[Mapping[str, Expr]] = None) -> list[float]:
-    """Numeric Euler-Lagrange residuals of a section at a base point, read as by
-    :func:`symexpr.evaluate` with every base variable given."""
-    return list(_on_section(el.components, el.spec, s, bind_values(point, _base(el.spec)), fields))
-
 
 # ---------------------------------------------------------------------------
 # Taylor jets

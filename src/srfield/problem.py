@@ -13,9 +13,10 @@ Recognized lines (comments start with '#'):
 
 Sections and variations are paired in file order; a repeated fiber index
 starts a new entry, every fiber index is in 1..n, and the two counts must match
-(a UsageError otherwise).  Each point line is one more point.  Point assignments
-are whitespace-separated name=value pairs using the rendered coordinate names;
-a coordinate given twice on one line, under any of its names, is a ParseError.
+(a UsageError otherwise, also for a ProblemFile built in code).  Each point
+line is one more point.  Point assignments are whitespace-separated name=value
+pairs using the rendered coordinate names; a coordinate given twice on one
+line, under any of its names, is a ParseError.
 m, n, k, lagrangian and each field name may be given once: a repeat is a
 ParseError naming the key and both lines, not a silent override.  Every line
 is checked on parsing.
@@ -45,6 +46,11 @@ class ProblemFile:
     points: list[dict[str, float]] = field(default_factory=list)
     # parse_problem's catalog, Lagrangian and field bindings, reused for that catalog
     _parsed: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if len(self.sections) != len(self.variations):
+            raise UsageError("%d sections but %d variations: each section pairs with one "
+                             "variation" % (len(self.sections), len(self.variations)))
 
     def catalog(self) -> CoordCatalog:
         if self._parsed:
@@ -184,9 +190,6 @@ def parse_problem(text: str) -> ProblemFile:
     parsed = (catalog, problem.lagrangian(catalog), problem.field_bindings(catalog))
     problem.section_fns(catalog)
     problem.variation_fns(catalog)
-    if len(sections) != len(variations):
-        raise UsageError("%d sections but %d variations: each section pairs with one variation"
-                         % (len(sections), len(variations)))
     for lineno, names in point_names:
         seen: set[Sym] = set()
         for name in names:

@@ -1136,20 +1136,14 @@ def compile_expr(exprs: Sequence[Expr], syms: Sequence[Sym]) -> Callable:
     return namespace["f"]
 
 
-def evaluate(e: Expr, point: Mapping, fields: Optional[Mapping[str, Expr]] = None):
-    """IEEE double value of e at the given assignment, through :func:`compile_expr`.
-
-    point maps symbols (or their rendered names) to floats or equally shaped
-    numpy arrays; fields optionally binds external field names to expressions
-    in the base variables.  A missing value or a zero base under a negative
-    power raises EvalDomainError.
-    """
-    return compile_at([e], fields)(point)[0]
-
-
 def compile_at(exprs: Sequence[Expr], fields: Optional[Mapping[str, Expr]] = None) -> Callable:
-    """exprs with fields bound, compiled once: a function from a point, read as by
-    :func:`evaluate`, to the tuple of their values."""
+    """exprs with fields bound, compiled once: a function from a point to the tuple of
+    their values.
+
+    A point maps symbols to floats or equally shaped numpy arrays; fields optionally
+    binds external field names to expressions in the base variables.  A missing value
+    or a zero base under a negative power raises EvalDomainError.
+    """
     if fields:
         exprs = [substitute_fields(x, fields) for x in exprs]
     syms = sorted(set().union(*map(free_syms, exprs)))
@@ -1157,15 +1151,13 @@ def compile_at(exprs: Sequence[Expr], fields: Optional[Mapping[str, Expr]] = Non
     return lambda point: values_at(bind_values(point, syms))
 
 
-def bind_values(point: Mapping, syms: Sequence[Sym]) -> list:
-    """The values of syms at a point, as :func:`evaluate` reads them, in the order of syms:
-    an array of one or more dimensions as it is, any other value as a float."""
-    values = {k if isinstance(k, Sym) else str(k): v if getattr(v, "ndim", 0) else float(v)
-              for k, v in point.items()}
+def bind_values(point: Mapping[Sym, object], syms: Sequence[Sym]) -> list:
+    """The values of syms at a point, in the order of syms: an array of one or more
+    dimensions as it is, any other value as a float."""
     for s in syms:
-        if s not in values and s.render() not in values:
+        if s not in point:
             raise EvalDomainError("no value assigned to %s" % s.render())
-    return [values[s] if s in values else values[s.render()] for s in syms]
+    return [point[s] if getattr(point[s], "ndim", 0) else float(point[s]) for s in syms]
 
 
 # ---------------------------------------------------------------------------

@@ -84,7 +84,7 @@ def substituted_oracle(L: Expr, spec: BundleSpec, s: SectionFn, psi: SectionFn,
     """(action derivative, EL pairing) on the refined grid, the pairing taken as
     the one compiled integrand sum_a EL_a[prolong(s, 2k)] * (bump psi)_a."""
     L_eff = eager_substitute_fields(L, fields) if fields else L
-    psi_eff = SectionFn([emul(el.bump_polynomial(spec), c) for c in psi.components])
+    psi_eff = SectionFn([emul(oracle.bump_polynomial(spec), c) for c in psi.components])
     sprol = eager_prolong(s, 2 * spec.k, spec)
     pprol = eager_prolong(psi_eff, spec.k, spec)
     parts = []

@@ -144,7 +144,7 @@ def test_prop31_selection_m2k2():
     sel = an.prop31_select(BundleSpec(2, 1, 2))
     assert len(sel.row_labels) == len(sel.col_labels) == 8
     assert all(v in (0, 1) for row in sel.matrix for v in row)
-    assert an.prop31_verify(sel)
+    assert an.prop31_verify_detailed(sel)[0]
 
 
 def test_prop31_m2k3_size_from_enumeration():
@@ -154,7 +154,7 @@ def test_prop31_m2k3_size_from_enumeration():
     assert expected == 11
     sel = an.prop31_select(spec)
     assert len(sel.row_labels) == expected
-    assert an.prop31_verify(sel)
+    assert an.prop31_verify_detailed(sel)[0]
 
 
 def test_prop31_singleton_rows_forced():
@@ -170,7 +170,7 @@ def test_prop31_singleton_rows_forced():
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_prop31_all_desk_scale(m, k):
     sel = an.prop31_select(BundleSpec(m, 1, k))
-    assert an.prop31_verify(sel)
+    assert an.prop31_verify_detailed(sel)[0]
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -203,7 +203,7 @@ def test_prop31_corrupted_selection_fails():
     bad = copy.deepcopy(sel)
     for r in range(len(bad.matrix)):
         bad.matrix[r][0] = bad.matrix[r][1]  # duplicate a column: singular
-    assert not an.prop31_verify(bad)
+    assert not an.prop31_verify_detailed(bad)[0]
 
 
 def _on_point(L, spec, seed, fields=None):
@@ -228,7 +228,7 @@ def test_kernel_gradient_reaches_bound_field(plate_catalog, plate_L):
     spec = BundleSpec(2, 1, 2)
     fields = {"q": sx.Atom(x1)}
     pt = _on_point(plate_L, spec, 3, fields)
-    assert sx.evaluate(grad[x1], pt, fields) == pt[jet(1, 0, 0)]
+    assert sx.compile_at([grad[x1]], fields)(pt)[0] == pt[jet(1, 0, 0)]
     assert an.omega2_kernel_dim_at(plate_L, spec, pt, fields) == 0
 
 
@@ -555,7 +555,8 @@ def test_on_constraint_point_residuals():
         for seed in (9, 10, 11):
             pt = _on_point(L, spec, seed, fields)
             for res in residuals:
-                assert abs(sx.evaluate(res, pt, fields)) <= 1e-12, (name, seed, sx.render(res))
+                value = sx.compile_at([res], fields)(pt)[0]
+                assert abs(value) <= 1e-12, (name, seed, sx.render(res))
 
 
 def test_on_constraint_points_match_single():

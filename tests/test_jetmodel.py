@@ -1,4 +1,5 @@
-"""Catalogs, dimension formulas, the pairing, prolongation."""
+"""Catalogs, dimension formulas, the pairing, prolongation (the reference route and the
+base-derivative table)."""
 
 import itertools
 import random
@@ -7,29 +8,34 @@ import re
 import pytest
 
 from srfield import symexpr as sx
-from srfield.eleuler import bump_polynomial
 from srfield.errors import UsageError
 from srfield.jetmodel import (
     BundleSpec,
     SectionFn,
     build_catalog,
     coordinate_count,
-    dim_jet,
     pairing_phi,
-    prolong,
 )
 from srfield.multiindex import MultiIndex, enumerate_up_to
+from srfield.oracle import bump_polynomial
 from srfield.report import random_section, random_variation
 
 from conftest import jet, mom
 from routes_reference import eager_prolong
 
 
+def dim_jet(m, n, order):
+    """The dimension of the order-`order` jet space, counted off the catalog's base and
+    jet coordinates at k = max(order, 1)."""
+    cat = build_catalog(BundleSpec(m, n, max(order, 1)))
+    return len(cat.base_syms) + sum(u.index.order <= order for u in cat.jet_syms)
+
+
 def test_dim_jet_examples():
-    assert dim_jet(BundleSpec(2, 1, 2), 2) == 8
+    assert dim_jet(2, 1, 2) == 8
     for k in range(1, 5):
-        assert dim_jet(BundleSpec(1, 1, k), k) == 2 + k
-    assert dim_jet(BundleSpec(3, 2, 1), 0) == 5
+        assert dim_jet(1, 1, k) == 2 + k
+    assert dim_jet(3, 2, 0) == 5
 
 
 def brute_dim(m, n, order):
@@ -44,13 +50,7 @@ def brute_dim(m, n, order):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
 def test_dim_jet_brute_force(m, n, order):
-    k = max(order, 1)
-    assert dim_jet(BundleSpec(m, n, k), order) == brute_dim(m, n, order)
-
-
-def test_dim_jet_order_above_k():
-    with pytest.raises(UsageError):
-        dim_jet(BundleSpec(2, 1, 1), 2)
+    assert dim_jet(m, n, order) == brute_dim(m, n, order)
 
 
 def test_plate_catalog():
@@ -137,7 +137,7 @@ def test_prolong_example():
     spec = BundleSpec(2, 1, 2)
     cat = build_catalog(spec)
     s = SectionFn([sx.parse("x[1]^2*x[2]", cat)])
-    pr = prolong(s, 2, spec)
+    pr = eager_prolong(s, 2, spec)
     expected = {
         "u[1,0]": "2*x[1]*x[2]",
         "u[0,1]": "x[1]^2",
@@ -153,11 +153,11 @@ def test_prolong_example():
 def test_prolong_constant_and_linear():
     spec = BundleSpec(2, 1, 1)
     s = SectionFn([sx.Const(3)])
-    pr = prolong(s, 1, spec)
+    pr = eager_prolong(s, 1, spec)
     assert all(sx.is_zero(pr[sym]) for sym in pr if sum(sym.index) >= 1)
 
     spec1 = BundleSpec(1, 1, 1)
-    pr1 = prolong(SectionFn([sx.Atom(sx.base_sym(1))]), 1, spec1)
+    pr1 = eager_prolong(SectionFn([sx.Atom(sx.base_sym(1))]), 1, spec1)
     assert sx.render(sx.normalize(pr1[jet(1, 1)])) == "1"
 
 
@@ -166,7 +166,7 @@ def test_prolong_commutes_with_differentiation():
     spec = BundleSpec(2, 1, 2)
     cat = build_catalog(spec)
     s = SectionFn([sx.parse("x[1]^3 + 2*x[1]*x[2]^2 - x[2]", cat)])
-    pr = prolong(s, 3, spec)
+    pr = eager_prolong(s, 3, spec)
     for J in enumerate_up_to(2, 2):
         for i in (1, 2):
             lhs = pr[sx.jet_sym(1, J.bump(i))]
@@ -176,7 +176,8 @@ def test_prolong_commutes_with_differentiation():
 
 @pytest.mark.parametrize("signature", [(1, 1, 3), (2, 2, 2), (3, 1, 2)])
 def test_prolong_matches_eager_reference(signature):
-    """The same trees as the eager level-by-level loop, for sections and bumped variations."""
+    """The base-derivative tables give the same trees as the eager level-by-level loop,
+    for sections and bumped variations."""
     spec = BundleSpec(*signature)
     rng = random.Random(3)
     bump = bump_polynomial(spec)
@@ -184,19 +185,21 @@ def test_prolong_matches_eager_reference(signature):
         s = random_section(spec, rng)
         psi = SectionFn([sx.emul(bump, c) for c in random_variation(spec, rng).components])
         for section in (s, psi):
-            assert prolong(section, 2 * spec.k, spec) == eager_prolong(section, 2 * spec.k, spec)
+            tables = [sx.base_derivatives(c, spec.m) for c in section.components]
+            table_prolong = {sx.jet_sym(alpha, J): tables[alpha - 1](J)
+                             for J in enumerate_up_to(spec.m, 2 * spec.k)
+                             for alpha in range(1, spec.n + 1)}
+            assert table_prolong == eager_prolong(section, 2 * spec.k, spec)
 
 
 def test_prolong_per_component():
     spec = BundleSpec(2, 2, 2)
     cat = build_catalog(spec)
     s = SectionFn([sx.parse("x[1]^2*x[2]", cat), sx.parse("x[2]^3", cat)])
-    pr = prolong(s, 3, spec)
+    pr = eager_prolong(s, 3, spec)
     assert len(pr) == 2 * 10
     asked = [sx.jet_sym(2, MultiIndex((0, 3))), sx.jet_sym(1, MultiIndex((1, 0)))]
     assert [sx.render(sx.normalize(pr[u])) for u in asked] == ["6", "2*x[1]*x[2]"]
-    with pytest.raises(UsageError, match="section has 1 components, fiber dimension is 2"):
-        prolong(SectionFn([sx.parse("x[2]^3", cat)]), 1, spec)
 
 
 def test_prolong_rejects_momenta():
@@ -227,7 +230,7 @@ def test_pairing_matches_pullback_numerically():
     spec = BundleSpec(2, 1, 2)
     cat = build_catalog(spec)
     s = SectionFn([sx.parse("x[1]^2*x[2] + x[2]^2", cat)])
-    pr = prolong(s, 2, spec)
+    pr = eager_prolong(s, 2, spec)
     phi = pairing_phi(cat)
     for _ in range(10):
         point = {sx.base_sym(1): rng.uniform(1, 2), sx.base_sym(2): rng.uniform(1, 2)}
@@ -237,11 +240,11 @@ def test_pairing_matches_pullback_numerically():
         full = dict(momenta)
         full.update(point)
         for sym, expr in pr.items():
-            full[sym] = sx.evaluate(expr, point)
-        lhs = sx.evaluate(phi, full)
+            full[sym] = sx.compile_at([expr])(point)[0]
+        lhs = sx.compile_at([phi])(full)[0]
         # independent pullback: top coefficient of the pulled-back m-form
         rhs = momenta[cat.p]
         for sym in cat.mom_syms:
             d_i = sx.partial(pr[sx.jet_sym(sym.alpha, sym.index)], sx.base_sym(sym.i))
-            rhs += momenta[sym] * sx.evaluate(d_i, point)
+            rhs += momenta[sym] * sx.compile_at([d_i])(point)[0]
         assert lhs == pytest.approx(rhs, rel=1e-12)

@@ -19,7 +19,7 @@ from srfield.corpus import (
 )
 from srfield.errors import ParseError
 from srfield.jetmodel import BundleSpec, build_catalog
-from srfield.problem import parse_problem
+from srfield.problem import ProblemFile, parse_problem
 from srfield.report import report_json, run_problem
 
 PLATE_PROBLEM = """
@@ -515,6 +515,16 @@ def test_cli_no_section_or_coordinate_is_dropped(tmp_path, capsys, lines, code, 
         assert main([command, path]) == code, command
         out = capsys.readouterr()
         assert (out.out, out.err) == ("", err), command
+
+
+def test_problem_built_in_code_pairs_every_section():
+    # a ProblemFile made without parse_problem meets the same count check; the oracle
+    # used to run the first pair and drop the second section without a word
+    with pytest.raises(errors.UsageError) as exc:
+        run_problem(ProblemFile(BundleSpec(1, 1, 1), "u[1]^2",
+                                sections=[{1: "x[1]"}, {1: "x[1]^2"}], variations=[{1: "1"}]),
+                    0, {"oracle"})
+    assert str(exc.value) == "2 sections but 1 variations: each section pairs with one variation"
 
 
 @pytest.mark.parametrize("line,key,first", [("m = 2", "m", 3), ("n = 1", "n", 4),

@@ -296,22 +296,22 @@ def test_evaluate_plate(plate_catalog, plate_L):
     point = {s: 0.0 for s in plate_catalog.coords}
     point[jet(1, 2, 0)] = 1.0
     point[sx.field_sym("q", MultiIndex((0, 0)), (1, 2))] = 0.0
-    assert sx.evaluate(plate_L, point) == pytest.approx(0.5)
+    assert sx.compile_at([plate_L])(point)[0] == pytest.approx(0.5)
 
 
 def test_evaluate_ch_domain_error(ch_L, ch_catalog):
     point = {s: 0.0 for s in ch_catalog.coords}
     with pytest.raises(EvalDomainError):
-        sx.evaluate(ch_L, point)
+        sx.compile_at([ch_L])(point)[0]
 
 
 def test_evaluate_constant():
-    assert sx.evaluate(sx.Const(Fraction(3, 4)), {}) == 0.75
+    assert sx.compile_at([sx.Const(Fraction(3, 4))])({})[0] == 0.75
 
 
 def test_evaluate_missing_assignment():
     with pytest.raises(EvalDomainError):
-        sx.evaluate(sx.Atom(jet(1, 1, 0)), {})
+        sx.compile_at([sx.Atom(jet(1, 1, 0))])({})[0]
 
 
 def test_evaluate_with_field_binding(plate_catalog, plate_L):
@@ -320,7 +320,7 @@ def test_evaluate_with_field_binding(plate_catalog, plate_L):
     point[sx.base_sym(1)] = 0.5
     point[sx.base_sym(2)] = 0.5
     cat = plate_catalog
-    val = sx.evaluate(plate_L, point, fields={"q": sx.parse("x[1] + x[2]", cat)})
+    val = sx.compile_at([plate_L], {"q": sx.parse("x[1] + x[2]", cat)})(point)[0]
     assert val == pytest.approx(-2.0)  # -q*u = -(1.0)*2.0
 
 
@@ -398,7 +398,8 @@ def test_compile_matches_evaluate(ch_L, ch_catalog):
         exact = sx.normalize(sx.substitute(ch_L, {s: sx.Const(q) for s, q in zip(syms, vals)}))
         assert isinstance(exact, sx.Const)
         assert fn([float(q) for q in vals])[0] == pytest.approx(float(exact.q), rel=1e-12)
-        assert sx.evaluate(ch_L, dict(zip(syms, vals))) == pytest.approx(float(exact.q), rel=1e-12)
+        at_point = sx.compile_at([ch_L])(dict(zip(syms, vals)))[0]
+        assert at_point == pytest.approx(float(exact.q), rel=1e-12)
 
 
 def test_compile_deep_tree():
@@ -432,11 +433,11 @@ def test_evaluate_arrays_and_pole(ch_L):
     ux = jet(1, 1, 0)
     others = {s: 1.5 for s in sx.free_syms(ch_L) if s != ux}
     grid = np.array([[1.0, 2.0], [1.25, 1.75]])
-    vals = sx.evaluate(ch_L, {**others, ux: grid})
+    vals = sx.compile_at([ch_L])({**others, ux: grid})[0]
     assert vals.shape == grid.shape
-    assert vals[0, 1] == sx.evaluate(ch_L, {**others, ux: 2.0})
+    assert vals[0, 1] == sx.compile_at([ch_L])({**others, ux: 2.0})[0]
     with pytest.raises(EvalDomainError):
-        sx.evaluate(ch_L, {**others, ux: np.array([1.0, 0.0, 2.0])})
+        sx.compile_at([ch_L])({**others, ux: np.array([1.0, 0.0, 2.0])})[0]
 
 
 # --- invariants -----------------------------------------------------------
@@ -472,8 +473,8 @@ def test_evaluate_commutes_with_normalize(seed):
     e = random_rational(rng, _SYMS)
     nf = sx.normalize(e)
     point = {s: rng.uniform(1.0, 2.0) for s in _SYMS}
-    v1 = sx.evaluate(e, point)
-    v2 = sx.evaluate(nf, point)
+    v1 = sx.compile_at([e])(point)[0]
+    v2 = sx.compile_at([nf])(point)[0]
     assert abs(v1 - v2) <= 1e-12 * max(1.0, abs(v1))
 
 

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from srfield import eleuler as el
+from srfield import oracle
 from srfield import symexpr as sx
 from srfield.jetmodel import BundleSpec, SectionFn, build_catalog
 from srfield.problem import parse_problem
@@ -174,6 +175,6 @@ def test_oracle_sides_match_the_exact_first_variation(case):
     """Both oracle sides lie within 5e-13 relative of the exact first variation."""
     L, spec, (s, psi) = case()
     exact = float(exact_first_variation(L, spec, s, psi).evalf(30))
-    lhs, rhs = el.gateaux_oracle(L, spec, s, psi, 9, el.COMPLEX_STEP)
+    lhs, rhs = el.gateaux_oracle(L, spec, s, psi, 9, oracle.COMPLEX_STEP)
     assert abs(lhs - exact) <= 5e-13 * abs(exact), (lhs, exact)
     assert abs(rhs - exact) <= 5e-13 * abs(exact), (rhs, exact)
